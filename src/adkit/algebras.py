@@ -46,9 +46,7 @@ class DualAlgebra:
     def constant(c: float) -> Dual:
         return Dual(c, 0.0)
 
-    @staticmethod
-    def apply(fn: ElementaryFn, args: list[Dual]) -> Dual:
-        return lift_elementary(fn, args)
+    apply = staticmethod(lift_elementary)
 
 
 class CountingAlgebra:
@@ -76,8 +74,7 @@ class JetAlgebra:
     def constant(self, c: float) -> Jet:
         return jet_constant(self.shape, c, self.basis)
 
-    def apply(self, fn: ElementaryFn, args: list[Jet]) -> Jet:
-        return jet_lift_elementary(fn, args)
+    apply = staticmethod(jet_lift_elementary)
 
 
 class TowerAlgebra:
@@ -90,16 +87,17 @@ class TowerAlgebra:
     def constant(c: float) -> Tower:
         return tower_const(c)
 
+    #: Arithmetic by name: the tower operations themselves.
+    _ARITHMETIC = {
+        "add": tower_add,
+        "sub": tower_sub,
+        "neg": tower_neg,
+        "mul": tower_mul,
+        "div": tower_div,
+    }
+
     def apply(self, fn: ElementaryFn, args: list[Tower]) -> Tower:
-        name = fn.name
-        if name == "add":
-            return tower_add(args[0], args[1])
-        if name == "sub":
-            return tower_sub(args[0], args[1])
-        if name == "neg":
-            return tower_neg(args[0])
-        if name == "mul":
-            return tower_mul(args[0], args[1])
-        if name == "div":
-            return tower_div(args[0], args[1])
+        op = self._ARITHMETIC.get(fn.name)
+        if op is not None:
+            return op(*args)
         return tower_lift_elementary(fn, args[0], self.resolve)

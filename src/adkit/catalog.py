@@ -241,9 +241,12 @@ def pow_fn(k: int) -> ElementaryFn:
                         derivs=derivs)
 
 
-@lru_cache(maxsize=None)
 def const_fn(c: float) -> ElementaryFn:
-    """A zero-argument elementary producing the constant c (free of charge)."""
+    """A zero-argument elementary producing the constant c (free of charge).
+
+    Not cached: a cache keyed by value would grow with every constant ever
+    compiled, and would merge 0.0 with -0.0, which compare equal.
+    """
     return ElementaryFn(
         "const", 0, lambda a, c=c: c, lambda a: [], _always, unit_cost=0
     )
@@ -254,13 +257,11 @@ CATALOG: dict[str, ElementaryFn] = {
     f.name: f for f in (EXP, LN, SQRT, SIN, COS, TAN)
 }
 
-#: Names handled structurally by every scalar algebra (not via Taylor rules).
-ARITHMETIC_NAMES = frozenset({"add", "sub", "neg", "mul", "div", "copy", "const"})
+
+def is_pow(name: str) -> bool:
+    """Whether `name` is that of a :func:`pow_fn` power (``pow0``, ``pow1``, ...)."""
+    return name.startswith("pow") and name[3:].isdigit()
 
 
-def is_pow(fn: ElementaryFn) -> bool:
-    return fn.name.startswith("pow") and fn.name[3:].isdigit()
-
-
-def pow_exponent(fn: ElementaryFn) -> int:
-    return int(fn.name[3:])
+def pow_exponent(name: str) -> int:
+    return int(name[3:])

@@ -44,6 +44,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise FlagError(message)
 
 
+#: Options whose value is a comma-separated vector.
+_VECTOR_FLAGS = ("--at", "--dir", "--cov")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--at -0.5,1`` as ``--at=-0.5,1``: argparse takes a separate
+    value that starts with "-" and is not a plain number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        takes_value = out and out[-1] in _VECTOR_FLAGS
+        if takes_value and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _vector(text: str, what: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part != ""]
@@ -254,7 +271,8 @@ def _cmd_bench(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = parser.parse_args(_attach_vector_values(argv))
         if args.command == "diff":
             return _cmd_diff(args)
         if args.command == "graph":

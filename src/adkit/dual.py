@@ -8,7 +8,7 @@ exact directional derivative alongside the value.
 
 from __future__ import annotations
 
-from .catalog import ARITHMETIC_NAMES, DomainError, ElementaryFn
+from .catalog import DomainError, ElementaryFn
 
 
 class Dual:
@@ -97,29 +97,27 @@ def dual_div(a: Dual, b: Dual) -> Dual:
     return Dual(q, (a.tangent - q * b.tangent) / b.primal)
 
 
+#: Arithmetic by name: the dual-number operations themselves.
+_ARITHMETIC = {
+    "add": dual_add,
+    "sub": dual_sub,
+    "neg": Dual.__neg__,
+    "mul": dual_mul,
+    "div": dual_div,
+    "copy": lambda a: Dual(a.primal, a.tangent),
+}
+
+
 def lift_elementary(fn: ElementaryFn, args: list[Dual]) -> Dual:
     """Apply a catalogue function to dual arguments.
 
     Arithmetic is dispatched to the dual-number operations themselves;
-    everything else uses (f(x), grad f(x) . x').
+    everything else, constants included, uses (f(x), grad f(x) . x').
     """
     fn.check_arity(args)
-    name = fn.name
-    if name in ARITHMETIC_NAMES:
-        if name == "add":
-            return dual_add(args[0], args[1])
-        if name == "sub":
-            return dual_sub(args[0], args[1])
-        if name == "neg":
-            return -args[0]
-        if name == "mul":
-            return dual_mul(args[0], args[1])
-        if name == "div":
-            return dual_div(args[0], args[1])
-        if name == "copy":
-            return Dual(args[0].primal, args[0].tangent)
-        # const
-        return Dual(fn.value(()), 0.0)
+    op = _ARITHMETIC.get(fn.name)
+    if op is not None:
+        return op(*args)
     primals = [a.primal for a in args]
     fn.check_domain(primals)
     value = fn.value(primals)

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .algebras import CountingAlgebra, DualAlgebra
-from .catalog import ADD, MUL, ElementaryFn, const_fn
+from .catalog import ADD, MUL, ElementaryFn
 from .counting import CountingScalar, EvalCounter, counting_eval, counting_partials
 from .dual import Dual
-from .expr import Apply, Expr, FunctionDef, Variable, eval_generic, linearize
+from .expr import Apply, Expr, FunctionDef, Variable, eval_generic
 
 
 @dataclass(frozen=True)
@@ -77,35 +77,24 @@ class Tape:
 
 
 def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
-    """Evaluate once, caching every entry's primal and local partials."""
+    """Evaluate once, caching every entry's primal and local partials.
+
+    The tape is the compiled program with values attached: entry k is step
+    k, its `arg_refs` are the step's argument slots.
+    """
     if len(c) != fdef.n:
         raise ValueError(f"expected {fdef.n} inputs, got {len(c)}")
-    consts, steps = linearize(fdef)
-    n = fdef.n
+    program = fdef.program
     values = [float(x) for x in c]
-    slot_of: dict[int, int] = {}
     entries: list[TapeEntry] = []
-
-    def push(fn: ElementaryFn, arg_refs: tuple[int, ...], node: Expr) -> None:
-        args = [values[r] for r in arg_refs]
+    for step in program.steps:
+        fn = step.fn
+        args = [values[r] for r in step.arg_slots]
         fn.check_domain(args)
         primal = fn.value(args)
-        partials = tuple(fn.partials(args))
-        slot_of[id(node)] = len(values)
         values.append(primal)
-        entries.append(TapeEntry(fn, arg_refs, primal, partials))
-
-    for node in consts:
-        push(const_fn(node.value), (), node)
-    for step in steps:
-        refs = tuple(
-            child.index - 1 if isinstance(child, Variable) else slot_of[id(child)]
-            for child in step.args
-        )
-        push(step.fn, refs, step)
-
-    output_refs = tuple(n + len(entries) - fdef.m + j for j in range(fdef.m))
-    return Tape(n, tuple(entries), output_refs)
+        entries.append(TapeEntry(fn, step.arg_slots, primal, tuple(fn.partials(args))))
+    return Tape(fdef.n, tuple(entries), program.output_slots)
 
 
 def backprop(tape: Tape, ybar: Sequence[float]) -> list[float]:

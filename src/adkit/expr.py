@@ -1,4 +1,5 @@
-"""Expression front-end: grammar, AST, generic evaluation, DOT export.
+"""Expression front-end: grammar, AST, compiled program, generic evaluation,
+DOT export.
 
 The surface language is a small infix grammar::
 
@@ -16,12 +17,17 @@ tan).  A parenthesised, comma-separated body defines a multi-output function.
 ``let`` is the sharing mechanism: the bound expression becomes a single DAG
 node no matter how often the name is used.  Nothing else is merged, so an
 expression written twice is evaluated twice.
+
+Each definition is compiled once into a straight-line program over the state
+space R^(n+mu) (`FunctionDef.program`); generic evaluation, the reverse-mode
+tape, the dense trace oracle and the DOT export all read that one program.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .catalog import (
@@ -34,6 +40,9 @@ from .catalog import (
     SUB,
     DomainError,
     ElementaryFn,
+    const_fn,
+    is_pow,
+    pow_exponent,
     pow_fn,
 )
 
@@ -96,6 +105,13 @@ class FunctionDef:
     @property
     def m(self) -> int:
         return len(self.outputs)
+
+    @cached_property
+    def program(self) -> "StateProgram":
+        """The compiled straight-line program that every mode sweeps.  It is
+        built on first use and kept on this definition, so the expression
+        nodes must not be changed afterwards."""
+        return _compile(self)
 
 
 # --- tokenizer ---
@@ -303,45 +319,41 @@ def parse(source: str) -> FunctionDef:
     return _Parser(source).parse_def()
 
 
-# --- generic evaluation ---
+# --- the compiled program ---
 
 
-def eval_generic(fdef: FunctionDef, inputs: Sequence, algebra) -> list:
-    """Evaluate the definition bottom-up over any scalar algebra.
+@dataclass(frozen=True, slots=True)
+class Step:
+    """One elementary transition: fn applied to earlier slots, writing
+    slot `out_slot` (all indices 0-based)."""
 
-    `algebra` supplies ``constant(c)`` and ``apply(fn, args)``.  Every shared
-    node is evaluated exactly once; domain errors are re-raised with the
-    offending node's path from the output root.
+    fn: ElementaryFn
+    arg_slots: tuple[int, ...]
+    out_slot: int
+
+
+@dataclass(frozen=True)
+class StateProgram:
+    """A straight-line program over the state space R^(n+mu).
+
+    Slots 0..n-1 hold the inputs.  Steps fill the following slots in order:
+    first one zero-argument ``const`` step per constant, in first-use order,
+    then the scheduled operations.  The last m steps produce the outputs in
+    order, so the output projection is a pure slot selection.
     """
-    if len(inputs) != fdef.n:
-        raise ValueError(f"expected {fdef.n} inputs, got {len(inputs)}")
-    memo: dict[int, object] = {}
 
-    def ev(node: Expr, path: str):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Variable):
-            result = inputs[node.index - 1]
-        elif isinstance(node, Constant):
-            result = algebra.constant(node.value)
-        else:
-            args = [
-                ev(child, f"{path}.{i}") for i, child in enumerate(node.args)
-            ]
-            try:
-                result = algebra.apply(node.fn, args)
-            except DomainError as err:
-                if err.path is None:
-                    raise err.at(path) from None
-                raise
-        memo[key] = result
-        return result
+    n: int
+    m: int
+    steps: tuple[Step, ...]
+    output_slots: tuple[int, ...]
 
-    return [ev(root, f"out{j}") for j, root in enumerate(fdef.outputs)]
+    @property
+    def mu(self) -> int:
+        return len(self.steps)
 
-
-# --- topological schedule ---
+    @property
+    def dim(self) -> int:
+        return self.n + self.mu
 
 
 def schedule(fdef: FunctionDef) -> list[Apply]:
@@ -352,66 +364,114 @@ def schedule(fdef: FunctionDef) -> list[Apply]:
     Output roots that are plain variables/constants, or that are consumed
     elsewhere in the DAG, get an explicit trailing copy step.
     """
-    consumed: set[int] = set()
-    seen: set[int] = set()
-
-    def scan(node: Expr) -> None:
-        if id(node) in seen or not isinstance(node, Apply):
-            return
-        seen.add(id(node))
-        for child in node.args:
-            consumed.add(id(child))
-            scan(child)
-
+    order: list[Apply] = []  # every operation node, post-order
+    consumed: set[Expr] = set()
+    visited: set[Expr] = set()
     for root in fdef.outputs:
-        scan(root)
+        if not isinstance(root, Apply) or root in visited:
+            continue
+        visited.add(root)
+        stack = [(root, iter(root.args))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                consumed.add(child)
+                if isinstance(child, Apply) and child not in visited:
+                    visited.add(child)
+                    stack.append((child, iter(child.args)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
 
     tails: list[Apply] = []
-    claimed: set[int] = set()
+    claimed: set[Expr] = set()
     for root in fdef.outputs:
-        if (
-            isinstance(root, Apply)
-            and id(root) not in consumed
-            and id(root) not in claimed
-        ):
-            claimed.add(id(root))
+        if isinstance(root, Apply) and root not in consumed and root not in claimed:
+            claimed.add(root)
             tails.append(root)
         else:
             tails.append(Apply(COPY, (root,)))
-
-    interior: list[Apply] = []
-    visited: set[int] = set()
-
-    def post(node: Expr) -> None:
-        if id(node) in visited or not isinstance(node, Apply):
-            return
-        visited.add(id(node))
-        for child in node.args:
-            post(child)
-        if id(node) not in claimed:
-            interior.append(node)
-
-    for root in fdef.outputs:
-        post(root)
-
-    return interior + tails
+    return [node for node in order if node not in claimed] + tails
 
 
-def linearize(fdef: FunctionDef) -> tuple[list[Constant], list[Apply]]:
-    """Constants in first-use order plus the scheduled operations.
-
-    Shared plumbing for every consumer that assigns one storage slot per
-    constant and per operation.
-    """
-    steps = schedule(fdef)
+def _compile(fdef: FunctionDef) -> StateProgram:
+    order = schedule(fdef)
+    n = fdef.n
+    slot_of: dict[Expr, int] = {}
     consts: list[Constant] = []
-    seen: set[int] = set()
-    for step in steps:
-        for child in step.args:
-            if isinstance(child, Constant) and id(child) not in seen:
-                seen.add(id(child))
+    for node in order:
+        for child in node.args:
+            if isinstance(child, Constant) and child not in slot_of:
+                slot_of[child] = n + len(consts)
                 consts.append(child)
-    return consts, steps
+    steps = [Step(const_fn(c.value), (), slot_of[c]) for c in consts]
+    for node in order:
+        arg_slots = tuple(
+            child.index - 1 if isinstance(child, Variable) else slot_of[child]
+            for child in node.args
+        )
+        slot = slot_of[node] = n + len(steps)
+        steps.append(Step(node.fn, arg_slots, slot))
+    dim = n + len(steps)
+    return StateProgram(n, fdef.m, tuple(steps), tuple(range(dim - fdef.m, dim)))
+
+
+# --- generic evaluation ---
+
+
+def eval_generic(fdef: FunctionDef, inputs: Sequence, algebra) -> list:
+    """Evaluate the definition over any scalar algebra in one sweep of its
+    compiled program.
+
+    `algebra` supplies ``constant(c)`` and ``apply(fn, args)``.  Constant
+    steps call ``constant``, copy steps reuse their source's value without
+    calling the algebra, and every other step calls ``apply`` once, so every
+    shared node is evaluated exactly once.  A domain error is re-raised with
+    the failing node's path from its output root (``out1.0`` is argument 0
+    of output 1's root).  When several steps are out of domain, the first in
+    schedule order is reported.
+    """
+    if len(inputs) != fdef.n:
+        raise ValueError(f"expected {fdef.n} inputs, got {len(inputs)}")
+    program = fdef.program
+    slots = list(inputs)
+    constant, apply = algebra.constant, algebra.apply
+    for step in program.steps:
+        fn = step.fn
+        if fn is COPY:
+            slots.append(slots[step.arg_slots[0]])
+        elif not step.arg_slots:
+            slots.append(constant(fn.value(())))
+        else:
+            try:
+                slots.append(apply(fn, [slots[s] for s in step.arg_slots]))
+            except DomainError as err:
+                if err.path is None:
+                    raise err.at(_path_of(fdef, step.out_slot)) from None
+                raise
+    return [slots[s] for s in program.output_slots]
+
+
+def _path_of(fdef: FunctionDef, slot: int) -> str:
+    """The tree path by which a depth-first walk from the outputs first
+    reaches the operation node that fills `slot`."""
+    order = schedule(fdef)
+    target = order[slot - fdef.program.dim + len(order)]
+    stack: list[tuple[Expr, str]] = [
+        (root, f"out{j}") for j, root in reversed(list(enumerate(fdef.outputs)))
+    ]
+    seen: set[Expr] = set()
+    while True:  # the target is reachable, so it is found before the stack empties
+        node, path = stack.pop()
+        if node is target:
+            return path
+        if isinstance(node, Apply) and node not in seen:
+            seen.add(node)
+            stack.extend(
+                (child, f"{path}.{i}")
+                for i, child in reversed(list(enumerate(node.args)))
+            )
 
 
 # --- DOT export ---
@@ -420,48 +480,35 @@ def linearize(fdef: FunctionDef) -> tuple[list[Constant], list[Apply]]:
 def to_dot(fdef: FunctionDef, annotations: Optional[Sequence] = None) -> str:
     """Render the computational graph as a DOT digraph.
 
-    Nodes are the n inputs, the constants, and the scheduled operations, in
-    slot order.  A trailing copy step whose source leaf has no other consumer
-    collapses into a single node (so the identity function is one node, not
-    an input wired to a copy).  `annotations`, when given, is one
-    (value, derivative) pair per slot (or None); values are tagged blue,
-    derivatives red.
+    Nodes are the slots of the compiled program: the n inputs, the
+    constants, and the scheduled operations.  A trailing copy step whose
+    source leaf has no other consumer collapses into a single node (so the
+    identity function is one node, not an input wired to a copy).
+    `annotations`, when given, is one (value, derivative) pair per slot (or
+    None); values are tagged blue, derivatives red.
     """
-    consts, steps = linearize(fdef)
+    n = fdef.n
+    steps = fdef.program.steps
     labels: list[str] = list(fdef.params)
-    labels += [repr(c.value) for c in consts]
-    labels += [_op_label(step.fn) for step in steps]
+    labels += [_op_label(s.fn) if s.arg_slots else repr(s.fn.value(())) for s in steps]
     if annotations is not None and len(annotations) != len(labels):
         raise ValueError(
             f"expected {len(labels)} annotation entries, got {len(annotations)}"
         )
 
-    # inputs occupy slots 0..n-1; constants and steps follow.
-    slot_of: dict[int, int] = {}
-    for i, c in enumerate(consts):
-        slot_of[id(c)] = fdef.n + i
-    for i, step in enumerate(steps):
-        slot_of[id(step)] = fdef.n + len(consts) + i
-
-    def slot(node: Expr) -> int:
-        if isinstance(node, Variable):
-            return node.index - 1
-        return slot_of[id(node)]
-
-    consumers: dict[int, int] = {}
+    consumers = [0] * len(labels)
     for step in steps:
-        for child in step.args:
-            consumers[slot(child)] = consumers.get(slot(child), 0) + 1
+        for src in step.arg_slots:
+            consumers[src] += 1
 
     hidden: set[int] = set()
-    merged_edges: set[int] = set()
     for step in steps:
-        if step.fn.name == "copy" and not isinstance(step.args[0], Apply):
-            src = slot(step.args[0])
-            if consumers.get(src, 0) == 1:
+        if step.fn.name == "copy":
+            src = step.arg_slots[0]
+            is_leaf = src < n or not steps[src - n].arg_slots
+            if is_leaf and consumers[src] == 1:
                 hidden.add(src)
-                labels[slot(step)] = labels[src]
-                merged_edges.add(slot(step))
+                labels[step.out_slot] = labels[src]
 
     lines = ["digraph {", "  node [shape=box];"]
     for i, label in enumerate(labels):
@@ -477,10 +524,10 @@ def to_dot(fdef: FunctionDef, annotations: Optional[Sequence] = None) -> str:
             )
         lines.append(f"  n{i} [{', '.join(attrs)}];")
     for step in steps:
-        if slot(step) in merged_edges:
+        if step.fn.name == "copy" and step.arg_slots[0] in hidden:
             continue
-        for child in step.args:
-            lines.append(f"  n{slot(child)} -> n{slot(step)};")
+        for src in step.arg_slots:
+            lines.append(f"  n{src} -> n{step.out_slot};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -495,8 +542,8 @@ _OP_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/", "neg": "-", "copy
 def _op_label(fn: ElementaryFn) -> str:
     if fn.name in _OP_SYMBOLS:
         return _OP_SYMBOLS[fn.name]
-    if fn.name.startswith("pow") and fn.name[3:].isdigit():
-        return f"^{fn.name[3:]}"
+    if is_pow(fn.name):
+        return f"^{pow_exponent(fn.name)}"
     return fn.name
 
 
@@ -550,9 +597,9 @@ def unparse(fdef: FunctionDef) -> str:
         if fn.name == "neg":
             inner = _wrap(render(node.args[0]), _PREC_UNARY, strict=False)
             return f"-{inner}", _PREC_UNARY
-        if fn.name.startswith("pow") and fn.name[3:].isdigit():
+        if is_pow(fn.name):
             base = _wrap(render(node.args[0]), _PREC_POWER, strict=True)
-            return f"{base}^{fn.name[3:]}", _PREC_POWER
+            return f"{base}^{pow_exponent(fn.name)}", _PREC_POWER
         args = ", ".join(render(a)[0] for a in node.args)
         return f"{fn.name}({args})", _PREC_ATOM
 

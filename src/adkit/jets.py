@@ -21,12 +21,7 @@ import math
 from functools import lru_cache
 from itertools import product as _cartesian
 
-from .catalog import (
-    ARITHMETIC_NAMES,
-    DomainError,
-    ElementaryFn,
-    UnsupportedOrderError,
-)
+from .catalog import DomainError, ElementaryFn, UnsupportedOrderError
 
 #: Largest supported truncation order: 12! is the last factorial exactly
 #: representable alongside its multinomial weights without drift.
@@ -231,6 +226,16 @@ def jet_div(a: Jet, b: Jet) -> Jet:
 
 _FACT = [float(math.factorial(k)) for k in range(MAX_ORDER + 1)]
 
+#: Arithmetic by name: jet arithmetic directly.
+_ARITHMETIC = {
+    "add": jet_add,
+    "sub": jet_sub,
+    "neg": jet_neg,
+    "mul": jet_mul,
+    "div": jet_div,
+    "copy": lambda a: Jet(a.shape, list(a.coeffs), a.basis),
+}
+
 
 def jet_lift_elementary(fn: ElementaryFn, args: list[Jet]) -> Jet:
     """Apply a catalogue function to jet arguments.
@@ -241,26 +246,12 @@ def jet_lift_elementary(fn: ElementaryFn, args: list[Jet]) -> Jet:
     which is finite and exact in the quotient.
     """
     fn.check_arity(args)
-    name = fn.name
-    if name in ARITHMETIC_NAMES:
-        if name == "add":
-            return jet_add(args[0], args[1])
-        if name == "sub":
-            return jet_sub(args[0], args[1])
-        if name == "neg":
-            return jet_neg(args[0])
-        if name == "mul":
-            return jet_mul(args[0], args[1])
-        if name == "div":
-            return jet_div(args[0], args[1])
-        if name == "copy":
-            return Jet(args[0].shape, list(args[0].coeffs), args[0].basis)
-        raise ValueError("const has no jet arguments")  # const is 0-ary
-    arg = args[0]
+    op = _ARITHMETIC.get(fn.name)
+    if op is not None:
+        return op(*args)
     if fn.arity != 1 or fn.derivs is None:
-        raise UnsupportedOrderError(
-            f"{fn.name} has no derivative rule up to order {arg.shape.order}"
-        )
+        raise UnsupportedOrderError(f"{fn.name} has no unary derivative rule to lift")
+    arg = args[0]
     x0 = arg.coeffs[0]
     fn.check_domain([x0])
     n = arg.shape.order

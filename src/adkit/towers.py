@@ -30,10 +30,17 @@ class Tower:
         self._tail: Optional[Tower] = None
 
     def tail(self) -> "Tower":
-        if self._tail is None:
-            self._tail = self._tail_fn()
+        tail = self._tail
+        if tail is None:
+            # Another thread may finish forcing between the read above and
+            # this one; it stores `_tail` before clearing `_tail_fn`.
+            tail_fn = self._tail_fn
+            if tail_fn is None:
+                return self._tail
+            tail = tail_fn()
+            self._tail = tail
             self._tail_fn = None
-        return self._tail
+        return tail
 
     def __repr__(self) -> str:
         return f"Tower(head={self.head!r}, ...)"
@@ -119,18 +126,9 @@ def tower_div(a: Tower, b: Tower) -> Tower:
 def _base_resolver(name: str) -> ElementaryFn:
     if name in CATALOG:
         return CATALOG[name]
-    if name.startswith("pow") and name[3:].isdigit():
-        return pow_fn(int(name[3:]))
+    if is_pow(name):
+        return pow_fn(pow_exponent(name))
     raise KeyError(name)
-
-
-def tower_pow(a: Tower, k: int) -> Tower:
-    if k == 0:
-        return tower_const(1.0)
-    r = a
-    for _ in range(k - 1):
-        r = tower_mul(r, a)
-    return r
 
 
 def _derivative_tower(fn: ElementaryFn, a: Tower, result: Tower, lift) -> Tower:
@@ -151,8 +149,8 @@ def _derivative_tower(fn: ElementaryFn, a: Tower, result: Tower, lift) -> Tower:
         return tower_add(tower_const(1.0), tower_mul(result, result))
     if name == "copy":
         return tower_const(1.0)
-    if is_pow(fn):
-        k = pow_exponent(fn)
+    if is_pow(name):
+        k = pow_exponent(name)
         if k == 0:
             return _ZERO
         return tower_mul(tower_const(float(k)), lift(f"pow{k - 1}", a))

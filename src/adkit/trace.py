@@ -24,42 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import DomainError, ElementaryFn, const_fn
-from .expr import FunctionDef, Variable, linearize
+from .catalog import DomainError
+from .expr import FunctionDef, StateProgram
 
 #: Dense matrices only exist for validation; refuse absurd state spaces.
 MAX_STATE_DIM = 512
 
 FORWARD = "forward"
 REVERSE = "reverse"
-
-
-@dataclass(frozen=True)
-class Step:
-    """One elementary transition: fn applied to earlier slots, writing
-    slot `out_slot` (all indices 0-based)."""
-
-    fn: ElementaryFn
-    arg_slots: tuple[int, ...]
-    out_slot: int
-
-
-@dataclass(frozen=True)
-class StateProgram:
-    """A straight-line program over the state space R^(n+mu)."""
-
-    n: int
-    m: int
-    steps: tuple[Step, ...]
-    output_slots: tuple[int, ...]
-
-    @property
-    def mu(self) -> int:
-        return len(self.steps)
-
-    @property
-    def dim(self) -> int:
-        return self.n + self.mu
 
 
 @dataclass
@@ -92,41 +64,12 @@ class TraceRecord:
 
 
 def compile_program(fdef: FunctionDef) -> StateProgram:
-    """Lay the definition out on the state space.
-
-    Constants become zero-argument steps ahead of the scheduled operations;
-    output roots that are not themselves trailing steps are realised by
-    explicit copy steps, keeping the output projection a pure slot selection.
-    """
-    consts, steps = linearize(fdef)
-    n = fdef.n
-    slot_of: dict[int, int] = {}
-    program_steps: list[Step] = []
-    next_slot = n
-    for node in consts:
-        slot_of[id(node)] = next_slot
-        program_steps.append(Step(const_fn(node.value), (), next_slot))
-        next_slot += 1
-
-    def slot(node) -> int:
-        if isinstance(node, Variable):
-            return node.index - 1
-        return slot_of[id(node)]
-
-    for step in steps:
-        arg_slots = tuple(slot(child) for child in step.args)
-        slot_of[id(step)] = next_slot
-        program_steps.append(Step(step.fn, arg_slots, next_slot))
-        next_slot += 1
-
-    if next_slot > MAX_STATE_DIM:
-        raise ValueError(f"state dimension {next_slot} exceeds {MAX_STATE_DIM}")
-
-    # The last m steps produce the outputs in order (copies were inserted
-    # for any output that needed one), so the projection reads their slots.
-    tails = program_steps[len(program_steps) - fdef.m :]
-    output_slots = tuple(t.out_slot for t in tails)
-    return StateProgram(n, fdef.m, tuple(program_steps), output_slots)
+    """The definition's compiled program (`FunctionDef.program`), refused
+    when its state space is too large for dense matrices."""
+    program = fdef.program
+    if program.dim > MAX_STATE_DIM:
+        raise ValueError(f"state dimension {program.dim} exceeds {MAX_STATE_DIM}")
+    return program
 
 
 def forward_trace(p: StateProgram, c: Sequence[float]) -> TraceRecord:

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from adkit.cli import main
 from adkit.engine import SeedSpec, backprop, forward_directional, jacobian, record
 from adkit.expr import parse
@@ -226,3 +228,21 @@ def test_bench_json(capsys):
     assert [r["ad"] for r in rows] == [4, 6, 8, 10]
     assert [r["symbolic"] for r in rows] == [3, 5, 7, 9]
     assert [r["symbolic_unfactored"] for r in rows] == [3, 6, 9, 12]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "f(x,y)=x*y", "--at", "-0.5,1", "--mode", "forward", "--dir", "1,0"],
+        ["diff", "f(x,y)=x*y", "--at", "0.5,1", "--mode", "forward", "--dir", "-1,0"],
+        ["diff", "f(x)=(x, x*x)", "--at", "3", "--mode", "reverse", "--cov", "-1,0.5"],
+    ],
+    ids=["at", "dir", "cov"],
+)
+def test_vector_flags_take_negative_values(capsys, argv):
+    joined = argv[:2] + [
+        f"{flag}={value}" for flag, value in zip(argv[2::2], argv[3::2])
+    ]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, joined) == (0, out, "")

@@ -1,0 +1,121 @@
+"""The compiled program: one straight-line layout read by every mode."""
+
+import random
+
+import pytest
+
+from adkit.algebras import DualAlgebra, RealAlgebra
+from adkit.catalog import DomainError
+from adkit.dual import Dual
+from adkit.engine import SeedSpec, backprop, forward_directional, record
+from adkit.expr import Constant, FunctionDef, eval_generic, parse, schedule, to_dot
+from adkit.trace import compile_program
+
+from conftest import random_program
+from test_expr import assert_valid_dot
+
+TERMS = 10_000
+
+
+def flat_sum(first: str = "x") -> str:
+    """x + y + x + y + ... with TERMS terms: a left-deep chain of adds."""
+    terms = [first] + ["y" if i % 2 else "x" for i in range(1, TERMS)]
+    return "f(x,y) = " + " + ".join(terms)
+
+
+@pytest.fixture(scope="module")
+def deep():
+    return parse(flat_sum())
+
+
+POINT = [0.25, 0.5]
+N_X, N_Y = (TERMS + 1) // 2, TERMS // 2
+
+
+def _want() -> float:
+    total = 0.0
+    for i in range(TERMS):
+        total += POINT[i % 2]
+    return total
+
+
+def test_flat_sum_eval_real(deep):
+    assert eval_generic(deep, POINT, RealAlgebra()) == [_want()]
+
+
+def test_flat_sum_eval_dual(deep):
+    out = eval_generic(deep, [Dual(0.25, 1.0), Dual(0.5, 0.0)], DualAlgebra())[0]
+    assert (out.primal, out.tangent) == (_want(), float(N_X))
+
+
+def test_flat_sum_forward_directional(deep):
+    value, tangent = forward_directional(deep, SeedSpec.forward(POINT, [0.0, 1.0]))
+    assert value == [_want()] and tangent == [float(N_Y)]
+
+
+def test_flat_sum_record_backprop(deep):
+    assert backprop(record(deep, POINT), [1.0]) == [float(N_X), float(N_Y)]
+
+
+def test_flat_sum_schedule(deep):
+    assert len(schedule(deep)) == TERMS - 1
+
+
+def test_flat_sum_to_dot(deep):
+    nodes, edges = assert_valid_dot(to_dot(deep))
+    assert (nodes, edges) == (2 + TERMS - 1, 2 * (TERMS - 1))
+
+
+def test_domain_error_path_at_the_bottom_of_a_deep_chain():
+    fdef = parse(flat_sum(first="ln(x)"))
+    with pytest.raises(DomainError) as err:
+        eval_generic(fdef, [-1.0, 0.5], RealAlgebra())
+    assert err.value.fn_name == "ln"
+    assert err.value.path == "out0" + ".0" * (TERMS - 1)
+
+
+def test_tape_is_the_compiled_program():
+    rng = random.Random(53)
+    for _ in range(200):
+        fdef, point = random_program(rng)
+        program = compile_program(fdef)
+        tape = record(fdef, point)
+        assert [(e.fn, e.arg_refs) for e in tape.entries] == [
+            (s.fn, s.arg_slots) for s in program.steps
+        ]
+        assert tape.output_refs == program.output_slots
+
+
+def test_program_is_built_once_per_definition():
+    fdef = parse("f(x) = (x, exp(x)*sin(x))")
+    assert compile_program(fdef) is fdef.program
+    record(fdef, [0.5])
+    eval_generic(fdef, [0.5], RealAlgebra())
+    assert fdef.program is compile_program(fdef)
+    # a structurally equal definition compiles its own program
+    assert parse("f(x) = (x, exp(x)*sin(x))").program is not fdef.program
+
+
+def test_multi_output_domain_error_names_the_failing_output():
+    cases = [
+        # output 1's interior sqrt is scheduled before output 0's root ln,
+        # so it is the step reported
+        ("f(x) = (ln(x), sin(sqrt(x)))", [-1.0], "sqrt", "out1.0"),
+        ("f(x) = (exp(x), 2 * sqrt(x - 3))", [1.0], "sqrt", "out1.1"),
+        # a shared node is named by the first path that reaches it
+        ("f(x) = let s = sqrt(x) in (exp(x), s + 1, s)", [-4.0], "sqrt", "out1.0"),
+        ("f(x, y) = (x * y, y / (x - x))", [1.0, 2.0], "div", "out1"),
+    ]
+    for source, point, fn_name, path in cases:
+        with pytest.raises(DomainError) as err:
+            eval_generic(parse(source), point, RealAlgebra())
+        assert (err.value.fn_name, err.value.path) == (fn_name, path), source
+
+
+def test_signed_zero_constants_stay_distinct():
+    fdef = FunctionDef("f", ("x",), (Constant(0.0), Constant(-0.0)))
+    values = eval_generic(fdef, [1.0], RealAlgebra())
+    assert [str(v) for v in values] == ["0.0", "-0.0"]
+    tape = record(fdef, [1.0])
+    primals = [tape.entries[r - tape.n].primal for r in tape.output_refs]
+    assert [str(v) for v in primals] == ["0.0", "-0.0"]

@@ -247,3 +247,35 @@ def test_laziness_forces_only_requested_depth():
     # re-taking an already-forced prefix costs nothing
     tower_take(t, 4)
     assert counter.count == 4
+
+
+def test_tail_returns_the_tail_a_racing_caller_just_forced():
+    # Deterministic interleaving: the second caller reads `_tail` as None,
+    # and the first caller runs its whole tail() before that read returns.
+    class Interleaved(Tower):
+        __slots__ = ("racer",)
+
+        @property
+        def _tail(self):
+            seen = Tower._tail.__get__(self)
+            racer, self.racer = self.racer, None
+            if racer is not None:
+                racer()
+            return seen
+
+        @_tail.setter
+        def _tail(self, value):
+            Tower._tail.__set__(self, value)
+
+    forced = []
+
+    def force():
+        forced.append(tower_const(2.0))
+        return forced[-1]
+
+    tower = Interleaved(1.0, force)
+    first = []
+    tower.racer = lambda: first.append(Tower.tail(tower))
+    second = tower.tail()
+    assert len(forced) == 1
+    assert first == [forced[0]] and second is forced[0]
