@@ -21,7 +21,7 @@ from .algebras import JetAlgebra, RealAlgebra, TowerAlgebra
 from .catalog import DomainError
 from .engine import SCENARIOS, SeedSpec, cost_compare, forward_directional, jacobian, record, backprop
 from .expr import ParseError, eval_generic, parse, to_dot
-from .jets import BERZ, jet_shape, jet_variable
+from .jets import BERZ, MAX_ORDER, jet_shape, jet_variable
 from .towers import tower_take, tower_var
 from .trace import compile_program, forward_derivative_trace
 
@@ -63,7 +63,8 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
 
 def _vector(text: str, what: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        # float("") raises too, so an empty component is refused.
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise FlagError(f"could not parse {what} {text!r} as comma-separated reals")
 
@@ -152,6 +153,8 @@ def _cmd_diff(args) -> int:
             raise FlagError("--mode jet requires --order")
         if fdef.m != 1:
             raise FlagError("--mode jet supports single-output functions")
+        if not 1 <= args.order <= MAX_ORDER:
+            raise FlagError(f"--mode jet requires --order in 1..{MAX_ORDER}")
         shape = jet_shape(fdef.n, args.order)
         algebra = JetAlgebra(shape, BERZ)
         inputs = [
@@ -175,6 +178,8 @@ def _cmd_diff(args) -> int:
             raise FlagError("--mode tower requires --order")
         if fdef.n != 1 or fdef.m != 1:
             raise FlagError("--mode tower supports univariate single-output functions")
+        if args.order < 0:
+            raise FlagError("--mode tower requires --order >= 0")
         out = eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
         entries = tower_take(out, args.order + 1)
         report = _report(args.expression, mode, point, [], [entries[0]], [entries])
@@ -210,7 +215,10 @@ def _cmd_graph(args) -> int:
         point, direction = _parse_annotation(args.annotate)
         if len(point) != fdef.n or len(direction) != fdef.n:
             raise FlagError(f"--annotate vectors must have length {fdef.n}")
-        program = compile_program(fdef)
+        try:
+            program = compile_program(fdef)
+        except ValueError as err:  # too many state slots for dense matrices
+            raise FlagError(f"--annotate: {err}")
         rec = forward_derivative_trace(program, point, direction)
         values = rec.states[-1]
         tangents = rec.derivative_states[-1]

@@ -356,18 +356,14 @@ class StateProgram:
         return self.n + self.mu
 
 
-def schedule(fdef: FunctionDef) -> list[Apply]:
-    """A deterministic linear order of the operation nodes.
-
-    Interior applications appear in left-to-right depth-first post-order;
-    the step producing output j is the (mu - m + j)-th, in output order.
-    Output roots that are plain variables/constants, or that are consumed
-    elsewhere in the DAG, get an explicit trailing copy step.
-    """
-    order: list[Apply] = []  # every operation node, post-order
+def _post_order(outputs: Sequence[Expr]) -> tuple[list[Apply], set[Expr]]:
+    """Every operation node reachable from the outputs, in left-to-right
+    depth-first post-order, and the set of nodes that are an argument of
+    some operation."""
+    order: list[Apply] = []
     consumed: set[Expr] = set()
     visited: set[Expr] = set()
-    for root in fdef.outputs:
+    for root in outputs:
         if not isinstance(root, Apply) or root in visited:
             continue
         visited.add(root)
@@ -383,7 +379,18 @@ def schedule(fdef: FunctionDef) -> list[Apply]:
             else:
                 stack.pop()
                 order.append(node)
+    return order, consumed
 
+
+def schedule(fdef: FunctionDef) -> list[Apply]:
+    """A deterministic linear order of the operation nodes.
+
+    Interior applications appear in left-to-right depth-first post-order;
+    the step producing output j is the (mu - m + j)-th, in output order.
+    Output roots that are plain variables/constants, or that are consumed
+    elsewhere in the DAG, get an explicit trailing copy step.
+    """
+    order, consumed = _post_order(fdef.outputs)
     tails: list[Apply] = []
     claimed: set[Expr] = set()
     for root in fdef.outputs:
@@ -551,71 +558,85 @@ def _op_label(fn: ElementaryFn) -> str:
 
 _PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 1, 2, 3, 4, 5
 
+#: Binary operators: symbol and precedence.
+_INFIX = {
+    "add": ("+", _PREC_SUM),
+    "sub": ("-", _PREC_SUM),
+    "mul": ("*", _PREC_PROD),
+    "div": ("/", _PREC_PROD),
+}
+
 
 def unparse(fdef: FunctionDef) -> str:
     """Render a definition back to source.  Operation nodes referenced more
     than once are emitted as let bindings, preserving the sharing structure
     through a reparse."""
-    refs: dict[int, int] = {}
-    order: list[Apply] = []  # post-order: dependencies before dependents
-    seen: set[int] = set()
-
-    def count(node: Expr) -> None:
-        if isinstance(node, Apply):
-            refs[id(node)] = refs.get(id(node), 0) + 1
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for child in node.args:
-                count(child)
-            order.append(node)
-
+    order, _ = _post_order(fdef.outputs)
+    refs = dict.fromkeys(order, 0)
+    for node in order:
+        for child in node.args:
+            if isinstance(child, Apply):
+                refs[child] += 1
     for root in fdef.outputs:
-        count(root)
+        if isinstance(root, Apply):
+            refs[root] += 1
+    shared = [node for node in order if refs[node] > 1]
+    names = {node: f"_v{i + 1}" for i, node in enumerate(shared)}
 
-    shared = [node for node in order if refs[id(node)] > 1]
-    names = {id(node): f"_v{i + 1}" for i, node in enumerate(shared)}
+    def prec(node: Expr) -> int:
+        """The precedence of the node's rendering as an argument."""
+        if not isinstance(node, Apply) or node in names:
+            return _PREC_ATOM
+        name = node.fn.name
+        if name in _INFIX:
+            return _INFIX[name][1]
+        return _PREC_UNARY if name == "neg" else _PREC_POWER if is_pow(name) else _PREC_ATOM
 
-    def render(node: Expr, bound_ok: bool = True) -> tuple[str, int]:
-        if isinstance(node, Variable):
-            return fdef.params[node.index - 1], _PREC_ATOM
-        if isinstance(node, Constant):
-            return _render_number(node.value), _PREC_ATOM
-        if bound_ok and id(node) in names:
-            return names[id(node)], _PREC_ATOM
-        fn = node.fn
-        if fn.name == "add" or fn.name == "sub":
-            sym = "+" if fn.name == "add" else "-"
-            lhs = _wrap(render(node.args[0]), _PREC_SUM, strict=False)
-            rhs = _wrap(render(node.args[1]), _PREC_SUM, strict=True)
-            return f"{lhs} {sym} {rhs}", _PREC_SUM
-        if fn.name == "mul" or fn.name == "div":
-            sym = "*" if fn.name == "mul" else "/"
-            lhs = _wrap(render(node.args[0]), _PREC_PROD, strict=False)
-            rhs = _wrap(render(node.args[1]), _PREC_PROD, strict=True)
-            return f"{lhs} {sym} {rhs}", _PREC_PROD
-        if fn.name == "neg":
-            inner = _wrap(render(node.args[0]), _PREC_UNARY, strict=False)
-            return f"-{inner}", _PREC_UNARY
-        if is_pow(fn.name):
-            base = _wrap(render(node.args[0]), _PREC_POWER, strict=True)
-            return f"{base}^{pow_exponent(fn.name)}", _PREC_POWER
-        args = ", ".join(render(a)[0] for a in node.args)
-        return f"{fn.name}({args})", _PREC_ATOM
+    def operand(node: Expr, parent_prec: int, strict: bool) -> list:
+        p = prec(node)
+        if p < parent_prec or (strict and p == parent_prec):
+            return ["(", node, ")"]
+        return [node]
 
-    body_parts = [render(root)[0] for root in fdef.outputs]
+    def pieces(node: Apply) -> list:
+        """The node's own text, with its arguments left as nodes."""
+        name = node.fn.name
+        if name in _INFIX:
+            sym, p = _INFIX[name]
+            lhs, rhs = node.args
+            return [*operand(lhs, p, False), f" {sym} ", *operand(rhs, p, True)]
+        if name == "neg":
+            return ["-", *operand(node.args[0], _PREC_UNARY, False)]
+        if is_pow(name):
+            return [*operand(node.args[0], _PREC_POWER, True), f"^{pow_exponent(name)}"]
+        out: list = [f"{name}("]
+        for i, arg in enumerate(node.args):
+            out += [", ", arg] if i else [arg]
+        return out + [")"]
+
+    def render(node: Expr, bound_ok: bool = True) -> str:
+        # An explicit stack of pending strings and nodes, so the nesting
+        # depth of the expression does not reach Python's recursion limit.
+        out: list[str] = []
+        stack = [node] if bound_ok else pieces(node)[::-1]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Variable):
+                out.append(fdef.params[item.index - 1])
+            elif isinstance(item, Constant):
+                out.append(_render_number(item.value))
+            elif item in names:
+                out.append(names[item])
+            else:
+                stack += pieces(item)[::-1]
+        return "".join(out)
+
+    body_parts = [render(root) for root in fdef.outputs]
     body = body_parts[0] if len(body_parts) == 1 else "(" + ", ".join(body_parts) + ")"
-    for node in reversed(shared):
-        defn = render(node, bound_ok=False)[0]
-        body = f"let {names[id(node)]} = {defn} in {body}"
-    return f"{fdef.name}({', '.join(fdef.params)}) = {body}"
-
-
-def _wrap(rendered: tuple[str, int], parent_prec: int, strict: bool) -> str:
-    text, prec = rendered
-    if prec < parent_prec or (strict and prec == parent_prec):
-        return f"({text})"
-    return text
+    lets = [f"let {names[node]} = {render(node, bound_ok=False)} in " for node in shared]
+    return f"{fdef.name}({', '.join(fdef.params)}) = {''.join(lets)}{body}"
 
 
 def _render_number(value: float) -> str:

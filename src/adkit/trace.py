@@ -12,6 +12,10 @@ materialised matrices against embedded seed vectors.
 Everything here favours transparency over speed; matrices are dense and the
 state-space dimension is capped.  Row sums use exact (correctly rounded)
 accumulation so results do not depend on summation order.
+
+numpy is imported by the functions that build or multiply matrices, not by
+this module, so importing adkit (and every mode but this oracle) does not
+load it.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .catalog import DomainError
 from .expr import FunctionDef, StateProgram
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Dense matrices only exist for validation; refuse absurd state spaces.
 MAX_STATE_DIM = 512
@@ -92,6 +97,8 @@ def forward_trace(p: StateProgram, c: Sequence[float]) -> TraceRecord:
 def step_jacobian(p: StateProgram, i: int, state: Sequence[float]) -> np.ndarray:
     """The dense Jacobian of transition i at the given pre-state: identity
     with row n+i replaced by the step's gradient (zero diagonal included)."""
+    import numpy as np
+
     step = p.steps[i]
     mat = np.eye(p.dim)
     row = np.zeros(p.dim)
@@ -101,13 +108,18 @@ def step_jacobian(p: StateProgram, i: int, state: Sequence[float]) -> np.ndarray
     mat[step.out_slot, :] = row
     return mat
 
+
 def _matvec(mat: np.ndarray, vec: Sequence[float]) -> list[float]:
+    import numpy as np
+
     # Exactly rounded row sums: immune to accumulation-order effects.
     prods = mat * np.asarray(vec)
     return [math.fsum(row) for row in prods]
 
 
 def _embed_matrix(p: StateProgram) -> np.ndarray:
+    import numpy as np
+
     px = np.zeros((p.dim, p.n))
     for i in range(p.n):
         px[i, i] = 1.0
@@ -115,6 +127,8 @@ def _embed_matrix(p: StateProgram) -> np.ndarray:
 
 
 def _project_matrix(p: StateProgram) -> np.ndarray:
+    import numpy as np
+
     py = np.zeros((p.m, p.dim))
     for j, s in enumerate(p.output_slots):
         py[j, s] = 1.0

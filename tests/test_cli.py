@@ -246,3 +246,44 @@ def test_vector_flags_take_negative_values(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert run(capsys, joined) == (0, out, "")
+
+
+@pytest.mark.parametrize("bad", ["1,,2", "1,2,", ",1,0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "f(x,y)=x*y", "--at", "{}", "--mode", "forward", "--dir", "1,0"],
+        ["diff", "f(x,y)=x*y", "--at", "1,2", "--mode", "forward", "--dir", "{}"],
+        ["diff", "f(x)=(x, x*x)", "--at", "3", "--mode", "reverse", "--cov", "{}"],
+        ["graph", "f(x,y)=x*y", "--annotate", "at={},dir=1,0"],
+        ["graph", "f(x,y)=x*y", "--annotate", "at=1,2,dir={}"],
+    ],
+    ids=["at", "dir", "cov", "annotate-at", "annotate-dir"],
+)
+def test_vector_with_an_empty_component_is_refused(capsys, argv, bad):
+    argv = [arg.format(bad) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("adkit: ") and repr(bad) in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mode", "jet", "--order", "0"], "--order in 1..12"),
+        (["--mode", "jet", "--order", "13"], "--order in 1..12"),
+        (["--mode", "tower", "--order", "-1"], "--order >= 0"),
+    ],
+    ids=["jet-0", "jet-13", "tower-minus-1"],
+)
+def test_out_of_range_order_is_flag_misuse(capsys, argv, message):
+    code, out, err = run(capsys, ["diff", "f(x)=exp(x)", "--at", "1", *argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("adkit: ") and message in err
+
+
+def test_annotating_too_large_a_program_is_flag_misuse(capsys):
+    source = "f(x) = " + " + ".join(["x"] * 600)  # 1 input + 599 steps
+    code, out, err = run(capsys, ["graph", source, "--annotate", "at=1,dir=1"])
+    assert (code, out) == (3, "")
+    assert err == "adkit: --annotate: state dimension 600 exceeds 512\n"

@@ -8,7 +8,15 @@ from adkit.algebras import DualAlgebra, RealAlgebra
 from adkit.catalog import DomainError
 from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, record
-from adkit.expr import Constant, FunctionDef, eval_generic, parse, schedule, to_dot
+from adkit.expr import (
+    Constant,
+    FunctionDef,
+    eval_generic,
+    parse,
+    schedule,
+    to_dot,
+    unparse,
+)
 from adkit.trace import compile_program
 
 from conftest import random_program
@@ -64,6 +72,23 @@ def test_flat_sum_schedule(deep):
 def test_flat_sum_to_dot(deep):
     nodes, edges = assert_valid_dot(to_dot(deep))
     assert (nodes, edges) == (2 + TERMS - 1, 2 * (TERMS - 1))
+
+
+def _layout(fdef: FunctionDef) -> list:
+    return [(step.fn.name, step.arg_slots) for step in fdef.program.steps]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [flat_sum(), "f(x,y) = " + " * ".join(["x", "y", "1.5"] * 1000)],
+    ids=["sum-10000", "product-3000"],
+)
+def test_long_chain_unparse_round_trips(source):
+    fdef = parse(source)
+    text = unparse(fdef)
+    again = parse(text)
+    assert _layout(again) == _layout(fdef)
+    assert unparse(again) == text
 
 
 def test_domain_error_path_at_the_bottom_of_a_deep_chain():
