@@ -40,7 +40,10 @@ class JetShape:
     by identity).
     """
 
-    __slots__ = ("n", "order", "monomials", "position", "_pair_table", "factorials")
+    __slots__ = (
+        "n", "order", "monomials", "position", "_pair_table", "_split_table",
+        "factorials",
+    )
 
     def __init__(self, n: int, order: int):
         if n < 1:
@@ -63,6 +66,7 @@ class JetShape:
             float(math.prod(math.factorial(ki) for ki in k)) for k in monos
         )
         self._pair_table = None
+        self._split_table = None
 
     @property
     def size(self) -> int:
@@ -86,6 +90,19 @@ class JetShape:
                 table.append(row)
             self._pair_table = table
         return self._pair_table
+
+    def split_table(self):
+        """For each position t: list of (r, s, multinomial weight) with
+        monomials r + s = t and r != 0, in ascending r.  These are the pair
+        table's entries with i != 0, regrouped by target."""
+        if self._split_table is None:
+            table = [[] for _ in self.monomials]
+            pairs = self.pair_table()
+            for r in range(1, self.size):
+                for s, t, w in pairs[r]:
+                    table[t].append((r, s, w))
+            self._split_table = table
+        return self._split_table
 
     def __repr__(self) -> str:
         return f"JetShape(n={self.n}, order={self.order})"
@@ -199,28 +216,17 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     if b0 == 0.0:
         raise DomainError("div", (a.coeffs[0], b0))
     shape = a.shape
-    berz = a.basis == BERZ
+    ac, bc = a.coeffs, b.coeffs
     q = [0.0] * shape.size
-    monos = shape.monomials
-    pos = shape.position
-    q[0] = a.coeffs[0] / b0
+    q[0] = ac[0] / b0
+    splits = shape.split_table()
+    berz = a.basis == BERZ
+    # every split t = r + s with r != 0; s is then strictly lower degree
     for t in range(1, shape.size):
-        k = monos[t]
         acc = 0.0
-        # every split k = r + s with r != 0; s is then strictly lower degree
-        for r_pos in range(1, shape.size):
-            r = monos[r_pos]
-            if sum(r) > sum(k):
-                break
-            s = tuple(a_ - b_ for a_, b_ in zip(k, r))
-            if any(x < 0 for x in s):
-                continue
-            if berz:
-                w = float(math.prod(math.comb(a_ + b_, a_) for a_, b_ in zip(r, s)))
-                acc += w * b.coeffs[r_pos] * q[pos[s]]
-            else:
-                acc += b.coeffs[r_pos] * q[pos[s]]
-        q[t] = (a.coeffs[t] - acc) / b0
+        for r, s, w in splits[t]:
+            acc += (w * bc[r] if berz else bc[r]) * q[s]
+        q[t] = (ac[t] - acc) / b0
     return Jet(shape, q, a.basis)
 
 

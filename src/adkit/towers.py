@@ -4,16 +4,28 @@ A tower is the infinite sequence (f, f', f'', ...) of derivative values at a
 point, materialised on demand: each node holds a concrete head and a deferred
 tail, and the tail is computed at most once.  Multiplication realises entry n
 as the binomial Leibniz sum over the first n+1 entries of each factor;
-division is the unique Leibniz-compatible inverse, obtained corecursively
-from (a/b)' = (a' - (a/b) b')/b.
+division solves that sum for the quotient's entry n, over the quotient's own
+memoised entries.  A lift's tail is f'(a) * a' with f' drawn from the
+catalogue, and the lifts f' needs on the same argument are built once and
+shared.  Every operation reads its inputs through a prefix reader that walks
+each input's tails once, so forcing K entries costs O(K^2) arithmetic per
+operation (the cost of the Taylor recurrences in Griewank & Walther,
+*Evaluating Derivatives*, ch. 13).
 
 Towers are immutable once forced; forcing is pure, so concurrent first access
-at worst duplicates work, never changes a value.
+at worst duplicates work, never changes a value: every memoised entry is
+stored under its index, never appended.
+
+Self-referential lifts form reference cycles, which only the cyclic garbage
+collector frees: exp's tail is res * a', sqrt's and tan's derivatives are
+built from res, sin and cos refer to each other, and an unforced lift's tail
+thunk refers to its own node.  Division and the arithmetic nodes form none.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .catalog import CATALOG, DomainError, ElementaryFn, is_pow, pow_exponent, pow_fn
@@ -95,32 +107,76 @@ def _from_entry_fn(entry: Callable[[int], float], k: int) -> Tower:
     return Tower(entry(k), lambda: _from_entry_fn(entry, k + 1))
 
 
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[float, ...]:
+    """Row n of Pascal's triangle: binom(n, 0), ..., binom(n, n)."""
+    return tuple(float(math.comb(n, i)) for i in range(n + 1))
+
+
+class _Prefix:
+    """The entries of an input tower read so far, stored by index.
+
+    Reading on walks the memoised `Tower.tail` from the furthest node
+    reached.  Racing readers store the same value under the same index; a
+    stale `_reached` only makes a later read walk again.
+    """
+
+    __slots__ = ("entries", "_reached")
+
+    def __init__(self, a: Tower):
+        self.entries = {0: a.head}
+        self._reached = (0, a)
+
+    def upto(self, n: int) -> dict[int, float]:
+        """A mapping that holds at least entries 0..n."""
+        k, node = self._reached
+        if k < n:
+            entries = self.entries
+            while k < n:
+                node = node.tail()
+                k += 1
+                entries[k] = node.head
+            self._reached = (k, node)
+        return self.entries
+
+
 def tower_mul(a: Tower, b: Tower) -> Tower:
     """Entry n is the Leibniz sum over splittings n = i + (n-i):
     sum_i binom(n, i) a_i b_{n-i}."""
+    xs, ys = _Prefix(a), _Prefix(b)
 
     def entry(n: int) -> float:
+        x, y = xs.upto(n), ys.upto(n)
         if n == 0:
-            return a.head * b.head
-        xs = tower_take(a, n + 1)
-        ys = tower_take(b, n + 1)
+            return x[0] * y[0]
         total = 0.0
-        for i in range(n + 1):
-            total += math.comb(n, i) * xs[i] * ys[n - i]
+        for i, c in enumerate(_binomials(n)):
+            total += c * x[i] * y[n - i]
         return total
 
     return _from_entry_fn(entry, 0)
 
 
 def tower_div(a: Tower, b: Tower) -> Tower:
-    """The unique q with q * b = a prefix-wise: q' = (a' - q b')/b."""
-    if b.head == 0.0:
-        raise DomainError("div", (a.head, b.head))
-    q = Tower(a.head / b.head, None)
-    q._tail_fn = lambda: tower_div(
-        tower_sub(a.tail(), tower_mul(q, b.tail())), b
-    )
-    return q
+    """The unique q with q * b = a prefix-wise: the Leibniz sum for entry n
+    of q * b, solved for its last unknown,
+    q_n = (a_n - sum_{i>=1} binom(n, i) b_i q_{n-i}) / b_0."""
+    b0 = b.head
+    if b0 == 0.0:
+        raise DomainError("div", (a.head, b0))
+    xs, ys = _Prefix(a), _Prefix(b)
+    q: dict[int, float] = {}
+
+    def entry(n: int) -> float:
+        x, y = xs.upto(n), ys.upto(n)
+        row = _binomials(n)
+        total = 0.0
+        for i in range(1, n + 1):
+            total += row[i] * y[i] * q[n - i]
+        q[n] = value = (x[n] - total) / b0
+        return value
+
+    return _from_entry_fn(entry, 0)
 
 
 def _base_resolver(name: str) -> ElementaryFn:
@@ -133,7 +189,8 @@ def _base_resolver(name: str) -> ElementaryFn:
 
 def _derivative_tower(fn: ElementaryFn, a: Tower, result: Tower, lift) -> Tower:
     """The tower of f'(a), expressed in catalogue terms.  `result` is the
-    already-built tower of f(a), reused where f' involves f itself."""
+    already-built tower of f(a), reused where f' involves f itself; `lift`
+    gives the family's tower of another catalogue function on `a`."""
     name = fn.name
     if name == "exp":
         return result
@@ -142,9 +199,9 @@ def _derivative_tower(fn: ElementaryFn, a: Tower, result: Tower, lift) -> Tower:
     if name == "sqrt":
         return tower_div(tower_const(0.5), result)
     if name == "sin":
-        return lift("cos", a)
+        return lift("cos")
     if name == "cos":
-        return tower_neg(lift("sin", a))
+        return tower_neg(lift("sin"))
     if name == "tan":
         return tower_add(tower_const(1.0), tower_mul(result, result))
     if name == "copy":
@@ -153,7 +210,7 @@ def _derivative_tower(fn: ElementaryFn, a: Tower, result: Tower, lift) -> Tower:
         k = pow_exponent(name)
         if k == 0:
             return _ZERO
-        return tower_mul(tower_const(float(k)), lift(f"pow{k - 1}", a))
+        return tower_mul(tower_const(float(k)), lift(f"pow{k - 1}"))
     raise KeyError(f"no tower derivative rule for {name}")
 
 
@@ -164,17 +221,36 @@ def tower_lift_elementary(
 
     The head is f(a0); the tail is defined corecursively by the chain rule
     df(result) = f'(a) * df(a), with f' drawn from the catalogue so the
-    construction stays closed.  `resolve` substitutes the function table used
-    for derivative lookups (instrumented clones, for instance).
+    construction stays closed.  The lifts that f' needs on the same argument
+    (cos for sin, sin for cos, pow{k-1} for pow{k}) form one family: each is
+    built once and shared, so sin and cos refer to each other.  `resolve`
+    substitutes the function table used for derivative lookups (instrumented
+    clones, for instance).
     """
     table = resolve if resolve is not None else _base_resolver
-    fn.check_domain([a.head])
-    res = Tower(fn.value([a.head]), None)
+    return _Family(a, table).lift(fn)
 
-    def lift(name: str, arg: Tower) -> Tower:
-        return tower_lift_elementary(table(name), arg, resolve)
 
-    res._tail_fn = lambda: tower_mul(
-        _derivative_tower(fn, a, res, lift), tower_df(a)
-    )
-    return res
+class _Family:
+    """The lifts of catalogue functions on one argument, each built once."""
+
+    __slots__ = ("arg", "table", "towers")
+
+    def __init__(self, arg: Tower, table: Callable[[str], ElementaryFn]):
+        self.arg = arg
+        self.table = table
+        self.towers: dict[str, Tower] = {}
+
+    def get(self, name: str) -> Tower:
+        tower = self.towers.get(name)
+        return tower if tower is not None else self.lift(self.table(name))
+
+    def lift(self, fn: ElementaryFn) -> Tower:
+        a = self.arg
+        fn.check_domain([a.head])
+        res = Tower(fn.value([a.head]), None)
+        self.towers[fn.name] = res
+        res._tail_fn = lambda: tower_mul(
+            _derivative_tower(fn, a, res, self.get), tower_df(a)
+        )
+        return res

@@ -187,6 +187,40 @@ def poly_mul_truncated(a: dict, b: dict, order: int) -> dict:
     return out
 
 
+# --- per-coefficient jet long division (split enumeration per call) ---
+
+
+def jet_long_division(a, b) -> list[float]:
+    """Coefficients of the quotient a / b of two jets, solving q * b = a in
+    graded order.  Every split t = r + s of each target monomial, and its
+    multinomial weight, is enumerated afresh for every coefficient: no
+    precomputed table is read, only the shape's monomial list."""
+    shape = a.shape
+    berz = a.basis == "berz"
+    b0 = b.coeffs[0]
+    q = [0.0] * shape.size
+    monos = shape.monomials
+    pos = {k: i for i, k in enumerate(monos)}
+    q[0] = a.coeffs[0] / b0
+    for t in range(1, shape.size):
+        k = monos[t]
+        acc = 0.0
+        for r_pos in range(1, shape.size):
+            r = monos[r_pos]
+            if sum(r) > sum(k):
+                break
+            s = tuple(x - y for x, y in zip(k, r))
+            if any(x < 0 for x in s):
+                continue
+            if berz:
+                w = float(math.prod(math.comb(x + y, x) for x, y in zip(r, s)))
+                acc += w * b.coeffs[r_pos] * q[pos[s]]
+            else:
+                acc += b.coeffs[r_pos] * q[pos[s]]
+        q[t] = (a.coeffs[t] - acc) / b0
+    return q
+
+
 # --- central finite differences ---
 
 

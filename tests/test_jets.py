@@ -27,7 +27,12 @@ from adkit.jets import (
 )
 
 from conftest import random_program
-from oracles import central_diff_order, nested_partial, poly_mul_truncated
+from oracles import (
+    central_diff_order,
+    jet_long_division,
+    nested_partial,
+    poly_mul_truncated,
+)
 
 
 def test_shape_table():
@@ -325,6 +330,37 @@ def test_division_round_trip():
             back = jet_mul(q, b)
             for x, y in zip(back.coeffs, a.coeffs):
                 assert math.isclose(x, y, rel_tol=1e-10, abs_tol=1e-10)
+
+
+def test_division_matches_per_coefficient_long_division_bit_for_bit():
+    # The split table only regroups the splits the long division enumerates,
+    # in the same order and with the same weights, so no bit may change.
+    rng = random.Random(17)
+    for basis in (STANDARD, BERZ):
+        for n in range(1, 5):
+            for order in range(1, 7):
+                shape = jet_shape(n, order)
+                for _ in range(3):
+                    a = Jet(shape, [rng.uniform(-2, 2) for _ in range(shape.size)], basis)
+                    b_coeffs = [rng.uniform(-2, 2) for _ in range(shape.size)]
+                    b_coeffs[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+                    b = Jet(shape, b_coeffs, basis)
+                    assert jet_div(a, b).coeffs == jet_long_division(a, b), (n, order, basis)
+
+
+def test_split_table_regroups_the_pair_table():
+    shape = jet_shape(3, 4)
+    splits = shape.split_table()
+    assert splits[0] == []
+    pairs = {(r, s): (t, w) for r, row in enumerate(shape.pair_table()) if r
+             for s, t, w in row}
+    assert sorted((r, s) for row in splits for r, s, _ in row) == sorted(pairs)
+    for t, row in enumerate(splits):
+        assert [r for r, _, _ in row] == sorted(r for r, _, _ in row)
+        for r, s, w in row:
+            assert pairs[r, s] == (t, w)
+            k = tuple(x + y for x, y in zip(shape.monomials[r], shape.monomials[s]))
+            assert shape.position[k] == t
 
 
 def test_max_order_enforced():

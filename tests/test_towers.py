@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +211,85 @@ def test_jet_agreement_univariate():
     assert checked > 25
 
 
+def test_jet_agreement_to_order_12_with_divisions():
+    # The order-12 Berz jet carries the rounding of its Taylor-sum lift, which
+    # grows about fivefold per order (towers and jets agreed within 1.2e-16 *
+    # 5^r of this scale over 2400 such programs), so the bound follows it.
+    rng = random.Random(1212)
+    order = 12
+    shape = jet_shape(1, order)
+    checked = 0
+    while checked < 40:
+        fdef, point = random_program(rng, max_vars=1, max_outputs=1, max_ops=12)
+        if not any(step.fn.name == "div" for step in fdef.program.steps):
+            continue
+        try:
+            jet = eval_generic(
+                fdef, [jet_variable(shape, 1, point[0], BERZ)], JetAlgebra(shape, BERZ)
+            )[0].coeffs
+            tower = eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
+        except DomainError:
+            continue
+        prefix = tower_take(tower, order + 1)
+        assert prefix[:2] == jet[:2]
+        for r in range(2, order + 1):
+            # r! times the largest Taylor coefficient so far: the size an
+            # order-r entry has when nothing cancels
+            scale = math.factorial(r) * max(
+                [1.0] + [max(abs(prefix[k]), abs(jet[k])) / math.factorial(k)
+                         for k in range(r + 1)]
+            )
+            assert abs(prefix[r] - jet[r]) <= 1e-14 * 5.0**r * scale, (r, point)
+        checked += 1
+
+
+def test_closed_forms_to_order_24():
+    rel = 1e-14  # 1/x accumulates one rounding per order; exp and sin none
+    for c in (0.3, 1.7, -2.5):
+        inv = tower_take(tower_div(tower_const(1.0), tower_var(c)), 25)
+        for k, got in enumerate(inv):
+            want = (-1) ** k * math.factorial(k) / c ** (k + 1)
+            assert math.isclose(got, want, rel_tol=rel), (c, k)
+        exp = tower_take(tower_lift_elementary(CATALOG["exp"], tower_var(c)), 25)
+        for got in exp:
+            assert math.isclose(got, math.exp(c), rel_tol=rel), c
+        sin = tower_take(tower_lift_elementary(CATALOG["sin"], tower_var(c)), 25)
+        cycle = (math.sin(c), math.cos(c), -math.sin(c), -math.cos(c))
+        for k, got in enumerate(sin):
+            assert math.isclose(got, cycle[k % 4], rel_tol=rel), (c, k)
+
+
+def test_concurrent_forcing_gives_the_single_thread_prefix():
+    fdef = parse("f(x) = exp(sin(x)) / sqrt(1 + x * x) + sin(x) / (2 + x)")
+    order = 30
+    want = tower_take(eval_generic(fdef, [tower_var(0.7)], TowerAlgebra())[0], order + 1)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            shared = eval_generic(fdef, [tower_var(0.7)], TowerAlgebra())[0]
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def force(step):
+                barrier.wait(timeout=30)
+                for k in range(1, order + 2, step):
+                    seen.append((k, tower_take(shared, k)))
+                seen.append((order + 1, tower_take(shared, order + 1)))
+
+            threads = [threading.Thread(target=force, args=(s,)) for s in (1, 2, 3, 7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(seen) == sum(len(range(1, order + 2, s)) + 1 for s in (1, 2, 3, 7))
+            for k, prefix in seen:
+                assert prefix == want[:k], k
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
 def test_single_elementary_matches_jet_entry():
     rng = random.Random(8)
     points = {"exp": (0.0, 2.0), "ln": (0.5, 3.0), "sqrt": (0.5, 3.0),
@@ -242,11 +323,36 @@ def test_laziness_forces_only_requested_depth():
     for k in range(1, 5):
         tower_take(t, k)
         counts.append(counter.count)
-    # each extra depth forces exactly one more trig evaluation, never ahead
-    assert counts == [1, 2, 3, 4]
+    # the first tail builds the one cos tower; deeper entries reuse it and
+    # the sin tower itself, and nothing is evaluated ahead
+    assert counts == [1, 2, 2, 2]
     # re-taking an already-forced prefix costs nothing
     tower_take(t, 4)
-    assert counter.count == 4
+    assert counter.count == 2
+
+
+def test_lift_family_evaluates_each_function_once():
+    counter = EvalCounter()
+    wrapped = {
+        name: counted_variant(CATALOG[name], counter)
+        for name in ("exp", "sin", "cos")
+    }
+    per_name = {}
+
+    def resolve(name):
+        per_name[name] = per_name.get(name, 0) + 1
+        return wrapped[name]
+
+    inner = tower_lift_elementary(wrapped["sin"], tower_var(0.3), resolve=resolve)
+    t = tower_lift_elementary(wrapped["exp"], inner, resolve=resolve)
+    prefix = tower_take(t, 25)
+    # exp and sin for the heads, cos once for sin's whole tail
+    assert counter.count == 3
+    assert per_name == {"cos": 1}
+    plain = tower_lift_elementary(
+        CATALOG["exp"], tower_lift_elementary(CATALOG["sin"], tower_var(0.3))
+    )
+    assert prefix == tower_take(plain, 25)
 
 
 def test_tail_returns_the_tail_a_racing_caller_just_forced():
