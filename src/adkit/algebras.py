@@ -14,16 +14,8 @@ from .catalog import ElementaryFn
 from .counting import CountingScalar, EvalCounter, counting_eval
 from .dual import Dual, lift_elementary
 from .jets import STANDARD, Jet, JetShape, jet_constant, jet_lift_elementary
-from .towers import (
-    Tower,
-    tower_add,
-    tower_const,
-    tower_div,
-    tower_lift_elementary,
-    tower_mul,
-    tower_neg,
-    tower_sub,
-)
+from .towers import _ARITHMETIC as _TOWER_ARITHMETIC
+from .towers import Tower, tower_const, tower_lift_elementary
 
 
 class RealAlgebra:
@@ -87,17 +79,8 @@ class TowerAlgebra:
     def constant(c: float) -> Tower:
         return tower_const(c)
 
-    #: Arithmetic by name: the tower operations themselves.
-    _ARITHMETIC = {
-        "add": tower_add,
-        "sub": tower_sub,
-        "neg": tower_neg,
-        "mul": tower_mul,
-        "div": tower_div,
-    }
-
     def apply(self, fn: ElementaryFn, args: list[Tower]) -> Tower:
-        op = self._ARITHMETIC.get(fn.name)
+        op = _TOWER_ARITHMETIC.get(fn.name)
         if op is not None:
             return op(*args)
         return tower_lift_elementary(fn, args[0], self.resolve)

@@ -2,10 +2,12 @@
 
 Every differentiation mode in this package is driven by the same closed set of
 primitives: arithmetic (+, -, unary -, *, /, integer powers) plus exp, ln,
-sqrt, sin, cos and tan, each shipped with its value, first partials, an open
-domain predicate, and (for the unary transcendentals and powers) a rule for
-derivatives of every order.  Additional primitives can be registered by
-constructing :class:`ElementaryFn` directly.
+sqrt, sin, cos and tan, each shipped with its value, first partials and an
+open domain predicate.  The unary transcendentals and powers also carry one
+first-order rule, f'(a) in catalogue terms (cos for sin, 1 + f*f for tan),
+from which jets and towers both derive every higher order through the chain
+rule.  Additional primitives can be registered by constructing
+:class:`ElementaryFn` directly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 
 class DomainError(ValueError):
@@ -31,8 +33,8 @@ class DomainError(ValueError):
 
 
 class UnsupportedOrderError(ValueError):
-    """A lift to derivative order N was requested for a function without an
-    order-N rule."""
+    """A higher-order lift (jet or tower) was requested for a function with no
+    derivative rule."""
 
 
 @dataclass(frozen=True)
@@ -40,11 +42,19 @@ class ElementaryFn:
     """A differentiable primitive.
 
     `value` and `partials` map an argument vector to the function value and
-    its gradient; both are only defined where `domain` holds.  `derivs`, for
-    unary functions, returns ``[f(x), f'(x), ..., f^(N)(x)]`` and backs the
-    higher-order lifts.  `unit_cost` is the price of one value (or one
-    derivative) evaluation in the operation-count model: arithmetic on
-    already-computed values is free, genuine function evaluations cost 1.
+    its gradient; both are only defined where `domain` holds.  `unit_cost` is
+    the price of one value (or one derivative) evaluation in the
+    operation-count model: arithmetic on already-computed values is free,
+    genuine function evaluations cost 1.
+
+    `derivative`, for unary functions, backs the jet and tower lifts: called
+    as ``derivative(a, f, lift, op, const)`` it returns f'(a) in catalogue
+    terms, where `a` is the lifted argument, `f` the lifted result, `lift(name)`
+    the lift of another catalogue function on the same argument, `op` the
+    lifted arithmetic by name (``op["mul"](x, y)``) and `const(c)` a lifted
+    constant.  Sigmoid's is ``op["mul"](f, op["sub"](const(1.0), f))``.  The
+    same call on floats gives the first partial, and should compute it as
+    `partials` does.
 
     Instances are immutable and safe to share between threads.
     """
@@ -55,7 +65,7 @@ class ElementaryFn:
     partials: Callable[[Sequence[float]], list[float]]
     domain: Callable[[Sequence[float]], bool]
     unit_cost: int = 1
-    derivs: Optional[Callable[[float, int], list[float]]] = None
+    derivative: Optional[Callable[..., Any]] = None
 
     def check_arity(self, args: Sequence) -> None:
         if len(args) != self.arity:
@@ -84,75 +94,6 @@ def ipow(x: float, k: int) -> float:
     return r
 
 
-def _polyval(coeffs: Sequence[float], x: float) -> float:
-    # Horner on ascending coefficients.
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-# --- derivative tables for the unary transcendentals ---
-
-
-def _exp_derivs(x: float, n: int) -> list[float]:
-    e = math.exp(x)
-    return [e] * (n + 1)
-
-
-def _ln_derivs(x: float, n: int) -> list[float]:
-    # d/dx ln = 1/x, thereafter d_{j+1} = d_j * (-j) / x.
-    out = [math.log(x)]
-    if n >= 1:
-        d = 1.0 / x
-        out.append(d)
-        for j in range(1, n):
-            d = d * (-j) / x
-            out.append(d)
-    return out
-
-
-def _sqrt_derivs(x: float, n: int) -> list[float]:
-    s = math.sqrt(x)
-    out = [s]
-    if n >= 1:
-        d = 0.5 / s
-        out.append(d)
-        for j in range(1, n):
-            d = d * (0.5 - j) / x
-            out.append(d)
-    return out
-
-
-def _sin_derivs(x: float, n: int) -> list[float]:
-    s, c = math.sin(x), math.cos(x)
-    cycle = (s, c, -s, -c)
-    return [cycle[j % 4] for j in range(n + 1)]
-
-
-def _cos_derivs(x: float, n: int) -> list[float]:
-    s, c = math.sin(x), math.cos(x)
-    cycle = (c, -s, -c, s)
-    return [cycle[j % 4] for j in range(n + 1)]
-
-
-def _tan_derivs(x: float, n: int) -> list[float]:
-    # Every derivative of tan is a polynomial in t = tan(x):
-    # p0(t) = t, p_{k+1} = p_k' * (1 + t^2).
-    t = math.tan(x)
-    out = [t]
-    poly = [0.0, 1.0]
-    for _ in range(n):
-        dp = [i * poly[i] for i in range(1, len(poly))]
-        nxt = [0.0] * (len(dp) + 2)
-        for i, c in enumerate(dp):
-            nxt[i] += c
-            nxt[i + 2] += c
-        poly = nxt
-        out.append(_polyval(poly, t))
-    return out
-
-
 ADD = ElementaryFn(
     "add", 2, lambda a: a[0] + a[1], lambda a: [1.0, 1.0], _always, unit_cost=0
 )
@@ -178,33 +119,48 @@ COPY = ElementaryFn(
     lambda a: [1.0],
     _always,
     unit_cost=0,
-    derivs=lambda x, n: [x] + [1.0] * (1 if n >= 1 else 0) + [0.0] * (n - 1),
 )
+
+
+def _real(fn: ElementaryFn) -> Callable[..., float]:
+    def apply(*args: float) -> float:
+        fn.check_domain(args)
+        return fn.value(args)
+
+    return apply
+
+
+#: Arithmetic by name on floats: a first-order rule evaluated with it gives
+#: the same bits as the function's partials.
+REAL_ARITHMETIC = {fn.name: _real(fn) for fn in (ADD, SUB, NEG, MUL, DIV)}
 
 EXP = ElementaryFn(
     "exp", 1, lambda a: math.exp(a[0]), lambda a: [math.exp(a[0])], _always,
-    derivs=_exp_derivs,
+    derivative=lambda a, f, lift, op, const: f,
 )
 LN = ElementaryFn(
     "ln", 1, lambda a: math.log(a[0]), lambda a: [1.0 / a[0]],
-    lambda a: a[0] > 0.0, derivs=_ln_derivs,
+    lambda a: a[0] > 0.0,
+    derivative=lambda a, f, lift, op, const: op["div"](const(1.0), a),
 )
 SQRT = ElementaryFn(
     "sqrt", 1, lambda a: math.sqrt(a[0]), lambda a: [0.5 / math.sqrt(a[0])],
-    lambda a: a[0] > 0.0, derivs=_sqrt_derivs,
+    lambda a: a[0] > 0.0,
+    derivative=lambda a, f, lift, op, const: op["div"](const(0.5), f),
 )
 SIN = ElementaryFn(
     "sin", 1, lambda a: math.sin(a[0]), lambda a: [math.cos(a[0])], _always,
-    derivs=_sin_derivs,
+    derivative=lambda a, f, lift, op, const: lift("cos"),
 )
 COS = ElementaryFn(
     "cos", 1, lambda a: math.cos(a[0]), lambda a: [-math.sin(a[0])], _always,
-    derivs=_cos_derivs,
+    derivative=lambda a, f, lift, op, const: op["neg"](lift("sin")),
 )
 TAN = ElementaryFn(
     "tan", 1, lambda a: math.tan(a[0]),
     lambda a: [1.0 + math.tan(a[0]) * math.tan(a[0])],
-    lambda a: math.cos(a[0]) != 0.0, derivs=_tan_derivs,
+    lambda a: math.cos(a[0]) != 0.0,
+    derivative=lambda a, f, lift, op, const: op["add"](const(1.0), op["mul"](f, f)),
 )
 
 
@@ -226,19 +182,13 @@ def pow_fn(k: int) -> ElementaryFn:
             return [0.0]
         return [float(k) * ipow(a[0], k - 1)]
 
-    def derivs(x: float, n: int) -> list[float]:
-        out = [ipow(x, k)]
-        fall = 1.0
-        for j in range(1, n + 1):
-            if j > k:
-                out.append(0.0)
-                continue
-            fall = fall * float(k - j + 1)
-            out.append(fall * ipow(x, k - j))
-        return out
+    def derivative(a, f, lift, op, const):
+        if k == 0:
+            return const(0.0)
+        return op["mul"](const(float(k)), lift(f"pow{k - 1}"))
 
     return ElementaryFn(f"pow{k}", 1, value, partials, _always, unit_cost=0,
-                        derivs=derivs)
+                        derivative=derivative)
 
 
 def const_fn(c: float) -> ElementaryFn:
@@ -265,3 +215,19 @@ def is_pow(name: str) -> bool:
 
 def pow_exponent(name: str) -> int:
     return int(name[3:])
+
+
+def lookup(name: str) -> ElementaryFn:
+    """The catalogue function called `name`: a CATALOG entry or a power."""
+    if name in CATALOG:
+        return CATALOG[name]
+    if is_pow(name):
+        return pow_fn(pow_exponent(name))
+    raise KeyError(name)
+
+
+def derivative_rule(fn: ElementaryFn) -> Callable[..., Any]:
+    """fn's first-order rule, or UnsupportedOrderError if it has none."""
+    if fn.arity != 1 or fn.derivative is None:
+        raise UnsupportedOrderError(f"{fn.name} has no derivative rule to lift")
+    return fn.derivative

@@ -9,6 +9,8 @@ run or be incremented under a lock.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .catalog import ElementaryFn
 
 
@@ -85,6 +87,4 @@ def counted_variant(fn: ElementaryFn, counter: EvalCounter) -> ElementaryFn:
         counter.add(fn.unit_cost)
         return fn.partials(a)
 
-    return ElementaryFn(
-        fn.name, fn.arity, value, partials, fn.domain, fn.unit_cost, fn.derivs
-    )
+    return replace(fn, value=value, partials=partials)

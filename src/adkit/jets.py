@@ -2,10 +2,13 @@
 
 A jet over n variables truncated at total degree N is a dense coefficient
 vector over all monomials X1^k1 ... Xn^kn with k1 + ... + kn <= N.  Products
-simply drop every term of total degree above N, which makes the degree >= 1
-part nilpotent and lets a Taylor sum of N+1 terms lift any smooth catalogue
-function exactly.  Evaluating f on the jets (x1 + X1, ..., xn + Xn) then packs
-every partial derivative of f at x up to order N into one coefficient vector.
+simply drop every term of total degree above N.  A unary catalogue function
+is lifted degree by degree from its first-order rule: with E = sum_i X_i d/dX_i
+the Euler operator, the chain rule E f(u) = f'(u) E u fixes the degree-d part
+of f(u) from f'(u) truncated at degree d - 1 (Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).  Evaluating f on the jets (x1 + X1, ..., xn + Xn) then
+packs every partial derivative of f at x up to order N into one coefficient
+vector.
 
 Two coefficient conventions are supported: in the ``standard`` basis the slot
 for multi-index k holds the coefficient of X^k (the order-k partial is
@@ -21,7 +24,13 @@ import math
 from functools import lru_cache
 from itertools import product as _cartesian
 
-from .catalog import DomainError, ElementaryFn, UnsupportedOrderError
+from .catalog import (
+    REAL_ARITHMETIC,
+    DomainError,
+    ElementaryFn,
+    derivative_rule,
+    lookup,
+)
 
 #: Largest supported truncation order: 12! is the last factorial exactly
 #: representable alongside its multinomial weights without drift.
@@ -42,7 +51,7 @@ class JetShape:
 
     __slots__ = (
         "n", "order", "monomials", "position", "_pair_table", "_split_table",
-        "factorials",
+        "factorials", "degrees",
     )
 
     def __init__(self, n: int, order: int):
@@ -65,6 +74,7 @@ class JetShape:
         self.factorials: tuple[float, ...] = tuple(
             float(math.prod(math.factorial(ki) for ki in k)) for k in monos
         )
+        self.degrees: tuple[int, ...] = tuple(sum(k) for k in monos)
         self._pair_table = None
         self._split_table = None
 
@@ -230,8 +240,6 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     return Jet(shape, q, a.basis)
 
 
-_FACT = [float(math.factorial(k)) for k in range(MAX_ORDER + 1)]
-
 #: Arithmetic by name: jet arithmetic directly.
 _ARITHMETIC = {
     "add": jet_add,
@@ -246,29 +254,80 @@ _ARITHMETIC = {
 def jet_lift_elementary(fn: ElementaryFn, args: list[Jet]) -> Jet:
     """Apply a catalogue function to jet arguments.
 
-    Arithmetic uses jet arithmetic directly.  A unary f with an order-N
-    derivative rule is lifted through its truncated Taylor sum
-    sum_k (u^k / k!) f^(k)(x) with u the nilpotent part of the argument,
-    which is finite and exact in the quotient.
+    Arithmetic uses jet arithmetic directly.  A unary f with a first-order
+    rule is lifted degree by degree: w = f(u) has the constant term f(u_0),
+    and its degree-d coefficients are w_t = sum |r| u_r v_s / d over the
+    splits t = r + s, where v = f'(u) is the rule evaluated at truncation
+    d - 1 (in the berz basis each term carries the split's multinomial
+    weight).  The lifts f' needs on the same argument (cos for sin, pow{k-1}
+    for pow{k}) form one family: each is built once and filled alongside.
     """
     fn.check_arity(args)
     op = _ARITHMETIC.get(fn.name)
     if op is not None:
         return op(*args)
-    if fn.arity != 1 or fn.derivs is None:
-        raise UnsupportedOrderError(f"{fn.name} has no unary derivative rule to lift")
+    derivative_rule(fn)
     arg = args[0]
-    x0 = arg.coeffs[0]
-    fn.check_domain([x0])
-    n = arg.shape.order
-    d = fn.derivs(x0, n)
-    total = jet_constant(arg.shape, d[0], arg.basis)
-    u = jet_sub(arg, jet_constant(arg.shape, x0, arg.basis))
-    p = None
-    for k in range(1, n + 1):
-        p = u if k == 1 else jet_mul(p, u)
-        total = jet_add(total, jet_scale(p, d[k] / _FACT[k]))
-    return total
+    return Jet(arg.shape, _Family(arg).fill(fn, arg.shape.order), arg.basis)
+
+
+class _Family:
+    """The lifts of catalogue functions on one jet argument, each built once.
+
+    A lift is stored by name as [coefficients, degree filled]; its
+    coefficients above that degree are still zero.
+    """
+
+    __slots__ = ("arg", "lifts")
+
+    def __init__(self, arg: Jet):
+        self.arg = arg
+        self.lifts: dict[str, list] = {}
+
+    def fill(self, fn: ElementaryFn, degree: int) -> list[float]:
+        """The coefficients of fn(arg), filled through total degree `degree`."""
+        lift = self.lifts.get(fn.name)
+        if lift is None:
+            derivative_rule(fn)
+            x0 = self.arg.coeffs[0]
+            fn.check_domain([x0])
+            coeffs = [0.0] * self.arg.shape.size
+            coeffs[0] = fn.value([x0])
+            lift = self.lifts[fn.name] = [coeffs, 0]
+        for d in range(lift[1] + 1, degree + 1):
+            self._fill_degree(fn, lift[0], d)
+            lift[1] = d
+        return lift[0]
+
+    def _fill_degree(self, fn: ElementaryFn, w: list[float], d: int) -> None:
+        arg = self.arg
+        n, basis = arg.shape.n, arg.basis
+        if d == 1:
+            # On floats, so that v_0 is computed exactly as fn.partials does.
+            v = [fn.derivative(
+                arg.coeffs[0], w[0], lambda name: self.fill(lookup(name), 0)[0],
+                REAL_ARITHMETIC, float,
+            )]
+        else:
+            # The graded layout of order d - 1 is a prefix of the full one.
+            low = jet_shape(n, d - 1)
+
+            def view(coeffs: list[float]) -> Jet:
+                return Jet(low, coeffs[:low.size], basis)
+
+            v = fn.derivative(
+                view(arg.coeffs), view(w),
+                lambda name: view(self.fill(lookup(name), d - 1)),
+                _ARITHMETIC, lambda c: jet_constant(low, c, basis),
+            ).coeffs
+        u, shape = arg.coeffs, arg.shape
+        splits, degrees = shape.split_table(), shape.degrees
+        berz = basis == BERZ
+        for t in range(math.comb(n + d - 1, n), math.comb(n + d, n)):
+            acc = 0.0
+            for r, s, wt in splits[t]:
+                acc += degrees[r] * (wt if berz else 1.0) * u[r] * v[s]
+            w[t] = acc / d
 
 
 def jet_extract_partial(j: Jet, k: tuple[int, ...]) -> float:

@@ -5,8 +5,9 @@ point, materialised on demand: each node holds a concrete head and a deferred
 tail, and the tail is computed at most once.  Multiplication realises entry n
 as the binomial Leibniz sum over the first n+1 entries of each factor;
 division solves that sum for the quotient's entry n, over the quotient's own
-memoised entries.  A lift's tail is f'(a) * a' with f' drawn from the
-catalogue, and the lifts f' needs on the same argument are built once and
+memoised entries.  A lift's tail is f'(a) * a', with f'(a) given by the
+function's first-order rule in catalogue terms (the same rule the jets lift
+through), and the lifts f' needs on the same argument are built once and
 shared.  Every operation reads its inputs through a prefix reader that walks
 each input's tails once, so forcing K entries costs O(K^2) arithmetic per
 operation (the cost of the Taylor recurrences in Griewank & Walther,
@@ -28,7 +29,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .catalog import CATALOG, DomainError, ElementaryFn, is_pow, pow_exponent, pow_fn
+from .catalog import DomainError, ElementaryFn, derivative_rule, lookup
 
 
 class Tower:
@@ -179,39 +180,16 @@ def tower_div(a: Tower, b: Tower) -> Tower:
     return _from_entry_fn(entry, 0)
 
 
-def _base_resolver(name: str) -> ElementaryFn:
-    if name in CATALOG:
-        return CATALOG[name]
-    if is_pow(name):
-        return pow_fn(pow_exponent(name))
-    raise KeyError(name)
-
-
-def _derivative_tower(fn: ElementaryFn, a: Tower, result: Tower, lift) -> Tower:
-    """The tower of f'(a), expressed in catalogue terms.  `result` is the
-    already-built tower of f(a), reused where f' involves f itself; `lift`
-    gives the family's tower of another catalogue function on `a`."""
-    name = fn.name
-    if name == "exp":
-        return result
-    if name == "ln":
-        return tower_div(tower_const(1.0), a)
-    if name == "sqrt":
-        return tower_div(tower_const(0.5), result)
-    if name == "sin":
-        return lift("cos")
-    if name == "cos":
-        return tower_neg(lift("sin"))
-    if name == "tan":
-        return tower_add(tower_const(1.0), tower_mul(result, result))
-    if name == "copy":
-        return tower_const(1.0)
-    if is_pow(name):
-        k = pow_exponent(name)
-        if k == 0:
-            return _ZERO
-        return tower_mul(tower_const(float(k)), lift(f"pow{k - 1}"))
-    raise KeyError(f"no tower derivative rule for {name}")
+#: Arithmetic by name: the tower operations themselves.  Towers are
+#: immutable, so a copy is the tower itself.
+_ARITHMETIC = {
+    "add": tower_add,
+    "sub": tower_sub,
+    "neg": tower_neg,
+    "mul": tower_mul,
+    "div": tower_div,
+    "copy": lambda a: a,
+}
 
 
 def tower_lift_elementary(
@@ -220,15 +198,15 @@ def tower_lift_elementary(
     """Lift a unary catalogue function onto a tower.
 
     The head is f(a0); the tail is defined corecursively by the chain rule
-    df(result) = f'(a) * df(a), with f' drawn from the catalogue so the
-    construction stays closed.  The lifts that f' needs on the same argument
-    (cos for sin, sin for cos, pow{k-1} for pow{k}) form one family: each is
-    built once and shared, so sin and cos refer to each other.  `resolve`
-    substitutes the function table used for derivative lookups (instrumented
-    clones, for instance).
+    df(result) = f'(a) * df(a), with f'(a) from fn's first-order rule, in
+    catalogue terms so the construction stays closed.  A function without a
+    rule raises UnsupportedOrderError here, not when the tail is forced.  The
+    lifts that f' needs on the same argument (cos for sin, sin for cos,
+    pow{k-1} for pow{k}) form one family: each is built once and shared, so
+    sin and cos refer to each other.  `resolve` substitutes the function
+    table used for those lookups (instrumented clones, for instance).
     """
-    table = resolve if resolve is not None else _base_resolver
-    return _Family(a, table).lift(fn)
+    return _Family(a, resolve if resolve is not None else lookup).lift(fn)
 
 
 class _Family:
@@ -246,11 +224,12 @@ class _Family:
         return tower if tower is not None else self.lift(self.table(name))
 
     def lift(self, fn: ElementaryFn) -> Tower:
+        rule = derivative_rule(fn)
         a = self.arg
         fn.check_domain([a.head])
         res = Tower(fn.value([a.head]), None)
         self.towers[fn.name] = res
         res._tail_fn = lambda: tower_mul(
-            _derivative_tower(fn, a, res, self.get), tower_df(a)
+            rule(a, res, self.get, _ARITHMETIC, tower_const), tower_df(a)
         )
         return res

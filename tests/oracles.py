@@ -255,3 +255,83 @@ def partial_diff(f, point, j: int, h: float = 1e-6) -> float:
 def be_close(x: float, y: float, rel: float, scale: float = 1.0) -> bool:
     """|x - y| within rel, relative to max(1, |x|, |y|, scale)."""
     return abs(x - y) <= rel * max(1.0, abs(x), abs(y), abs(scale))
+
+
+# --- power series in 60-digit arithmetic (mpmath) ---
+
+
+def _mp_series(name: str, args, order: int, mp):
+    """Taylor coefficients of a catalogue function of series arguments, by
+    the classic recurrences (Knuth, TAOCP vol. 2, 4.7)."""
+    ks = range(order + 1)
+    if name in ("add", "sub"):
+        sign = 1 if name == "add" else -1
+        return [p + sign * q for p, q in zip(*args)]
+    if name == "neg":
+        return [-p for p in args[0]]
+    if name == "copy":
+        return list(args[0])
+    if name == "mul":
+        a, b = args
+        return [mp.fsum(a[j] * b[k - j] for j in range(k + 1)) for k in ks]
+    if name == "div":
+        a, b = args
+        q = []
+        for k in ks:
+            q.append((a[k] - mp.fsum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0])
+        return q
+    if name.startswith("pow") and name[3:].isdigit():
+        out = [mp.mpf(1)] + [mp.mpf(0)] * order
+        for _ in range(int(name[3:])):
+            out = _mp_series("mul", [out, args[0]], order, mp)
+        return out
+    u = args[0]
+    if name == "exp":
+        w = [mp.exp(u[0])]
+        for k in ks[1:]:
+            w.append(mp.fsum(j * u[j] * w[k - j] for j in range(1, k + 1)) / k)
+        return w
+    if name == "ln":
+        w = [mp.log(u[0])]
+        for k in ks[1:]:
+            w.append((u[k] - mp.fsum(j * w[j] * u[k - j] for j in range(1, k)) / k) / u[0])
+        return w
+    if name == "sqrt":
+        w = [mp.sqrt(u[0])]
+        for k in ks[1:]:
+            w.append((u[k] - mp.fsum(w[j] * w[k - j] for j in range(1, k))) / (2 * w[0]))
+        return w
+    if name in ("sin", "cos", "tan"):
+        s, c = [mp.sin(u[0])], [mp.cos(u[0])]
+        for k in ks[1:]:
+            s.append(mp.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
+            c.append(-mp.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
+        if name == "tan":
+            return _mp_series("div", [s, c], order, mp)
+        return s if name == "sin" else c
+    raise KeyError(name)
+
+
+def mp_taylor(fdef: FunctionDef, x: float, order: int, digits: int = 60):
+    """Taylor coefficients c_0..c_order at x of every node of a univariate
+    definition, in `digits`-digit arithmetic: (first output's, [every
+    node's]).  The exact x is the expansion point, so no input rounding."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        zero = [mpmath.mpf(0)] * order
+        memo = {}
+
+        def ev(node):
+            if id(node) in memo:
+                return memo[id(node)]
+            if isinstance(node, Variable):
+                out = [mpmath.mpf(x), mpmath.mpf(1)] + zero[1:]
+            elif isinstance(node, Constant):
+                out = [mpmath.mpf(node.value)] + zero
+            else:
+                out = _mp_series(node.fn.name, [ev(a) for a in node.args], order, mpmath)
+            memo[id(node)] = out
+            return out
+
+        return ev(fdef.outputs[0]), list(memo.values())

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from adkit.algebras import DualAlgebra, JetAlgebra
 from adkit.catalog import CATALOG, DomainError, UnsupportedOrderError, ElementaryFn
-from adkit.dual import Dual
+from adkit.dual import Dual, lift_elementary
 from adkit.expr import eval_generic, parse
 from adkit.jets import (
     BERZ,
@@ -26,10 +26,13 @@ from adkit.jets import (
     jet_variable,
 )
 
+from adkit.towers import tower_lift_elementary, tower_take, tower_var
+
 from conftest import random_program
 from oracles import (
     central_diff_order,
     jet_long_division,
+    mp_taylor,
     nested_partial,
     poly_mul_truncated,
 )
@@ -173,6 +176,71 @@ def test_unsupported_order_rule():
     shape = jet_shape(1, 2)
     with pytest.raises(UnsupportedOrderError):
         jet_lift_elementary(custom, [jet_variable(shape, 1, 0.0)])
+    with pytest.raises(UnsupportedOrderError):  # when built, not when forced
+        tower_lift_elementary(custom, tower_var(0.0))
+
+
+def _sigmoid(a):
+    return 1.0 / (1.0 + math.exp(-a[0]))
+
+
+def test_registered_first_order_rule_lifts_in_jets_and_towers():
+    # A registered function that carries only its first-order rule.
+    sigmoid = ElementaryFn(
+        "sigmoid", 1, _sigmoid,
+        lambda a: [_sigmoid(a) * (1.0 - _sigmoid(a))],
+        lambda a: True,
+        derivative=lambda a, f, lift, op, const: op["mul"](f, op["sub"](const(1.0), f)),
+    )
+    rng = random.Random(17)
+    for _ in range(20):
+        x = rng.uniform(-4.0, 4.0)
+        for n in (1, 2, 3):
+            seeds = [rng.uniform(-2, 2) for _ in range(n)]
+            out = jet_lift_elementary(sigmoid, [Jet(jet_shape(n, 1), [x] + seeds)])
+            assert out.coeffs[0] == _sigmoid([x])
+            for j in range(n):
+                dual = lift_elementary(sigmoid, [Dual(x, seeds[j])])
+                assert out.coeffs[1 + j] == dual.tangent
+        order = 8
+        shape = jet_shape(1, order)
+        jet = jet_lift_elementary(sigmoid, [jet_variable(shape, 1, x, BERZ)]).coeffs
+        tower = tower_take(tower_lift_elementary(sigmoid, tower_var(x)), order + 1)
+        assert tower[:2] == jet[:2]
+        for r in range(2, order + 1):
+            scale = math.factorial(r) * max(abs(c) / math.factorial(k)
+                                            for k, c in enumerate(jet[:r + 1]))
+            assert abs(tower[r] - jet[r]) <= 1e-14 * scale, (x, r)
+
+
+def test_order_12_lifts_match_a_60_digit_series():
+    # f(p(x)) for seeded cubics p.  Their coefficients and points are dyadic,
+    # so p's jet is exact and only the lift of f rounds.  The worst error is
+    # 0.18 of this bound; a Taylor-sum lift, sum_k (p - p(x))^k f^(k)(p(x)) / k!,
+    # cancels large terms here and missed it by up to 24 times (ln).
+    rng = random.Random(12)
+    order = 12
+    shape = jet_shape(1, order)
+    for name in ("exp", "ln", "sqrt", "sin", "cos", "tan"):
+        checked = 0
+        while checked < 20:
+            coeffs = [rng.randint(-24, 24) / 8 for _ in range(4)]
+            fdef = parse("f(x) = {}({})".format(
+                name, " + ".join(f"{c} * x^{i}" for i, c in enumerate(coeffs))))
+            x = rng.randint(-24, 24) / 16
+            try:
+                jet = eval_generic(
+                    fdef, [jet_variable(shape, 1, x, BERZ)], JetAlgebra(shape, BERZ)
+                )[0].coeffs
+            except DomainError:
+                continue
+            want, _ = mp_taylor(fdef, x, order)
+            for r in range(order + 1):
+                # r! times the largest Taylor coefficient up to order r
+                scale = math.factorial(r) * max(abs(float(c)) for c in want[:r + 1])
+                err = abs(float(jet[r] - want[r] * math.factorial(r)))
+                assert err <= 2e-14 * scale, (name, coeffs, x, r)
+            checked += 1
 
 
 def test_lift_domain_checked_on_constant_term():
