@@ -52,9 +52,9 @@ class ElementaryFn:
     terms, where `a` is the lifted argument, `f` the lifted result, `lift(name)`
     the lift of another catalogue function on the same argument, `op` the
     lifted arithmetic by name (``op["mul"](x, y)``) and `const(c)` a lifted
-    constant.  Sigmoid's is ``op["mul"](f, op["sub"](const(1.0), f))``.  The
-    same call on floats gives the first partial, and should compute it as
-    `partials` does.
+    constant.  Sigmoid's is ``op["mul"](f, op["sub"](const(1.0), f))``.  Jets
+    take degree 1 from `partials`, as dual numbers do, and the rule from
+    degree 2 up; towers take every entry after the head from the rule.
 
     Instances are immutable and safe to share between threads.
     """
@@ -121,18 +121,6 @@ COPY = ElementaryFn(
     unit_cost=0,
 )
 
-
-def _real(fn: ElementaryFn) -> Callable[..., float]:
-    def apply(*args: float) -> float:
-        fn.check_domain(args)
-        return fn.value(args)
-
-    return apply
-
-
-#: Arithmetic by name on floats: a first-order rule evaluated with it gives
-#: the same bits as the function's partials.
-REAL_ARITHMETIC = {fn.name: _real(fn) for fn in (ADD, SUB, NEG, MUL, DIV)}
 
 EXP = ElementaryFn(
     "exp", 1, lambda a: math.exp(a[0]), lambda a: [math.exp(a[0])], _always,

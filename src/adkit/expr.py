@@ -128,105 +128,98 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | one of the symbol characters | "end"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples, ending with ("end", "", len(source)).
+    Kind is "number", "ident", or a symbol's own character."""
     tokens = []
-    line, col = 1, 1
     for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        text = match.group()
+        kind, text = match.lastgroup, match.group()
         if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", line, col)
+            raise _error(source, match.start(), f"unexpected character {text!r}")
         if kind != "ws":
-            tk = kind if kind in ("number", "ident") else text
-            tokens.append(_Token(tk, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-    tokens.append(_Token("end", "", line, col))
+            tokens.append((text if kind == "symbol" else kind, text, match.start()))
+    tokens.append(("end", "", len(source)))
     return tokens
+
+
+def _error(source: str, offset: int, message: str) -> ParseError:
+    """A ParseError at `offset`, which gets its 1-based line and column."""
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
+
+
+_PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 1, 2, 3, 4, 5
+
+#: Binary operators by symbol: precedence and function.
+CATALOG_BIN = {"+": (_PREC_SUM, ADD), "-": (_PREC_SUM, SUB),
+               "*": (_PREC_PROD, MUL), "/": (_PREC_PROD, DIV)}
+_NEGATE = (_PREC_UNARY, NEG)
+_PAREN = (0, None, 0)
 
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
+    def advance(self) -> tuple[str, str, int]:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(
-                f"expected {what or kind!r}, found {found!r}", tok.line, tok.column
-            )
+    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        if self.peek()[0] != kind:
+            raise self.unexpected(repr(what or kind))
         return self.advance()
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, tok: tuple | None = None) -> ParseError:
+        return _error(self.source, (tok or self.peek())[2], message)
 
-    # def := ident "(" ident ("," ident)* ")" "=" body
+    def unexpected(self, what: str, tok: tuple | None = None) -> ParseError:
+        tok = tok or self.peek()
+        return self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", tok)
+
+    # def := ident "(" ident ("," ident)* ")" "=" ("let" ident "=" sum "in")* tuple
     def parse_def(self) -> FunctionDef:
-        name = self.expect("ident", "function name").text
+        name = self.expect("ident", "function name")[1]
         self.expect("(")
-        params = [self.expect("ident", "parameter name").text]
-        while self.peek().kind == ",":
+        params = [self.expect("ident", "parameter name")[1]]
+        while self.peek()[0] == ",":
             self.advance()
-            params.append(self.expect("ident", "parameter name").text)
+            params.append(self.expect("ident", "parameter name")[1])
         self.expect(")")
         self.expect("=")
         if len(set(params)) != len(params):
             raise self.error(f"duplicate parameter name in {params}")
         env = {p: Variable(i + 1) for i, p in enumerate(params)}
-        outputs = self.parse_body(env)
-        self.expect("end", "end of input")
-        return FunctionDef(name, tuple(params), tuple(outputs))
-
-    def parse_body(self, env: dict) -> list[Expr]:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "let":
+        # A binding's scope runs to the end of the body, so the chain
+        # updates one environment in place.
+        while self.peek()[1] == "let":
             self.advance()
-            name = self.expect("ident", "binding name").text
+            bound = self.expect("ident", "binding name")[1]
             self.expect("=")
-            bound = self.parse_sum(env)
-            in_tok = self.peek()
-            if not (in_tok.kind == "ident" and in_tok.text == "in"):
+            node = self.parse_sum(env)
+            if self.peek()[1] != "in":
                 raise self.error("expected 'in' after let binding")
             self.advance()
-            inner = dict(env)
-            inner[name] = bound
-            return self.parse_body(inner)
-        return self.parse_tuple(env)
+            env[bound] = node
+        outputs = self.parse_tuple(env)
+        self.expect("end", "end of input")
+        return FunctionDef(name, tuple(params), tuple(outputs))
 
     def parse_tuple(self, env: dict) -> list[Expr]:
         # "(" sum ("," sum)+ ")" is a tuple only if a comma follows; otherwise
         # the parenthesis belongs to an ordinary atom.
-        if self.peek().kind == "(":
+        if self.peek()[0] == "(":
             mark = self.pos
             self.advance()
             first = self.parse_sum(env)
-            if self.peek().kind == ",":
+            if self.peek()[0] == ",":
                 outs = [first]
-                while self.peek().kind == ",":
+                while self.peek()[0] == ",":
                     self.advance()
                     outs.append(self.parse_sum(env))
                 self.expect(")")
@@ -235,83 +228,82 @@ class _Parser:
         return [self.parse_sum(env)]
 
     def parse_sum(self, env: dict) -> Expr:
-        node = self.parse_prod(env)
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.parse_prod(env)
-            node = Apply(CATALOG_BIN[op], (node, rhs))
-        return node
-
-    def parse_prod(self, env: dict) -> Expr:
-        node = self.parse_unary(env)
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.parse_unary(env)
-            node = Apply(CATALOG_BIN[op], (node, rhs))
-        return node
-
-    def parse_unary(self, env: dict) -> Expr:
-        if self.peek().kind == "-":
-            self.advance()
-            return Apply(NEG, (self.parse_unary(env),))
-        return self.parse_power(env)
-
-    def parse_power(self, env: dict) -> Expr:
-        node = self.parse_atom(env)
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("number", "integer exponent")
-            if not tok.text.isdigit():
-                raise ParseError(
-                    f"exponent must be a nonnegative integer, found {tok.text!r}",
-                    tok.line,
-                    tok.column,
-                )
-            node = Apply(pow_fn(int(tok.text)), (node,))
-        return node
-
-    def parse_atom(self, env: dict) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Constant(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if self.peek().kind == "(":
-                self.advance()
-                args = [self.parse_sum(env)]
-                while self.peek().kind == ",":
-                    self.advance()
-                    args.append(self.parse_sum(env))
-                self.expect(")")
-                fn = CATALOG.get(tok.text)
-                if fn is None:
-                    raise ParseError(
-                        f"unknown function {tok.text!r}", tok.line, tok.column
-                    )
-                if fn.arity != len(args):
-                    raise ParseError(
-                        f"{tok.text} expects {fn.arity} argument(s), got {len(args)}",
-                        tok.line,
-                        tok.column,
-                    )
-                return Apply(fn, args)
-            node = env.get(tok.text)
-            if node is None:
-                raise ParseError(
-                    f"unbound variable {tok.text!r}", tok.line, tok.column
-                )
-            return node
-        if tok.kind == "(":
-            self.advance()
-            node = self.parse_sum(env)
-            self.expect(")")
-            return node
-        found = tok.text or "end of input"
-        raise ParseError(f"expected an expression, found {found!r}", tok.line, tok.column)
-
-
-CATALOG_BIN = {"+": ADD, "-": SUB, "*": MUL, "/": DIV}
+        """One sum, in a single loop over an operand stack and an operator
+        stack.  The operator stack holds pending operators as (precedence,
+        fn), unary minus included, and open brackets as frames
+        (0, call, base): `call` is a call's name token (None for a
+        parenthesis) and `base` the operand count before its arguments.
+        Stops at the first token outside every bracket that cannot continue
+        the sum."""
+        tokens, pos = self.tokens, self.pos
+        operands: list[Expr] = []
+        ops: list[tuple] = []
+        while True:
+            # An operand: unary minuses and opening brackets, then an atom.
+            tok = tokens[pos]
+            kind = tok[0]
+            pos += 1
+            if kind == "-" or kind == "(":
+                ops.append(_NEGATE if kind == "-" else _PAREN)
+                continue
+            if kind == "ident" and tokens[pos][0] == "(":
+                ops.append((0, tok, len(operands)))
+                pos += 1
+                continue
+            if kind == "number":
+                operands.append(Constant(float(tok[1])))
+            elif kind == "ident":
+                node = env.get(tok[1])
+                if node is None:
+                    raise self.error(f"unbound variable {tok[1]!r}", tok)
+                operands.append(node)
+            else:
+                raise self.unexpected("an expression", tok)
+            # The top operand is a finished atom, as is each bracket closed here.
+            while True:
+                if tokens[pos][0] == "^":
+                    tok = tokens[pos + 1]
+                    if tok[0] != "number":
+                        raise self.unexpected("'integer exponent'", tok)
+                    if not tok[1].isdigit():
+                        raise self.error(
+                            f"exponent must be a nonnegative integer, found {tok[1]!r}", tok
+                        )
+                    operands[-1] = Apply(pow_fn(int(tok[1])), (operands[-1],))
+                    pos += 2
+                tok = tokens[pos]
+                binary = CATALOG_BIN.get(tok[0])
+                # Apply the pending operators that bind at least as tightly;
+                # anything but a binary operator ends the innermost sum.
+                floor = binary[0] if binary else _PREC_SUM
+                while ops and ops[-1][0] >= floor:
+                    fn = ops.pop()[1]
+                    rhs = operands.pop()
+                    operands.append(Apply(fn, (rhs,) if fn is NEG else (operands.pop(), rhs)))
+                if binary:
+                    ops.append(binary)
+                    pos += 1
+                    break
+                if not ops:
+                    self.pos = pos
+                    return operands[0]
+                _, call, base = ops[-1]
+                if tok[0] == "," and call:
+                    pos += 1  # the call's next argument
+                    break
+                if tok[0] != ")":
+                    raise self.unexpected("')'", tok)
+                pos += 1
+                ops.pop()
+                if call:
+                    fn, args = CATALOG.get(call[1]), operands[base:]
+                    if fn is None:
+                        raise self.error(f"unknown function {call[1]!r}", call)
+                    if fn.arity != len(args):
+                        raise self.error(
+                            f"{call[1]} expects {fn.arity} argument(s), got {len(args)}", call
+                        )
+                    operands[base:] = [Apply(fn, args)]
 
 
 def parse(source: str) -> FunctionDef:
@@ -556,15 +548,8 @@ def _op_label(fn: ElementaryFn) -> str:
 
 # --- unparsing ---
 
-_PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 1, 2, 3, 4, 5
-
-#: Binary operators: symbol and precedence.
-_INFIX = {
-    "add": ("+", _PREC_SUM),
-    "sub": ("-", _PREC_SUM),
-    "mul": ("*", _PREC_PROD),
-    "div": ("/", _PREC_PROD),
-}
+#: Binary operators by function name: symbol and precedence.
+_INFIX = {fn.name: (sym, prec) for sym, (prec, fn) in CATALOG_BIN.items()}
 
 
 def unparse(fdef: FunctionDef) -> str:

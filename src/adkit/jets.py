@@ -25,7 +25,6 @@ from functools import lru_cache
 from itertools import product as _cartesian
 
 from .catalog import (
-    REAL_ARITHMETIC,
     DomainError,
     ElementaryFn,
     derivative_rule,
@@ -258,9 +257,10 @@ def jet_lift_elementary(fn: ElementaryFn, args: list[Jet]) -> Jet:
     rule is lifted degree by degree: w = f(u) has the constant term f(u_0),
     and its degree-d coefficients are w_t = sum |r| u_r v_s / d over the
     splits t = r + s, where v = f'(u) is the rule evaluated at truncation
-    d - 1 (in the berz basis each term carries the split's multinomial
-    weight).  The lifts f' needs on the same argument (cos for sin, pow{k-1}
-    for pow{k}) form one family: each is built once and filled alongside.
+    d - 1, or at d = 1 the first partial f'(u_0) from `partials` (in the
+    berz basis each term carries the split's multinomial weight).  The lifts
+    f' needs on the same argument (cos for sin, pow{k-1} for pow{k}) form one
+    family: each is built once and filled alongside.
     """
     fn.check_arity(args)
     op = _ARITHMETIC.get(fn.name)
@@ -303,11 +303,8 @@ class _Family:
         arg = self.arg
         n, basis = arg.shape.n, arg.basis
         if d == 1:
-            # On floats, so that v_0 is computed exactly as fn.partials does.
-            v = [fn.derivative(
-                arg.coeffs[0], w[0], lambda name: self.fill(lookup(name), 0)[0],
-                REAL_ARITHMETIC, float,
-            )]
+            # The first partial, as dual numbers take it.
+            v = fn.partials([arg.coeffs[0]])
         else:
             # The graded layout of order d - 1 is a prefix of the full one.
             low = jet_shape(n, d - 1)

@@ -287,3 +287,23 @@ def test_annotating_too_large_a_program_is_flag_misuse(capsys):
     code, out, err = run(capsys, ["graph", source, "--annotate", "at=1,dir=1"])
     assert (code, out) == (3, "")
     assert err == "adkit: --annotate: state dimension 600 exceeds 512\n"
+
+
+def test_tower_too_deep_to_force_is_a_typed_exit(capsys):
+    # Tower forcing recurses through the graph, so a sum of about 500 terms
+    # reaches Python's recursion limit.
+    def tower(terms: int):
+        source = "f(x) = " + " + ".join(["x"] * terms)
+        argv = ["diff", source, "--at", "0.3", "--mode", "tower", "--order", "3", "--json"]
+        return run(capsys, argv)
+
+    value = 0.3
+    for _ in range(399):
+        value += 0.3
+    code, out, err = tower(400)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["derivative"] == [[value, 400.0, 0.0, 0.0]]
+
+    code, out, err = tower(1000)
+    assert (code, out) == (3, "")
+    assert err == "adkit: --mode tower: program too deep to force its tower\n"

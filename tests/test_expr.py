@@ -66,6 +66,23 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError, match="integer"):
         parse("f(x) = x^2.5")
 
+    cases = [
+        ("f(x) =\n  let a = sin(x) in\n  a + ", "expected an expression, found 'end of input'",
+         3, 7),
+        ("f(x) = x^2^3", "expected 'end of input', found '^'", 1, 11),
+        ("f(x) = sin((x, x))", "expected ')', found ','", 1, 14),
+        ("f(x)=x)", "expected 'end of input', found ')'", 1, 7),
+        ("f(x)=(x", "expected ')', found 'end of input'", 1, 8),
+        ("f(x) = sinh(x +)", "expected an expression, found ')'", 1, 16),
+        ("f(x) = x + \n\n   sinh(\n x)", "unknown function 'sinh'", 3, 4),
+        ("f(x, y) =\n  (x,\n   y ?)", "unexpected character '?'", 3, 6),
+    ]
+    for source, message, line, column in cases:
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == f"{message} (line {line}, column {column})", source
+        assert (err.value.line, err.value.column) == (line, column), source
+
 
 def test_precedence_and_unary_minus():
     fdef = parse("f(x) = -x^2 + 2*x/4 - 1")

@@ -1,5 +1,6 @@
 """The compiled program: one straight-line layout read by every mode."""
 
+import math
 import random
 
 import pytest
@@ -89,6 +90,50 @@ def test_long_chain_unparse_round_trips(source):
     again = parse(text)
     assert _layout(again) == _layout(fdef)
     assert unparse(again) == text
+
+
+DEPTH = 10_000
+
+
+def _nested_calls() -> tuple[str, float, float]:
+    """sin(sin(...sin(x)...)) DEPTH deep, with its value and derivative at 0.3."""
+    value, tangent = 0.3, 1.0
+    for _ in range(DEPTH):
+        value, tangent = math.sin(value), math.cos(value) * tangent
+    return "f(x) = " + "sin(" * DEPTH + "x" + ")" * DEPTH, value, tangent
+
+
+def _nested_parentheses() -> tuple[str, float, float]:
+    return "f(x) = " + "(" * DEPTH + "x * x" + ")" * DEPTH, 0.3 * 0.3, 0.3 + 0.3
+
+
+def _let_chain() -> tuple[str, float, float]:
+    """let a1 = x + x in let a2 = a1 + x in ...: DEPTH bindings, a DEPTH + 1
+    term sum."""
+    lets = "let a1 = x + x in " + "".join(
+        f"let a{i} = a{i - 1} + x in " for i in range(2, DEPTH + 1)
+    )
+    value = 0.3
+    for _ in range(DEPTH):
+        value += 0.3
+    return f"f(x) = {lets}a{DEPTH}", value, float(DEPTH + 1)
+
+
+@pytest.mark.parametrize(
+    "make", [_nested_calls, _nested_parentheses, _let_chain],
+    ids=["calls", "parentheses", "let-chain"],
+)
+def test_deep_sources_parse_without_recursion(make):
+    source, value, tangent = make()
+    fdef = parse(source)
+    text = unparse(fdef)
+    again = parse(text)
+    assert _layout(again) == _layout(fdef)
+    assert unparse(again) == text
+    assert forward_directional(fdef, SeedSpec.forward([0.3], [1.0])) == (
+        [value],
+        [tangent],
+    )
 
 
 def test_domain_error_path_at_the_bottom_of_a_deep_chain():
