@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebras import JetAlgebra, RealAlgebra, TowerAlgebra
+from .algebras import JetAlgebra, TowerAlgebra
 from .catalog import DomainError
 from .engine import SCENARIOS, SeedSpec, cost_compare, forward_directional, jacobian, record, backprop
 from .expr import ParseError, eval_generic, parse, to_dot
@@ -142,7 +142,7 @@ def _cmd_diff(args) -> int:
             raise FlagError(f"--cov must supply {fdef.m} value(s)")
         tape = record(fdef, point)
         gradient = backprop(tape, covector)
-        value = [tape.entries[r - tape.n].primal for r in tape.output_refs]
+        value = [tape.values[r] for r in tape.output_refs]
         report = _report(args.expression, mode, point, covector, value, [gradient])
         if not args.json:
             print(f"value: {_fmt_vector(value)}")
@@ -191,8 +191,9 @@ def _cmd_diff(args) -> int:
             print(f"derivatives 0..{args.order}: {_fmt_vector(entries)}")
 
     else:  # jacobian
+        tape = record(fdef, point)  # the tape `jacobian` sweeps at this point
         matrix = jacobian(fdef, point, mode="forward")
-        value = eval_generic(fdef, [float(x) for x in point], RealAlgebra())
+        value = [tape.values[r] for r in tape.output_refs]
         report = _report(args.expression, mode, point, [], value, matrix)
         if not args.json:
             print(f"value: {_fmt_vector(value)}")

@@ -1,11 +1,23 @@
 """Production differentiation drivers.
 
-Forward mode evaluates the expression once over dual numbers and reads the
-directional derivative out of the tangent slots.  Reverse mode records a
-compact tape during one value sweep (operations, argument references, cached
-local partials) and then sweeps it backwards, summing each entry's adjoint
-into its arguments - the summation is what accounts for fan-out.  Full
-Jacobians are assembled from basis-seeded passes in either mode.
+Both first-order modes read one linearization of the program at a point.
+`record` sweeps the compiled program once and keeps two parallel tuples:
+every slot's primal value (the n inputs, then one per step) and every
+step's local partials.  Together they are the chain of step Jacobians.
+Forward mode multiplies that chain by a direction from the right:
+`forward_directional` sweeps tangents only, with the dual-number formulas of
+`dual.py`, so its bits equal those of a dual sweep.  Reverse mode multiplies
+it by a covector from the left: `backprop` sweeps the same tuples
+backwards, summing each step's adjoint into its arguments - the summation
+is what accounts for fan-out.  A full Jacobian takes n tangent sweeps or m
+adjoint sweeps over one tape.
+
+The compiled program keeps the last tape `record` built, as one immutable
+(point key, tape) pair, so every direction and covector asked for at one
+point shares one linearization.  The key is the bit pattern of the floated
+point, so 0.0 and -0.0, or two NaN payloads, never share a tape.  The pair
+is replaced in one assignment and a tape is never changed, so threads
+sharing a definition can only miss the memo.
 
 `cost_compare` instruments three function families with the shared
 evaluation counter and reports exact integer operation counts for a
@@ -15,14 +27,14 @@ symbolic-style re-evaluation pattern next to the forward-mode sweep.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .algebras import CountingAlgebra, DualAlgebra
-from .catalog import ADD, MUL, ElementaryFn
+from .algebras import CountingAlgebra
+from .catalog import ADD, DIV, MUL, DomainError, ElementaryFn
 from .counting import CountingScalar, EvalCounter, counting_eval, counting_partials
-from .dual import Dual
-from .expr import Apply, Expr, FunctionDef, Variable, eval_generic
+from .expr import Apply, Expr, FunctionDef, Step, Variable, _path_of, eval_generic
 
 
 @dataclass(frozen=True)
@@ -42,19 +54,6 @@ class SeedSpec:
         return SeedSpec(tuple(point), covector=tuple(covector))
 
 
-def forward_directional(
-    fdef: FunctionDef, seed: SeedSpec
-) -> tuple[list[float], list[float]]:
-    """(f(c), J_f(c) . x') from one dual-number sweep."""
-    if seed.direction is None:
-        raise ValueError("forward mode needs a direction seed")
-    if len(seed.point) != fdef.n or len(seed.direction) != fdef.n:
-        raise ValueError(f"point and direction must have length {fdef.n}")
-    inputs = [Dual(c, d) for c, d in zip(seed.point, seed.direction)]
-    outputs = eval_generic(fdef, inputs, DualAlgebra())
-    return [o.primal for o in outputs], [o.tangent for o in outputs]
-
-
 @dataclass(frozen=True)
 class TapeEntry:
     fn: ElementaryFn
@@ -65,57 +64,134 @@ class TapeEntry:
 
 @dataclass(frozen=True)
 class Tape:
-    """A recorded forward sweep, ready for any number of reverse sweeps."""
+    """A program linearized at one point, ready for any number of tangent
+    and adjoint sweeps.
+
+    `values[s]` is slot s's primal: the n inputs, then step k's value at
+    n + k.  `partials[k]` holds step k's local partials, one per argument
+    slot in `steps[k].arg_slots`.
+    """
 
     n: int
-    entries: tuple[TapeEntry, ...]
+    steps: tuple[Step, ...]
+    values: tuple[float, ...]
+    partials: tuple[tuple[float, ...], ...]
     output_refs: tuple[int, ...]
 
     @property
     def m(self) -> int:
         return len(self.output_refs)
 
+    @property
+    def entries(self) -> tuple[TapeEntry, ...]:
+        """Step k as one TapeEntry, built afresh on every read."""
+        n, values = self.n, self.values
+        return tuple(
+            TapeEntry(step.fn, step.arg_slots, values[n + k], parts)
+            for k, (step, parts) in enumerate(zip(self.steps, self.partials))
+        )
+
 
 def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
-    """Evaluate once, caching every entry's primal and local partials.
-
-    The tape is the compiled program with values attached: entry k is step
-    k, its `arg_refs` are the step's argument slots.
-    """
+    """Linearize the program at c in one sweep: every primal and every
+    step's local partials.  A call at the point of the definition's last
+    tape (the same float bits) returns that tape.  A domain error names
+    the failing node's path, as `eval_generic` does."""
     if len(c) != fdef.n:
         raise ValueError(f"expected {fdef.n} inputs, got {len(c)}")
-    program = fdef.program
     values = [float(x) for x in c]
-    entries: list[TapeEntry] = []
+    key = struct.pack(f"{len(values)}d", *values)
+    program = fdef.program
+    memo = program.last_tape
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    partials = []
+    add_value, add_partials = values.append, partials.append
     for step in program.steps:
         fn = step.fn
         args = [values[r] for r in step.arg_slots]
-        fn.check_domain(args)
-        primal = fn.value(args)
-        values.append(primal)
-        entries.append(TapeEntry(fn, step.arg_slots, primal, tuple(fn.partials(args))))
-    return Tape(fdef.n, tuple(entries), program.output_slots)
+        if not fn.domain(args):  # a compiled step's arity always matches
+            raise DomainError(fn.name, args, _path_of(fdef, step.out_slot))
+        add_value(fn.value(args))
+        try:
+            add_partials(tuple(fn.partials(args)))
+        except ZeroDivisionError:
+            if fn is not DIV:
+                raise
+            # b*b underflowed to 0: write -a/(b*b) as -q/b, the form of the
+            # dual tangent (a' - q b')/b, which then overflows at worst
+            add_partials((1.0 / args[1], -values[-1] / args[1]))
+    tape = Tape(fdef.n, program.steps, tuple(values), tuple(partials), program.output_slots)
+    object.__setattr__(program, "last_tape", (key, tape))
+    return tape
+
+
+def _tangents(tape: Tape, direction: Sequence[float]) -> list[float]:
+    """J_f(c) . direction from one tangent sweep over the tape.  Each step
+    uses the formula its dual-number lift uses, so the bits are the same."""
+    v = tape.values
+    t = [float(d) for d in direction]
+    add = t.append
+    for step, parts in zip(tape.steps, tape.partials):
+        refs, name = step.arg_slots, step.fn.name
+        if len(refs) == 1:
+            if name == "neg":
+                add(-t[refs[0]])
+            elif name == "copy":
+                add(t[refs[0]])
+            else:
+                add(0.0 + parts[0] * t[refs[0]])
+        elif name == "mul":
+            a, b = refs
+            add(v[a] * t[b] + t[a] * v[b])
+        elif name == "add":
+            a, b = refs
+            add(t[a] + t[b])
+        elif name == "sub":
+            a, b = refs
+            add(t[a] - t[b])
+        elif name == "div":
+            a, b = refs
+            add((t[a] - v[len(t)] * t[b]) / v[b])  # v[len(t)] is the quotient
+        else:  # constants and any other function: grad f . tangents
+            tangent = 0.0
+            for ref, p in zip(refs, parts):
+                tangent += p * t[ref]
+            add(tangent)
+    return [t[r] for r in tape.output_refs]
+
+
+def forward_directional(
+    fdef: FunctionDef, seed: SeedSpec
+) -> tuple[list[float], list[float]]:
+    """(f(c), J_f(c) . x') from the tape at c and one tangent sweep."""
+    if seed.direction is None:
+        raise ValueError("forward mode needs a direction seed")
+    if len(seed.point) != fdef.n or len(seed.direction) != fdef.n:
+        raise ValueError(f"point and direction must have length {fdef.n}")
+    tape = record(fdef, seed.point)
+    return [tape.values[r] for r in tape.output_refs], _tangents(tape, seed.direction)
 
 
 def backprop(tape: Tape, ybar: Sequence[float]) -> list[float]:
-    """One reverse sweep: seed the output adjoints, then push each entry's
-    adjoint into its arguments weighted by the cached local partials.
+    """One reverse sweep: seed the output adjoints, then push each step's
+    adjoint into its arguments weighted by the recorded local partials.
     Contributions into the same slot add up, which realises fan-out."""
     if len(ybar) != tape.m:
         raise ValueError(f"expected a covector of length {tape.m}")
-    adjoint = [0.0] * (tape.n + len(tape.entries))
+    n, steps, partials = tape.n, tape.steps, tape.partials
+    adjoint = [0.0] * len(tape.values)
     for ref, y in zip(tape.output_refs, ybar):
         adjoint[ref] += float(y)
-    for j in range(len(tape.entries) - 1, -1, -1):
-        entry = tape.entries[j]
-        a = adjoint[tape.n + j]
+    for k in range(len(steps) - 1, -1, -1):
+        a = adjoint[n + k]
         if a == 0.0:
             # zero adjoints still distribute zeros; skipping them changes
             # nothing but avoids needless work on wide tapes
             continue
-        for ref, p in zip(entry.arg_refs, entry.local_partials):
+        for ref, p in zip(steps[k].arg_slots, partials[k]):
             adjoint[ref] += a * p
-    return adjoint[: tape.n]
+    return adjoint[:n]
 
 
 def reverse_gradient(fdef: FunctionDef, seed: SeedSpec) -> list[float]:
@@ -126,26 +202,23 @@ def reverse_gradient(fdef: FunctionDef, seed: SeedSpec) -> list[float]:
     return backprop(tape, seed.covector)
 
 
+def _basis(k: int, j: int) -> list[float]:
+    e = [0.0] * k
+    e[j] = 1.0
+    return e
+
+
 def jacobian(fdef: FunctionDef, c: Sequence[float], mode: str = "forward"):
-    """The full m x n Jacobian from basis-seeded passes."""
+    """The full m x n Jacobian from basis-seeded sweeps over one tape:
+    n tangent sweeps (forward) or m adjoint sweeps (reverse)."""
+    if mode not in ("forward", "reverse"):
+        raise ValueError(f"unknown jacobian mode {mode!r}")
+    tape = record(fdef, c)
     n, m = fdef.n, fdef.m
     if mode == "forward":
-        cols = []
-        for j in range(n):
-            e = [0.0] * n
-            e[j] = 1.0
-            _, tangent = forward_directional(fdef, SeedSpec.forward(c, e))
-            cols.append(tangent)
-        return [[cols[j][i] for j in range(n)] for i in range(m)]
-    if mode == "reverse":
-        tape = record(fdef, c)
-        rows = []
-        for i in range(m):
-            e = [0.0] * m
-            e[i] = 1.0
-            rows.append(backprop(tape, e))
-        return rows
-    raise ValueError(f"unknown jacobian mode {mode!r}")
+        cols = [_tangents(tape, _basis(n, j)) for j in range(n)]
+        return [[col[i] for col in cols] for i in range(m)]
+    return [backprop(tape, _basis(m, i)) for i in range(m)]
 
 
 # --- operation-count comparisons ---

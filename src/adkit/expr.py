@@ -9,7 +9,7 @@ The surface language is a small infix grammar::
     sum    := prod (("+"|"-") prod)*
     prod   := unary (("*"|"/") unary)*
     unary  := "-" unary | power
-    power  := atom ("^" integer)?
+    power  := atom ("^" integer)?          integer <= MAX_EXPONENT (1000)
     atom   := number | ident | ident "(" sum ("," sum)* ")" | "(" sum ")"
 
 Callable idents are the catalogue transcendentals (exp, ln, sqrt, sin, cos,
@@ -19,14 +19,15 @@ node no matter how often the name is used.  Nothing else is merged, so an
 expression written twice is evaluated twice.
 
 Each definition is compiled once into a straight-line program over the state
-space R^(n+mu) (`FunctionDef.program`); generic evaluation, the reverse-mode
-tape, the dense trace oracle and the DOT export all read that one program.
+space R^(n+mu) (`FunctionDef.program`); generic evaluation, the tape that
+both first-order modes sweep, the dense trace oracle and the DOT export all
+read that one program.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -150,6 +151,11 @@ def _error(source: str, offset: int, message: str) -> ParseError:
 
 _PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 1, 2, 3, 4, 5
 
+#: The largest exponent `^` accepts.  A power is that many multiplications
+#: (`catalog.ipow`), so one evaluation of x^1000 costs about as much as a
+#: thousand-step program.
+MAX_EXPONENT = 1000
+
 #: Binary operators by symbol: precedence and function.
 CATALOG_BIN = {"+": (_PREC_SUM, ADD), "-": (_PREC_SUM, SUB),
                "*": (_PREC_PROD, MUL), "/": (_PREC_PROD, DIV)}
@@ -269,7 +275,11 @@ class _Parser:
                         raise self.error(
                             f"exponent must be a nonnegative integer, found {tok[1]!r}", tok
                         )
-                    operands[-1] = Apply(pow_fn(int(tok[1])), (operands[-1],))
+                    # leading zeros stripped, so int() never sees a long string
+                    digits = tok[1].lstrip("0") or "0"
+                    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                        raise self.error(f"exponent exceeds the ceiling {MAX_EXPONENT}", tok)
+                    operands[-1] = Apply(pow_fn(int(digits)), (operands[-1],))
                     pos += 2
                 tok = tokens[pos]
                 binary = CATALOG_BIN.get(tok[0])
@@ -338,6 +348,9 @@ class StateProgram:
     m: int
     steps: tuple[Step, ...]
     output_slots: tuple[int, ...]
+    #: The memo of `engine.record`: the last (point key, tape) pair it
+    #: built from this program.  It is replaced whole, never changed.
+    last_tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def mu(self) -> int:

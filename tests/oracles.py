@@ -335,3 +335,35 @@ def mp_taylor(fdef: FunctionDef, x: float, order: int, digits: int = 60):
             return out
 
         return ev(fdef.outputs[0]), list(memo.values())
+
+
+# --- the reverse sweep over one TapeEntry per step ---
+
+
+def entry_gradient(fdef: FunctionDef, c, ybar) -> list[float]:
+    """ybar . J_f(c) by the tape loop that built one frozen `TapeEntry` per
+    step and swept the entries backwards, kept as a bit-for-bit reference
+    for the flat tape."""
+    from adkit.engine import TapeEntry
+
+    n = fdef.n
+    values = [float(x) for x in c]
+    entries = []
+    for step in fdef.program.steps:
+        fn = step.fn
+        args = [values[r] for r in step.arg_slots]
+        fn.check_domain(args)
+        primal = fn.value(args)
+        values.append(primal)
+        entries.append(TapeEntry(fn, step.arg_slots, primal, tuple(fn.partials(args))))
+    adjoint = [0.0] * (n + len(entries))
+    for ref, y in zip(fdef.program.output_slots, ybar):
+        adjoint[ref] += float(y)
+    for j in range(len(entries) - 1, -1, -1):
+        entry = entries[j]
+        a = adjoint[n + j]
+        if a == 0.0:
+            continue
+        for ref, p in zip(entry.arg_refs, entry.local_partials):
+            adjoint[ref] += a * p
+    return adjoint[:n]

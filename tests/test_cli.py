@@ -147,6 +147,24 @@ def test_exit_code_domain_error(capsys):
     assert code == 2 and "domain error" in err
 
 
+def test_reverse_domain_error_names_its_location(capsys):
+    source = "f(x)=sqrt(x)*2"
+    forward = run(capsys, ["diff", source, "--at", "-1", "--mode", "forward", "--dir", "1"])
+    reverse = run(capsys, ["diff", source, "--at", "-1", "--mode", "reverse", "--cov", "1"])
+    assert forward == reverse == (2, "", "adkit: domain error: sqrt undefined on (-1.0,) (at out0.0)\n")
+
+
+def test_exponent_past_the_ceiling_is_a_parse_error(capsys):
+    for exponent in ("9" * 5000, "10000000", "1001"):
+        code, out, err = run(capsys, ["diff", f"f(x)=x^{exponent}", "--at", "1", "--mode",
+                                      "forward", "--dir", "1"])
+        assert (code, out) == (1, "")
+        assert err == "adkit: parse error: exponent exceeds the ceiling 1000 (line 1, column 8)\n"
+    code, out, _ = run(capsys, ["diff", "f(x)=x^1000", "--at", "1", "--mode", "forward",
+                                "--dir", "1"])
+    assert (code, out) == (0, "value: [1.0]\ntangent: [1000.0]\n")
+
+
 def test_exit_code_flag_misuse(capsys):
     cases = [
         ["diff", "f(x)=x", "--at", "1", "--mode", "sideways"],

@@ -14,7 +14,7 @@ from adkit.engine import (
     record,
     reverse_gradient,
 )
-from adkit.expr import parse
+from adkit.expr import FunctionDef, parse
 from adkit.trace import compile_program, forward_derivative, reverse_derivative
 
 from conftest import random_program
@@ -119,7 +119,11 @@ def test_tape_determinism():
     rng = random.Random(30)
     for _ in range(20):
         fdef, point = random_program(rng)
-        assert record(fdef, point) == record(fdef, point)
+        # a second definition has its own program, so nothing is memoised
+        again = FunctionDef(fdef.name, fdef.params, fdef.outputs)
+        tape, other = record(fdef, point), record(again, point)
+        assert (tape.values, tape.partials) == (other.values, other.partials)
+        assert record(fdef, point) == tape
 
 
 def test_engine_matches_trace_oracle():

@@ -65,6 +65,11 @@ def test_parse_errors_carry_position():
         parse("f(x) = x ? 2")
     with pytest.raises(ParseError, match="integer"):
         parse("f(x) = x^2.5")
+    for exponent in ("9" * 5000, "10000000", "1001", "0" * 5000 + "1001"):
+        with pytest.raises(ParseError) as err:
+            parse(f"f(x) =\n  x ^ {exponent}")
+        assert str(err.value) == "exponent exceeds the ceiling 1000 (line 2, column 7)"
+    assert unparse(parse("f(x) = x^" + "0" * 5000 + "1000")) == "f(x) = x^1000"
 
     cases = [
         ("f(x) =\n  let a = sin(x) in\n  a + ", "expected an expression, found 'end of input'",

@@ -166,20 +166,35 @@ def test_program_is_built_once_per_definition():
     assert parse("f(x) = (x, exp(x)*sin(x))").program is not fdef.program
 
 
+MULTI_OUTPUT_DOMAIN_CASES = [
+    # output 1's interior sqrt is scheduled before output 0's root ln,
+    # so it is the step reported
+    ("f(x) = (ln(x), sin(sqrt(x)))", [-1.0], "sqrt", "out1.0"),
+    ("f(x) = (exp(x), 2 * sqrt(x - 3))", [1.0], "sqrt", "out1.1"),
+    # a shared node is named by the first path that reaches it
+    ("f(x) = let s = sqrt(x) in (exp(x), s + 1, s)", [-4.0], "sqrt", "out1.0"),
+    ("f(x, y) = (x * y, y / (x - x))", [1.0, 2.0], "div", "out1"),
+]
+
+
 def test_multi_output_domain_error_names_the_failing_output():
-    cases = [
-        # output 1's interior sqrt is scheduled before output 0's root ln,
-        # so it is the step reported
-        ("f(x) = (ln(x), sin(sqrt(x)))", [-1.0], "sqrt", "out1.0"),
-        ("f(x) = (exp(x), 2 * sqrt(x - 3))", [1.0], "sqrt", "out1.1"),
-        # a shared node is named by the first path that reaches it
-        ("f(x) = let s = sqrt(x) in (exp(x), s + 1, s)", [-4.0], "sqrt", "out1.0"),
-        ("f(x, y) = (x * y, y / (x - x))", [1.0, 2.0], "div", "out1"),
-    ]
-    for source, point, fn_name, path in cases:
+    for source, point, fn_name, path in MULTI_OUTPUT_DOMAIN_CASES:
         with pytest.raises(DomainError) as err:
             eval_generic(parse(source), point, RealAlgebra())
         assert (err.value.fn_name, err.value.path) == (fn_name, path), source
+
+
+def test_both_modes_name_the_failing_output():
+    for source, point, fn_name, path in MULTI_OUTPUT_DOMAIN_CASES:
+        fdef = parse(source)
+        modes = [
+            lambda: forward_directional(fdef, SeedSpec.forward(point, [1.0] * fdef.n)),
+            lambda: backprop(record(fdef, point), [1.0] * fdef.m),
+        ]
+        for mode in modes:
+            with pytest.raises(DomainError) as err:
+                mode()
+            assert (err.value.fn_name, err.value.path) == (fn_name, path), source
 
 
 def test_signed_zero_constants_stay_distinct():
