@@ -7,7 +7,7 @@ open domain predicate.  The unary transcendentals and powers also carry one
 first-order rule, f'(a) in catalogue terms (cos for sin, 1 + f*f for tan),
 from which jets and towers both derive every higher order through the chain
 rule.  Additional primitives can be registered by constructing
-:class:`ElementaryFn` directly.
+:class:`ElementaryFn` directly, under a name of their own.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ class UnsupportedOrderError(ValueError):
     derivative rule."""
 
 
+_RESERVED = frozenset("add sub neg mul div copy const exp ln sqrt sin cos tan".split())
+
+
 @dataclass(frozen=True)
 class ElementaryFn:
     """A differentiable primitive.
@@ -56,6 +59,12 @@ class ElementaryFn:
     take degree 1 from `partials`, as dual numbers do, and the rule from
     degree 2 up; towers take every entry after the head from the rule.
 
+    The modes dispatch on a function's name, so the names of the catalogue's
+    own functions (``add sub neg mul div copy const``, ``pow<k>`` and the
+    CATALOG names) are reserved for those functions and for copies of them
+    made by ``dataclasses.replace`` (as `counting.counted_variant` makes).
+    Constructing any other function under such a name raises ValueError.
+
     Instances are immutable and safe to share between threads.
     """
 
@@ -66,6 +75,10 @@ class ElementaryFn:
     domain: Callable[[Sequence[float]], bool]
     unit_cost: int = 1
     derivative: Optional[Callable[..., Any]] = None
+
+    def __post_init__(self) -> None:
+        if (self.name in _RESERVED or is_pow(self.name)) and not isinstance(self, _Builtin):
+            raise ValueError(f"the name {self.name!r} is reserved for the catalogue's own function")
 
     def check_arity(self, args: Sequence) -> None:
         if len(args) != self.arity:
@@ -82,6 +95,11 @@ class ElementaryFn:
         return f"ElementaryFn({self.name!r}, arity={self.arity})"
 
 
+class _Builtin(ElementaryFn):
+    """The class of the catalogue's own functions.  ``dataclasses.replace``
+    keeps it, so copies of them may carry their reserved names too."""
+
+
 def _always(args: Sequence[float]) -> bool:
     return True
 
@@ -94,17 +112,17 @@ def ipow(x: float, k: int) -> float:
     return r
 
 
-ADD = ElementaryFn(
+ADD = _Builtin(
     "add", 2, lambda a: a[0] + a[1], lambda a: [1.0, 1.0], _always, unit_cost=0
 )
-SUB = ElementaryFn(
+SUB = _Builtin(
     "sub", 2, lambda a: a[0] - a[1], lambda a: [1.0, -1.0], _always, unit_cost=0
 )
-NEG = ElementaryFn("neg", 1, lambda a: -a[0], lambda a: [-1.0], _always, unit_cost=0)
-MUL = ElementaryFn(
+NEG = _Builtin("neg", 1, lambda a: -a[0], lambda a: [-1.0], _always, unit_cost=0)
+MUL = _Builtin(
     "mul", 2, lambda a: a[0] * a[1], lambda a: [a[1], a[0]], _always, unit_cost=0
 )
-DIV = ElementaryFn(
+DIV = _Builtin(
     "div",
     2,
     lambda a: a[0] / a[1],
@@ -112,7 +130,7 @@ DIV = ElementaryFn(
     lambda a: a[1] != 0.0,
     unit_cost=0,
 )
-COPY = ElementaryFn(
+COPY = _Builtin(
     "copy",
     1,
     lambda a: a[0],
@@ -122,29 +140,29 @@ COPY = ElementaryFn(
 )
 
 
-EXP = ElementaryFn(
+EXP = _Builtin(
     "exp", 1, lambda a: math.exp(a[0]), lambda a: [math.exp(a[0])], _always,
     derivative=lambda a, f, lift, op, const: f,
 )
-LN = ElementaryFn(
+LN = _Builtin(
     "ln", 1, lambda a: math.log(a[0]), lambda a: [1.0 / a[0]],
     lambda a: a[0] > 0.0,
     derivative=lambda a, f, lift, op, const: op["div"](const(1.0), a),
 )
-SQRT = ElementaryFn(
+SQRT = _Builtin(
     "sqrt", 1, lambda a: math.sqrt(a[0]), lambda a: [0.5 / math.sqrt(a[0])],
     lambda a: a[0] > 0.0,
     derivative=lambda a, f, lift, op, const: op["div"](const(0.5), f),
 )
-SIN = ElementaryFn(
+SIN = _Builtin(
     "sin", 1, lambda a: math.sin(a[0]), lambda a: [math.cos(a[0])], _always,
     derivative=lambda a, f, lift, op, const: lift("cos"),
 )
-COS = ElementaryFn(
+COS = _Builtin(
     "cos", 1, lambda a: math.cos(a[0]), lambda a: [-math.sin(a[0])], _always,
     derivative=lambda a, f, lift, op, const: op["neg"](lift("sin")),
 )
-TAN = ElementaryFn(
+TAN = _Builtin(
     "tan", 1, lambda a: math.tan(a[0]),
     lambda a: [1.0 + math.tan(a[0]) * math.tan(a[0])],
     lambda a: math.cos(a[0]) != 0.0,
@@ -175,7 +193,7 @@ def pow_fn(k: int) -> ElementaryFn:
             return const(0.0)
         return op["mul"](const(float(k)), lift(f"pow{k - 1}"))
 
-    return ElementaryFn(f"pow{k}", 1, value, partials, _always, unit_cost=0,
+    return _Builtin(f"pow{k}", 1, value, partials, _always, unit_cost=0,
                         derivative=derivative)
 
 
@@ -185,7 +203,7 @@ def const_fn(c: float) -> ElementaryFn:
     Not cached: a cache keyed by value would grow with every constant ever
     compiled, and would merge 0.0 with -0.0, which compare equal.
     """
-    return ElementaryFn(
+    return _Builtin(
         "const", 0, lambda a, c=c: c, lambda a: [], _always, unit_cost=0
     )
 

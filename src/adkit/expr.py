@@ -12,24 +12,35 @@ The surface language is a small infix grammar::
     power  := atom ("^" integer)?          integer <= MAX_EXPONENT (1000)
     atom   := number | ident | ident "(" sum ("," sum)* ")" | "(" sum ")"
 
+A number literal must be finite as a float: one that overflows (``1e400``)
+is a ParseError at the literal, while one that underflows reads as 0.
+
 Callable idents are the catalogue transcendentals (exp, ln, sqrt, sin, cos,
 tan).  A parenthesised, comma-separated body defines a multi-output function.
 ``let`` is the sharing mechanism: the bound expression becomes a single DAG
 node no matter how often the name is used.  Nothing else is merged, so an
 expression written twice is evaluated twice.
 
-Each definition is compiled once into a straight-line program over the state
-space R^(n+mu) (`FunctionDef.program`); generic evaluation, the tape that
-both first-order modes sweep, the dense trace oracle and the DOT export all
-read that one program.
+Source text becomes a program in few Python-level passes.  The tokenizer is
+one ``findall`` scan that returns every token's text; kinds come from each
+token's first character, and a token carries its index, not its offset,
+which is computed by a second scan only when a ParseError is raised.  Each
+definition is compiled once into a straight-line program over the state
+space R^(n+mu) (`FunctionDef.program`) by one walk of the DAG (post-order,
+consumed output roots, the number of constants) and one pass that builds
+every step.  Generic evaluation, the tape that both first-order modes
+sweep, the dense trace oracle and the DOT export all read that one program.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from itertools import chain, filterfalse, islice
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
 from .catalog import (
     ADD,
@@ -117,34 +128,38 @@ class FunctionDef:
 
 # --- tokenizer ---
 
+#: One token after optional whitespace: an identifier, a number (``\d`` is
+#: any Unicode decimal digit), or any other single character.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<symbol>[()+\-*/^,=])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\S)"
 )
+
+#: Token kind by first character, for every ASCII character that starts one.
+_KIND = {c: c for c in "()+-*/^,="} | dict.fromkeys("0123456789", "number")
+_KIND |= dict.fromkeys("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "ident")
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) triples, ending with ("end", "", len(source)).
-    Kind is "number", "ident", or a symbol's own character."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(source):
-        kind, text = match.lastgroup, match.group()
-        if kind == "bad":
-            raise _error(source, match.start(), f"unexpected character {text!r}")
-        if kind != "ws":
-            tokens.append((text if kind == "symbol" else kind, text, match.start()))
-    tokens.append(("end", "", len(source)))
-    return tokens
+    """(kind, text, index) triples from one scan of the source, ending with
+    an ("end", "", index) token.  Kind is "number", "ident", or a symbol's
+    own character.  A token's source offset is found only when an error
+    needs it (`_error`)."""
+    texts = _TOKEN_RE.findall(source)
+    kinds = list(map(_KIND.get, map(itemgetter(0), texts)))
+    if None in kinds:  # numbers led by "." or a non-ASCII digit, or bad characters
+        for i, text in enumerate(texts):
+            if kinds[i] is None:
+                if len(text) == 1 and not text.isdecimal():
+                    raise _error(source, i, f"unexpected character {text!r}")
+                kinds[i] = "number"
+    return list(zip([*kinds, "end"], [*texts, ""], range(len(texts) + 1)))
 
 
-def _error(source: str, offset: int, message: str) -> ParseError:
-    """A ParseError at `offset`, which gets its 1-based line and column."""
+def _error(source: str, index: int, message: str) -> ParseError:
+    """A ParseError at token `index`, which gets its 1-based line and column
+    from a second scan of the source."""
+    match = next(islice(_TOKEN_RE.finditer(source), index, None), None)
+    offset = len(source) if match is None else match.start(1)
     line = source.count("\n", 0, offset) + 1
     return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
@@ -257,7 +272,10 @@ class _Parser:
                 pos += 1
                 continue
             if kind == "number":
-                operands.append(Constant(float(tok[1])))
+                value = float(tok[1])
+                if math.isinf(value):
+                    raise self.error("number is too large for a float", tok)
+                operands.append(Constant(value))
             elif kind == "ident":
                 node = env.get(tok[1])
                 if node is None:
@@ -361,30 +379,50 @@ class StateProgram:
         return self.n + self.mu
 
 
-def _post_order(outputs: Sequence[Expr]) -> tuple[list[Apply], set[Expr]]:
+def _walk(outputs: Sequence[Expr]) -> tuple[list[Apply], Iterator[Apply], int]:
     """Every operation node reachable from the outputs, in left-to-right
-    depth-first post-order, and the set of nodes that are an argument of
-    some operation."""
+    depth-first post-order; the schedule (see `schedule`), as an iterator
+    over those nodes and the output copies; and the number of distinct
+    constants."""
     order: list[Apply] = []
+    roots = set(outputs)
     consumed: set[Expr] = set()
-    visited: set[Expr] = set()
+    seen: set[Expr] = set()
+    constants = 0
     for root in outputs:
-        if not isinstance(root, Apply) or root in visited:
+        if root in seen:
             continue
-        visited.add(root)
-        stack = [(root, iter(root.args))]
-        while stack:
-            node, children = stack[-1]
+        seen.add(root)
+        constants += isinstance(root, Constant)
+        if not isinstance(root, Apply):
+            continue
+        # the node being expanded, and the ones waiting under it
+        node, children, stack = root, iter(root.args), []
+        while True:
             for child in children:
-                consumed.add(child)
-                if isinstance(child, Apply) and child not in visited:
-                    visited.add(child)
-                    stack.append((child, iter(child.args)))
-                    break
+                if child in roots:
+                    consumed.add(child)
+                if child not in seen:
+                    seen.add(child)
+                    if isinstance(child, Apply):
+                        stack.append((node, children))
+                        node, children = child, iter(child.args)
+                        break
+                    constants += isinstance(child, Constant)
             else:
-                stack.pop()
                 order.append(node)
-    return order, consumed
+                if not stack:
+                    break
+                node, children = stack.pop()
+    tails: list[Apply] = []
+    claimed: set[Expr] = set()
+    for root in outputs:
+        if isinstance(root, Apply) and root not in consumed and root not in claimed:
+            claimed.add(root)
+            tails.append(root)
+        else:
+            tails.append(Apply(COPY, (root,)))
+    return order, chain(filterfalse(claimed.__contains__, order), tails), constants
 
 
 def schedule(fdef: FunctionDef) -> list[Apply]:
@@ -395,38 +433,33 @@ def schedule(fdef: FunctionDef) -> list[Apply]:
     Output roots that are plain variables/constants, or that are consumed
     elsewhere in the DAG, get an explicit trailing copy step.
     """
-    order, consumed = _post_order(fdef.outputs)
-    tails: list[Apply] = []
-    claimed: set[Expr] = set()
-    for root in fdef.outputs:
-        if isinstance(root, Apply) and root not in consumed and root not in claimed:
-            claimed.add(root)
-            tails.append(root)
-        else:
-            tails.append(Apply(COPY, (root,)))
-    return [node for node in order if node not in claimed] + tails
+    return list(_walk(fdef.outputs)[1])
 
 
 def _compile(fdef: FunctionDef) -> StateProgram:
-    order = schedule(fdef)
+    """One pass over the schedule: the k-th constant to be used takes slot
+    n + k, and the operations follow from n + (number of constants)."""
+    _, nodes, constants = _walk(fdef.outputs)
     n = fdef.n
     slot_of: dict[Expr, int] = {}
-    consts: list[Constant] = []
-    for node in order:
+    const_steps: list[Step] = []
+    steps: list[Step] = []
+    slot = n + constants
+    for node in nodes:
+        arg_slots = []
         for child in node.args:
-            if isinstance(child, Constant) and child not in slot_of:
-                slot_of[child] = n + len(consts)
-                consts.append(child)
-    steps = [Step(const_fn(c.value), (), slot_of[c]) for c in consts]
-    for node in order:
-        arg_slots = tuple(
-            child.index - 1 if isinstance(child, Variable) else slot_of[child]
-            for child in node.args
-        )
-        slot = slot_of[node] = n + len(steps)
-        steps.append(Step(node.fn, arg_slots, slot))
-    dim = n + len(steps)
-    return StateProgram(n, fdef.m, tuple(steps), tuple(range(dim - fdef.m, dim)))
+            arg = slot_of.get(child)
+            if arg is None:  # a leaf's first use
+                if isinstance(child, Variable):
+                    arg = slot_of[child] = child.index - 1
+                else:
+                    arg = slot_of[child] = n + len(const_steps)
+                    const_steps.append(Step(const_fn(child.value), (), arg))
+            arg_slots.append(arg)
+        slot_of[node] = slot
+        steps.append(Step(node.fn, tuple(arg_slots), slot))
+        slot += 1
+    return StateProgram(n, fdef.m, (*const_steps, *steps), tuple(range(slot - fdef.m, slot)))
 
 
 # --- generic evaluation ---
@@ -568,8 +601,10 @@ _INFIX = {fn.name: (sym, prec) for sym, (prec, fn) in CATALOG_BIN.items()}
 def unparse(fdef: FunctionDef) -> str:
     """Render a definition back to source.  Operation nodes referenced more
     than once are emitted as let bindings, preserving the sharing structure
-    through a reparse."""
-    order, _ = _post_order(fdef.outputs)
+    through a reparse.  A node the grammar cannot write (a non-finite
+    constant, a power above MAX_EXPONENT, a call to a function outside
+    CATALOG) raises ValueError."""
+    order = _walk(fdef.outputs)[0]
     refs = dict.fromkeys(order, 0)
     for node in order:
         for child in node.args:
@@ -605,8 +640,12 @@ def unparse(fdef: FunctionDef) -> str:
             return [*operand(lhs, p, False), f" {sym} ", *operand(rhs, p, True)]
         if name == "neg":
             return ["-", *operand(node.args[0], _PREC_UNARY, False)]
-        if is_pow(name):
+        if is_pow(name) and pow_exponent(name) <= MAX_EXPONENT:
             return [*operand(node.args[0], _PREC_POWER, True), f"^{pow_exponent(name)}"]
+        if name not in CATALOG:
+            why = (f"its exponent exceeds the ceiling {MAX_EXPONENT}" if is_pow(name)
+                   else "the grammar has no such function")
+            raise ValueError(f"cannot unparse {name}: {why}")
         out: list = [f"{name}("]
         for i, arg in enumerate(node.args):
             out += [", ", arg] if i else [arg]
@@ -638,6 +677,8 @@ def unparse(fdef: FunctionDef) -> str:
 
 
 def _render_number(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"cannot unparse the constant {value!r}: the grammar has no such number")
     if value < 0:
         # negative constants do not exist in the grammar; render via unary minus
         return f"(-{_render_number(-value)})"

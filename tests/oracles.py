@@ -3,14 +3,27 @@
 Nothing in here goes through the library's jet/tower/trace code paths: the
 nested-dual evaluator differentiates by recursive (value, derivative) pairs,
 polynomial products are dict-based convolution, and the stencil module is
-plain central finite differences.
+plain central finite differences.  The front-end section keeps the tokenizer
+that matched every token and whitespace run, and the four-pass compile, as
+references that the one-scan tokenizer and the two-pass compile must match.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
-from adkit.expr import Constant, FunctionDef, Variable
+from adkit.catalog import COPY, const_fn
+from adkit.expr import (
+    Apply,
+    Constant,
+    FunctionDef,
+    ParseError,
+    StateProgram,
+    Step,
+    Variable,
+    _Parser,
+)
 
 # --- nested first-order duals (forward-over-forward-over-...) ---
 
@@ -367,3 +380,108 @@ def entry_gradient(fdef: FunctionDef, c, ybar) -> list[float]:
         for ref, p in zip(entry.arg_refs, entry.local_partials):
             adjoint[ref] += a * p
     return adjoint[:n]
+
+
+# --- the front end that matched every token and whitespace run, and compiled
+# --- in four passes ---
+
+_MATCH_TOKEN_RE = re.compile(
+    r"""
+    (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<symbol>[()+\-*/^,=])
+  | (?P<ws>\s+)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def offset_error(source: str, offset: int, message: str) -> ParseError:
+    """A ParseError at source `offset`, which gets its 1-based line and column."""
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
+
+
+def match_tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples, ending with ("end", "", len(source)),
+    from one match object per token and per run of whitespace."""
+    tokens = []
+    for match in _MATCH_TOKEN_RE.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        if kind == "bad":
+            raise offset_error(source, match.start(), f"unexpected character {text!r}")
+        if kind != "ws":
+            tokens.append((text if kind == "symbol" else kind, text, match.start()))
+    tokens.append(("end", "", len(source)))
+    return tokens
+
+
+class OffsetParser(_Parser):
+    """The parser over `match_tokenize`'s tokens, which carry their source
+    offset, so every error is placed without a second scan."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = match_tokenize(source)
+        self.pos = 0
+
+    def error(self, message: str, tok: tuple | None = None) -> ParseError:
+        return offset_error(self.source, (tok or self.peek())[2], message)
+
+
+def four_pass_schedule(fdef: FunctionDef) -> list[Apply]:
+    """`schedule` from a post-order walk that collects every argument in a
+    set, then a second pass that moves the unconsumed roots to the end."""
+    order: list[Apply] = []
+    consumed: set = set()
+    visited: set = set()
+    for root in fdef.outputs:
+        if not isinstance(root, Apply) or root in visited:
+            continue
+        visited.add(root)
+        stack = [(root, iter(root.args))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                consumed.add(child)
+                if isinstance(child, Apply) and child not in visited:
+                    visited.add(child)
+                    stack.append((child, iter(child.args)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    tails: list[Apply] = []
+    claimed: set = set()
+    for root in fdef.outputs:
+        if isinstance(root, Apply) and root not in consumed and root not in claimed:
+            claimed.add(root)
+            tails.append(root)
+        else:
+            tails.append(Apply(COPY, (root,)))
+    return [node for node in order if node not in claimed] + tails
+
+
+def four_pass_compile(fdef: FunctionDef) -> StateProgram:
+    """The compiled program from `four_pass_schedule`, a scan of every
+    argument for constants, and a last pass that builds the steps."""
+    order = four_pass_schedule(fdef)
+    n = fdef.n
+    slot_of: dict = {}
+    consts: list[Constant] = []
+    for node in order:
+        for child in node.args:
+            if isinstance(child, Constant) and child not in slot_of:
+                slot_of[child] = n + len(consts)
+                consts.append(child)
+    steps = [Step(const_fn(c.value), (), slot_of[c]) for c in consts]
+    for node in order:
+        arg_slots = tuple(
+            child.index - 1 if isinstance(child, Variable) else slot_of[child]
+            for child in node.args
+        )
+        slot = slot_of[node] = n + len(steps)
+        steps.append(Step(node.fn, arg_slots, slot))
+    dim = n + len(steps)
+    return StateProgram(n, fdef.m, tuple(steps), tuple(range(dim - fdef.m, dim)))

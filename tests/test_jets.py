@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adkit.algebras import DualAlgebra, JetAlgebra
-from adkit.catalog import CATALOG, DomainError, UnsupportedOrderError, ElementaryFn
+from adkit.catalog import CATALOG, MUL, DomainError, UnsupportedOrderError, ElementaryFn
+from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual, lift_elementary
-from adkit.expr import eval_generic, parse
+from adkit.engine import SeedSpec, backprop, forward_directional, record
+from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
 from adkit.jets import (
     BERZ,
     STANDARD,
@@ -211,6 +213,36 @@ def test_registered_first_order_rule_lifts_in_jets_and_towers():
             scale = math.factorial(r) * max(abs(c) / math.factorial(k)
                                             for k, c in enumerate(jet[:r + 1]))
             assert abs(tower[r] - jet[r]) <= 1e-14 * scale, (x, r)
+
+
+def test_catalogue_names_are_reserved():
+    # A hand-built 2-ary "mul" computing a*sin(b) would be swept as a product
+    # by the dual modes and through its own partials by backprop.
+    def a_sin_b(name):
+        return ElementaryFn(name, 2, lambda a: a[0] * math.sin(a[1]),
+                            lambda a: [math.sin(a[1]), a[0] * math.cos(a[1])],
+                            lambda a: True)
+
+    for name in ("add", "sub", "neg", "mul", "div", "copy", "const", "pow0", "pow7",
+                 "exp", "ln", "sqrt", "sin", "cos", "tan"):
+        with pytest.raises(ValueError, match=f"name '{name}' is reserved"):
+            a_sin_b(name)
+    assert a_sin_b("mul_sin").name == "mul_sin"
+    assert a_sin_b("power").name == "power"
+
+    # counted_variant copies a catalogue function with dataclasses.replace,
+    # so its copies keep their names and every mode dispatches them alike.
+    counter = EvalCounter()
+    mul, sin = counted_variant(MUL, counter), counted_variant(CATALOG["sin"], counter)
+    assert (mul.name, sin.name) == ("mul", "sin")
+    fdef = FunctionDef("f", ("a", "b"), (Apply(mul, (Variable(1), Apply(sin, (Variable(2),)))),))
+    value, tangent = forward_directional(fdef, SeedSpec.forward([2.0, 0.5], [0.0, 1.0]))
+    dual = eval_generic(fdef, [Dual(2.0), Dual(0.5, 1.0)], DualAlgebra())[0]
+    gradient = backprop(record(fdef, [2.0, 0.5]), [1.0])
+    assert value == [dual.primal] == [2.0 * math.sin(0.5)]
+    assert tangent == [dual.tangent] == [gradient[1]] == [pytest.approx(2.0 * math.cos(0.5))]
+    assert gradient[0] == math.sin(0.5)
+    assert counter.count > 0
 
 
 def test_order_12_lifts_match_a_60_digit_series():
