@@ -75,9 +75,7 @@ class TowerAlgebra:
     def __init__(self, resolve: Optional[Callable[[str], ElementaryFn]] = None):
         self.resolve = resolve
 
-    @staticmethod
-    def constant(c: float) -> Tower:
-        return tower_const(c)
+    constant = staticmethod(tower_const)
 
     def apply(self, fn: ElementaryFn, args: list[Tower]) -> Tower:
         op = _TOWER_ARITHMETIC.get(fn.name)

@@ -679,8 +679,9 @@ def unparse(fdef: FunctionDef) -> str:
 def _render_number(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"cannot unparse the constant {value!r}: the grammar has no such number")
-    if value < 0:
-        # negative constants do not exist in the grammar; render via unary minus
+    if math.copysign(1.0, value) < 0:
+        # negative constants (-0.0 too) do not exist in the grammar; render
+        # via unary minus
         return f"(-{_render_number(-value)})"
     text = repr(value)
     if text.endswith(".0"):

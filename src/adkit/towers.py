@@ -1,39 +1,34 @@
-"""Lazy univariate derivative towers.
+"""Lazy univariate derivative towers, filled degree by degree.
 
-A tower is the infinite sequence (f, f', f'', ...) of derivative values at a
-point, materialised on demand: each node holds a concrete head and a deferred
-tail, and the tail is computed at most once.  Multiplication realises entry n
-as the binomial Leibniz sum over the first n+1 entries of each factor;
-division solves that sum for the quotient's entry n, over the quotient's own
-memoised entries.  A lift's tail is f'(a) * a', with f'(a) given by the
-function's first-order rule in catalogue terms (the same rule the jets lift
-through), and the lifts f' needs on the same argument are built once and
-shared.  Every operation reads its inputs through a prefix reader that walks
-each input's tails once, so forcing K entries costs O(K^2) arithmetic per
-operation (the cost of the Taylor recurrences in Griewank & Walther,
-*Evaluating Derivatives*, ch. 13).
-
-Towers are immutable once forced; forcing is pure, so concurrent first access
-at worst duplicates work, never changes a value: every memoised entry is
-stored under its index, never appended.
-
-Self-referential lifts form reference cycles, which only the cyclic garbage
-collector frees: exp's tail is res * a', sqrt's and tan's derivatives are
-built from res, sin and cos refer to each other, and an unforced lift's tail
-thunk refers to its own node.  Division and the arithmetic nodes form none.
+A tower is the sequence (f, f', f'', ...) of derivatives at a point.  An
+operation node keeps its inputs and its entries filled so far.
+`tower_take(t, k)` orders t's ancestors with fewer than k entries by creation
+(a topological order) and fills entry d of each for d = 1 ... k-1 in loops:
+nothing recurses, and no entry is computed ahead of the one requested.
+Products take the Leibniz sum, and division solves it for the quotient.  A
+lift w = f(u) has entry 1 g_0 u_1, with g = f'(u) built from fn's rule when
+that entry is first filled, and from entry 2 up the n = 1 Berz jet's form,
+w_d = (sum_{r=1..d} r binom(d, r) u_r g_{d-r}) / d in ascending r (Griewank &
+Walther, *Evaluating Derivatives*, ch. 13): towers and jets share one lift.
+g reads the lift and its family (cos for sin) through views of their entry
+lists, so towers hold no reference cycles.  A leaf `Tower(head, tail_fn)` is
+read through its tails.  Forcing holds one lock, so threads agree on entries.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+import threading
+from functools import lru_cache, partial
+from itertools import count
 from typing import Callable, Optional
 
 from .catalog import DomainError, ElementaryFn, derivative_rule, lookup
 
 
 class Tower:
-    """One node of a lazy derivative sequence: a head and a memoised tail."""
+    """A leaf of a lazy derivative sequence: a head and a memoised tail."""
 
     __slots__ = ("head", "_tail_fn", "_tail")
 
@@ -59,32 +54,84 @@ class Tower:
         return f"Tower(head={self.head!r}, ...)"
 
 
-_ZERO = Tower(0.0, None)
-_ZERO._tail = _ZERO
+_serial = count()
+_LOCK = threading.RLock()
+
+
+class _Node(Tower):
+    """An operation: `fill(node, d, order)` appends entry d from the inputs and
+    `extra` (an operator, a leaf's next tail, a lift's rule).  Views have none."""
+
+    __slots__ = ("entries", "inputs", "fill", "extra", "serial")
+
+    def __init__(self, entries: list[float], inputs: tuple, fill, extra=None):
+        self.head = entries[0]
+        self.entries = entries
+        self.inputs = tuple(map(_node, inputs))
+        self.fill = fill
+        self.extra = extra
+        self.serial = next(_serial)
+
+    def tail(self, k: int = 1) -> Tower:
+        """The entries from entry k on, as a leaf."""
+        return Tower(_force(self, k + 1)[k], lambda: self.tail(k + 1))
+
+
+def _force(t: _Node, k: int) -> list[float]:
+    """t's entry list, filled through at least entry k - 1."""
+    if len(t.entries) < k:
+        with _LOCK:
+            order = _unfilled(t, k)
+            for d in range(1, k):
+                for node in order:  # grows: a lift's entry 1 appends g's nodes
+                    if len(node.entries) == d:
+                        node.fill(node, d, order)
+    return t.entries
+
+
+def _unfilled(t: _Node, k: int) -> list[_Node]:
+    """t and its ancestors with fewer than k entries, in creation order."""
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if node.fill is None or len(node.entries) >= k or node in seen:
+            continue
+        seen.add(node)
+        stack.extend(node.inputs)
+    return sorted(seen, key=lambda node: node.serial)
+
+
+def _node(a: Tower) -> _Node:
+    """a itself, or a node that reads the leaf a through its tails."""
+    if isinstance(a, _Node):
+        return a
+    return _Node([a.head], (), _read_tail, a)
+
+
+def _read_tail(node: _Node, d: int, order: list) -> None:
+    node.extra = tail = node.extra.tail()
+    node.entries.append(tail.head)
+
+
+def _zero(node: _Node, d: int, order: list) -> None:
+    node.entries.append(0.0)
 
 
 def tower_const(c: float) -> Tower:
     """(c, 0, 0, ...)"""
-    if c == 0.0:
-        return _ZERO
-    return Tower(c, lambda: _ZERO)
+    return _Node([float(c)], (), _zero)
 
 
 def tower_var(c: float) -> Tower:
     """The identity's tower at c: (c, 1, 0, 0, ...)"""
-    return Tower(c, lambda: tower_const(1.0))
+    return _Node([float(c), 1.0], (), _zero)
 
 
 def tower_take(a: Tower, k: int) -> list[float]:
-    """The first k entries; forces exactly the first k-1 tails."""
+    """The first k entries; computes none beyond them."""
     if k < 1:
         raise ValueError("need k >= 1")
-    out = [a.head]
-    t = a
-    for _ in range(k - 1):
-        t = t.tail()
-        out.append(t.head)
-    return out
+    return _force(_node(a), k)[:k]
 
 
 def tower_df(a: Tower) -> Tower:
@@ -92,144 +139,108 @@ def tower_df(a: Tower) -> Tower:
     return a.tail()
 
 
+def _binary(node: _Node, d: int, order: list) -> None:
+    a, b = node.inputs
+    node.entries.append(node.extra(a.entries[d], b.entries[d]))
+
+
+def _neg(node: _Node, d: int, order: list) -> None:
+    node.entries.append(-node.inputs[0].entries[d])
+
+
 def tower_add(a: Tower, b: Tower) -> Tower:
-    return Tower(a.head + b.head, lambda: tower_add(a.tail(), b.tail()))
+    return _Node([a.head + b.head], (a, b), _binary, operator.add)
 
 
 def tower_sub(a: Tower, b: Tower) -> Tower:
-    return Tower(a.head - b.head, lambda: tower_sub(a.tail(), b.tail()))
+    return _Node([a.head - b.head], (a, b), _binary, operator.sub)
 
 
 def tower_neg(a: Tower) -> Tower:
-    return Tower(-a.head, lambda: tower_neg(a.tail()))
-
-
-def _from_entry_fn(entry: Callable[[int], float], k: int) -> Tower:
-    return Tower(entry(k), lambda: _from_entry_fn(entry, k + 1))
+    return _Node([-a.head], (a,), _neg)
 
 
 @lru_cache(maxsize=None)
-def _binomials(n: int) -> tuple[float, ...]:
-    """Row n of Pascal's triangle: binom(n, 0), ..., binom(n, n)."""
-    return tuple(float(math.comb(n, i)) for i in range(n + 1))
+def _rows(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """binom(n, r) and r * binom(n, r), formed as the Berz jet forms it."""
+    row = tuple(float(math.comb(n, r)) for r in range(n + 1))
+    return row, tuple(r * c for r, c in enumerate(row))
 
 
-class _Prefix:
-    """The entries of an input tower read so far, stored by index.
+def _mul(node: _Node, d: int, order: list) -> None:
+    x, y = node.inputs[0].entries, node.inputs[1].entries
+    total = 0.0
+    for i, c in enumerate(_rows(d)[0]):
+        total += c * x[i] * y[d - i]
+    node.entries.append(total)
 
-    Reading on walks the memoised `Tower.tail` from the furthest node
-    reached.  Racing readers store the same value under the same index; a
-    stale `_reached` only makes a later read walk again.
-    """
 
-    __slots__ = ("entries", "_reached")
-
-    def __init__(self, a: Tower):
-        self.entries = {0: a.head}
-        self._reached = (0, a)
-
-    def upto(self, n: int) -> dict[int, float]:
-        """A mapping that holds at least entries 0..n."""
-        k, node = self._reached
-        if k < n:
-            entries = self.entries
-            while k < n:
-                node = node.tail()
-                k += 1
-                entries[k] = node.head
-            self._reached = (k, node)
-        return self.entries
+def _div(node: _Node, d: int, order: list) -> None:
+    x, y, q = node.inputs[0].entries, node.inputs[1].entries, node.entries
+    row = _rows(d)[0]
+    total = 0.0
+    for i in range(1, d + 1):
+        total += row[i] * y[i] * q[d - i]
+    q.append((x[d] - total) / y[0])
 
 
 def tower_mul(a: Tower, b: Tower) -> Tower:
-    """Entry n is the Leibniz sum over splittings n = i + (n-i):
-    sum_i binom(n, i) a_i b_{n-i}."""
-    xs, ys = _Prefix(a), _Prefix(b)
-
-    def entry(n: int) -> float:
-        x, y = xs.upto(n), ys.upto(n)
-        if n == 0:
-            return x[0] * y[0]
-        total = 0.0
-        for i, c in enumerate(_binomials(n)):
-            total += c * x[i] * y[n - i]
-        return total
-
-    return _from_entry_fn(entry, 0)
+    """Entry n is the Leibniz sum: sum_i binom(n, i) a_i b_{n-i}."""
+    return _Node([a.head * b.head], (a, b), _mul)
 
 
 def tower_div(a: Tower, b: Tower) -> Tower:
-    """The unique q with q * b = a prefix-wise: the Leibniz sum for entry n
-    of q * b, solved for its last unknown,
+    """The q with q * b = a, from the Leibniz sum solved for its last term:
     q_n = (a_n - sum_{i>=1} binom(n, i) b_i q_{n-i}) / b_0."""
-    b0 = b.head
-    if b0 == 0.0:
-        raise DomainError("div", (a.head, b0))
-    xs, ys = _Prefix(a), _Prefix(b)
-    q: dict[int, float] = {}
-
-    def entry(n: int) -> float:
-        x, y = xs.upto(n), ys.upto(n)
-        row = _binomials(n)
-        total = 0.0
-        for i in range(1, n + 1):
-            total += row[i] * y[i] * q[n - i]
-        q[n] = value = (x[n] - total) / b0
-        return value
-
-    return _from_entry_fn(entry, 0)
+    if b.head == 0.0:
+        raise DomainError("div", (a.head, b.head))
+    return _Node([a.head / b.head], (a, b), _div)
 
 
 #: Arithmetic by name: the tower operations themselves.  Towers are
 #: immutable, so a copy is the tower itself.
-_ARITHMETIC = {
-    "add": tower_add,
-    "sub": tower_sub,
-    "neg": tower_neg,
-    "mul": tower_mul,
-    "div": tower_div,
-    "copy": lambda a: a,
-}
+_ARITHMETIC = {"add": tower_add, "sub": tower_sub, "neg": tower_neg,
+               "mul": tower_mul, "div": tower_div, "copy": lambda a: a}
 
 
 def tower_lift_elementary(
     fn: ElementaryFn, a: Tower, resolve: Optional[Callable[[str], ElementaryFn]] = None
 ) -> Tower:
-    """Lift a unary catalogue function onto a tower.
-
-    The head is f(a0); the tail is defined corecursively by the chain rule
-    df(result) = f'(a) * df(a), with f'(a) from fn's first-order rule, in
-    catalogue terms so the construction stays closed.  A function without a
-    rule raises UnsupportedOrderError here, not when the tail is forced.  The
-    lifts that f' needs on the same argument (cos for sin, sin for cos,
-    pow{k-1} for pow{k}) form one family: each is built once and shared, so
-    sin and cos refer to each other.  `resolve` substitutes the function
-    table used for those lookups (instrumented clones, for instance).
-    """
-    return _Family(a, resolve if resolve is not None else lookup).lift(fn)
+    """Lift a unary catalogue function with a rule (else UnsupportedOrderError)
+    onto a tower; `resolve` replaces the table that looks up its rule's lifts."""
+    return _lift(fn, (_node(a), resolve if resolve is not None else lookup, {}))
 
 
-class _Family:
-    """The lifts of catalogue functions on one argument, each built once."""
+def _member(family: tuple, name: str) -> _Node:
+    """The family's lift of `name`: a view if it is built, else a new lift."""
+    return family[2].get(name) or _lift(family[1](name), family)
 
-    __slots__ = ("arg", "table", "towers")
 
-    def __init__(self, arg: Tower, table: Callable[[str], ElementaryFn]):
-        self.arg = arg
-        self.table = table
-        self.towers: dict[str, Tower] = {}
+def _lift(fn: ElementaryFn, family: tuple) -> _Node:
+    """fn lifted on family[0]; a family is (argument, function table, views)."""
+    rule = derivative_rule(fn)
+    a = family[0]
+    fn.check_domain([a.head])
+    entries = [float(fn.value([a.head]))]
+    family[2][fn.name] = view = _Node(entries, (), None)
+    return _Node(entries, (a,), _chain, (rule, family, view))
 
-    def get(self, name: str) -> Tower:
-        tower = self.towers.get(name)
-        return tower if tower is not None else self.lift(self.table(name))
 
-    def lift(self, fn: ElementaryFn) -> Tower:
-        rule = derivative_rule(fn)
-        a = self.arg
-        fn.check_domain([a.head])
-        res = Tower(fn.value([a.head]), None)
-        self.towers[fn.name] = res
-        res._tail_fn = lambda: tower_mul(
-            rule(a, res, self.get, _ARITHMETIC, tower_const), tower_df(a)
-        )
-        return res
+def _chain(node: _Node, d: int, order: list) -> None:
+    """Entry d of a lift: g_0 u_1 at d = 1, the Euler form from d = 2."""
+    u = node.inputs[0].entries
+    if d == 1:  # build g; its new nodes are filled after the lift
+        rule, family, view = node.extra
+        g = _node(rule(node.inputs[0], view, partial(_member, family), _ARITHMETIC, tower_const))
+        node.inputs, node.extra = (node.inputs[0], g), None
+        order += _unfilled(g, 2)
+        node.entries.append(g.entries[0] * u[1])
+        return
+    v = node.inputs[1].entries
+    if len(v) < d:  # g was built by a nested forcing, outside this order
+        v = _force(node.inputs[1], d)
+    row = _rows(d)[1]
+    total = 0.0
+    for r in range(1, d + 1):
+        total += row[r] * u[r] * v[d - r]
+    node.entries.append(total / d)

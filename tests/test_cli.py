@@ -5,9 +5,12 @@ import math
 
 import pytest
 
+from adkit.algebras import DualAlgebra, RealAlgebra, TowerAlgebra
 from adkit.cli import main
+from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, jacobian, record
-from adkit.expr import parse
+from adkit.expr import eval_generic, parse
+from adkit.towers import tower_take, tower_var
 
 from test_expr import assert_valid_dot
 
@@ -307,21 +310,33 @@ def test_annotating_too_large_a_program_is_flag_misuse(capsys):
     assert err == "adkit: --annotate: state dimension 600 exceeds 512\n"
 
 
-def test_tower_too_deep_to_force_is_a_typed_exit(capsys):
-    # Tower forcing recurses through the graph, so a sum of about 500 terms
-    # reaches Python's recursion limit.
-    def tower(terms: int):
-        source = "f(x) = " + " + ".join(["x"] * terms)
-        argv = ["diff", source, "--at", "0.3", "--mode", "tower", "--order", "3", "--json"]
-        return run(capsys, argv)
+def test_tower_mode_forces_deep_programs(capsys):
+    # Forcing fills entries degree by degree in loops, so neither the width
+    # nor the depth of a program limits it.
+    n = 10**4
+    let_chain = "".join(
+        f"let v{i} = sin({'x' if i == 0 else f'v{i - 1}'}) in " for i in range(n)
+    ) + f"v{n - 1}"
+    programs = {
+        "sum": " + ".join(["sin(x)"] * n),
+        "nested": "sin(" * n + "x" + ")" * n,
+        "let": let_chain,
+    }
+    for name, body in programs.items():
+        source = f"f(x) = {body}"
+        fdef = parse(source)
+        entries = tower_take(eval_generic(fdef, [tower_var(0.3)], TowerAlgebra())[0], 9)
+        assert entries[0] == eval_generic(fdef, [0.3], RealAlgebra())[0], name
+        assert entries[1] == eval_generic(fdef, [Dual(0.3, 1.0)], DualAlgebra())[0].tangent
+        assert all(math.isfinite(e) for e in entries), name
+        argv = ["diff", source, "--at", "0.3", "--mode", "tower", "--order", "8", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), name
+        assert json.loads(out)["derivative"] == [entries], name
 
-    value = 0.3
-    for _ in range(399):
-        value += 0.3
-    code, out, err = tower(400)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["derivative"] == [[value, 400.0, 0.0, 0.0]]
-
-    code, out, err = tower(1000)
-    assert (code, out) == (3, "")
-    assert err == "adkit: --mode tower: program too deep to force its tower\n"
+    # x^1000 lifts a chain of 1000 powers, each built when first forced
+    fdef = parse("f(x) = x^1000")
+    entries = tower_take(eval_generic(fdef, [tower_var(1.0001)], TowerAlgebra())[0], 9)
+    for k, got in enumerate(entries):
+        want = math.perm(1000, k) * 1.0001 ** (1000 - k)
+        assert math.isclose(got, want, rel_tol=1e-12), k

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from adkit.algebras import RealAlgebra
 from adkit.catalog import ADD, COPY, MUL, SIN, pow_fn
 from adkit.expr import (
     Apply,
@@ -20,6 +21,7 @@ from adkit.expr import (
     _compile,
     _error,
     _tokenize,
+    eval_generic,
     parse,
     schedule,
     unparse,
@@ -154,6 +156,16 @@ def test_unparse_refuses_nodes_the_grammar_cannot_write():
         with pytest.raises(ValueError, match=message):
             unparse(FunctionDef("f", ("x",), (root,)))
     assert unparse(FunctionDef("f", ("x",), (Apply(pow_fn(1000), (x,)),))) == "f(x) = x^1000"
+
+
+def test_unparse_keeps_the_sign_of_a_zero_constant():
+    x = Variable(1)
+    for root in (Apply(pow_fn(2), (Constant(-0.0),)), Apply(ADD, (x, Constant(-0.0)))):
+        fdef = FunctionDef("f", ("x",), (root,))
+        back = parse(unparse(fdef))
+        for c in (0.0, -0.0, 1.5):
+            want = eval_generic(fdef, [c], RealAlgebra())[0]
+            assert eval_generic(back, [c], RealAlgebra())[0].hex() == want.hex(), (unparse(fdef), c)
 
 
 def _bits(step) -> bytes:

@@ -1,5 +1,6 @@
 """Lazy derivative towers: arithmetic, Leibniz law, laziness."""
 
+import gc
 import math
 import random
 import sys
@@ -23,6 +24,7 @@ from adkit.towers import (
     tower_div,
     tower_lift_elementary,
     tower_mul,
+    tower_neg,
     tower_take,
     tower_var,
 )
@@ -383,3 +385,103 @@ def test_tail_returns_the_tail_a_racing_caller_just_forced():
     second = tower.tail()
     assert len(forced) == 1
     assert first == [forced[0]] and second is forced[0]
+
+
+def _tower_jet_dual(fdef, c, order):
+    shape = jet_shape(1, order)
+    tower = eval_generic(fdef, [tower_var(c)], TowerAlgebra())[0]
+    jet = eval_generic(fdef, [jet_variable(shape, 1, c, BERZ)], JetAlgebra(shape, BERZ))[0]
+    dual = eval_generic(fdef, [Dual(c, 1.0)], DualAlgebra())[0]
+    return tower_take(tower, order + 1), jet.coeffs, dual
+
+
+def test_towers_are_n1_berz_jets_to_order_12():
+    # One lift formula for both modes, so every entry is the jet's
+    # coefficient; identically constant outputs (rounding noise only) too.
+    rng = random.Random(613)
+    corpus = []
+    while len(corpus) < 300:
+        fdef, point = random_program(rng, max_vars=1, max_outputs=1, max_ops=12)
+        corpus.append((fdef, point[0]))
+    for body in ("-(v*v)/v + v", "v*v/v - v", "(v + v)/2 - v"):
+        for fn in ("sin", "exp", "tan", "ln", "sqrt", "cos"):
+            fdef = parse(f"f(x) = let v = {fn}(x) in {body}")
+            corpus += [(fdef, c) for c in (0.3, 0.7, 1.1)]
+    names, checked = set(), 0
+    for fdef, c in corpus:
+        try:
+            tower, jet, _ = _tower_jet_dual(fdef, c, 12)
+        except DomainError:
+            continue
+        assert tower == jet, (fdef, c)
+        names.update(step.fn.name for step in fdef.program.steps)
+        checked += 1
+    assert checked > 250
+    assert {"div", "exp", "ln", "sqrt", "sin", "cos", "tan"} <= names
+
+
+def test_entries_0_and_1_are_the_dual_value_and_tangent():
+    # Entry 0 is the dual's value bit for bit.  Entry 1 equals the tangent
+    # and may differ from it only in the sign of a zero: the dual sums its
+    # tangent from +0.0, and the tower keeps the sign of a zero product.
+    rng = random.Random(617)
+    signed_zeros = 0
+    for _ in range(300):
+        fdef, point = random_program(rng, max_vars=1, max_outputs=1, max_ops=12)
+        try:
+            tower, _, dual = _tower_jet_dual(fdef, point[0], 1)
+        except DomainError:
+            continue
+        assert tower[0].hex() == dual.primal.hex()
+        assert tower[1] == dual.tangent
+        if tower[1].hex() != dual.tangent.hex():
+            assert tower[1] == 0.0
+            signed_zeros += 1
+    assert signed_zeros > 0  # the corpus reaches the case the rule is about
+
+
+def test_forced_towers_leave_no_cyclic_garbage():
+    fdef = parse("f(x) = exp(sin(x))*tan(x)/sqrt(1+x*x)")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            tower_take(eval_generic(fdef, [tower_var(0.7)], TowerAlgebra())[0], 17)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_forcing_inside_forcing_gives_the_same_entries():
+    # A shifted view of an operation is a leaf whose tails force that
+    # operation, so forcing can re-enter while another forcing is under way.
+    rng = random.Random(3)
+    checked = 0
+    while checked < 60:
+        fdef, point = random_program(rng, max_vars=1, max_outputs=1, max_ops=10)
+
+        def build():
+            return eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
+
+        try:
+            ref = tower_take(build(), 14)
+        except DomainError:
+            continue
+        leaf = tower_from(ref)
+        want = tower_take(tower_add(tower_mul(tower_df(leaf), leaf), tower_df(tower_df(leaf))), 11)
+        for primed in (0, 2, 3):
+            t = build()
+            if primed:
+                tower_take(tower_df(t), primed)
+            got = tower_add(tower_mul(tower_df(t), t), tower_df(tower_df(t)))
+            assert tower_take(got, 11) == want
+            assert tower_take(t, 14) == ref
+        checked += 1
+    # A leaf read before a lift whose first tail forces the lift's entry 1:
+    # the lift's derivative is then built outside the outer fill order.
+    later = []
+    leaf = Tower(0.0, lambda: (tower_take(later[0], 2), tower_const(0.0))[1])
+    negated = tower_neg(leaf)
+    later.append(tower_lift_elementary(CATALOG["sin"], tower_var(0.4)))
+    got = tower_take(tower_add(negated, later[0]), 9)
+    assert got == tower_take(tower_lift_elementary(CATALOG["sin"], tower_var(0.4)), 9)
