@@ -22,7 +22,7 @@ from .catalog import (
     pow_fn,
 )
 from .counting import CountingScalar, EvalCounter, counted_variant, counting_eval
-from .dual import Dual, dual_add, dual_div, dual_from_real, dual_mul, dual_sub, lift_elementary
+from .dual import Dual
 from .engine import (
     CostReport,
     SeedSpec,
@@ -52,27 +52,16 @@ from .jets import (
     STANDARD,
     Jet,
     JetShape,
-    jet_add,
     jet_constant,
     jet_convert_basis,
-    jet_div,
     jet_extract_partial,
-    jet_lift_elementary,
-    jet_mul,
-    jet_scale,
     jet_shape,
-    jet_sub,
     jet_variable,
 )
 from .towers import (
     Tower,
-    tower_add,
     tower_const,
     tower_df,
-    tower_div,
-    tower_lift_elementary,
-    tower_mul,
-    tower_sub,
     tower_take,
     tower_var,
 )

@@ -3,19 +3,21 @@
 Each algebra supplies `constant` and `apply`; evaluating a FunctionDef over
 an algebra propagates whatever that algebra's scalars carry (plain values,
 one directional derivative, operation counts, all partials to order N, or a
-whole derivative tower).
+whole derivative tower).  The lifted algebras (dual numbers, jets, towers)
+share one `apply`: arithmetic through `catalog.OPERATORS` and their scalars'
+operators, every other function through the algebra's own `lift(fn, args)`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .catalog import ElementaryFn
+from . import jets, towers
+from .catalog import OPERATORS, ElementaryFn
 from .counting import CountingScalar, EvalCounter, counting_eval
-from .dual import Dual, lift_elementary
-from .jets import STANDARD, Jet, JetShape, jet_constant, jet_lift_elementary
-from .towers import _ARITHMETIC as _TOWER_ARITHMETIC
-from .towers import Tower, tower_const, tower_lift_elementary
+from .dual import Dual
+from .jets import STANDARD, Jet, JetShape, jet_constant
+from .towers import Tower, tower_const
 
 
 class RealAlgebra:
@@ -29,16 +31,6 @@ class RealAlgebra:
     def apply(fn: ElementaryFn, args: list[float]) -> float:
         fn.check_domain(args)
         return fn.value(args)
-
-
-class DualAlgebra:
-    """Forward mode: scalars are dual numbers."""
-
-    @staticmethod
-    def constant(c: float) -> Dual:
-        return Dual(c, 0.0)
-
-    apply = staticmethod(lift_elementary)
 
 
 class CountingAlgebra:
@@ -56,7 +48,37 @@ class CountingAlgebra:
         return counting_eval(fn, args, self.include_derivative, counter=self.counter)
 
 
-class JetAlgebra:
+class _LiftedAlgebra:
+    """Arithmetic by its operator, any other function by `self.lift`."""
+
+    def apply(self, fn: ElementaryFn, args: list):
+        fn.check_arity(args)
+        op = OPERATORS.get(fn.name)
+        if op is not None:
+            return op(*args)
+        return self.lift(fn, args)
+
+
+class DualAlgebra(_LiftedAlgebra):
+    """Forward mode: scalars are dual numbers, and f lifts to
+    (f(x), grad f(x) . x')."""
+
+    @staticmethod
+    def constant(c: float) -> Dual:
+        return Dual(c, 0.0)
+
+    @staticmethod
+    def lift(fn: ElementaryFn, args: list[Dual]) -> Dual:
+        primals = [a.primal for a in args]
+        fn.check_domain(primals)
+        value = fn.value(primals)
+        tangent = 0.0
+        for p, a in zip(fn.partials(primals), args):
+            tangent += p * a.tangent
+        return Dual(value, tangent)
+
+
+class JetAlgebra(_LiftedAlgebra):
     """Higher-order forward mode over truncated polynomials."""
 
     def __init__(self, shape: JetShape, basis: str = STANDARD):
@@ -66,19 +88,17 @@ class JetAlgebra:
     def constant(self, c: float) -> Jet:
         return jet_constant(self.shape, c, self.basis)
 
-    apply = staticmethod(jet_lift_elementary)
+    lift = staticmethod(jets.lift)
 
 
-class TowerAlgebra:
-    """Univariate derivative towers of unbounded order."""
+class TowerAlgebra(_LiftedAlgebra):
+    """Univariate derivative towers of unbounded order; `resolve` replaces
+    the table that looks up the lifts a rule names."""
 
     def __init__(self, resolve: Optional[Callable[[str], ElementaryFn]] = None):
         self.resolve = resolve
 
     constant = staticmethod(tower_const)
 
-    def apply(self, fn: ElementaryFn, args: list[Tower]) -> Tower:
-        op = _TOWER_ARITHMETIC.get(fn.name)
-        if op is not None:
-            return op(*args)
-        return tower_lift_elementary(fn, args[0], self.resolve)
+    def lift(self, fn: ElementaryFn, args: list[Tower]) -> Tower:
+        return towers.lift(fn, args[0], self.resolve)

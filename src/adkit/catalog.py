@@ -8,11 +8,16 @@ first-order rule, f'(a) in catalogue terms (cos for sin, 1 + f*f for tan),
 from which jets and towers both derive every higher order through the chain
 rule.  Additional primitives can be registered by constructing
 :class:`ElementaryFn` directly, under a name of their own.
+
+Lifted scalars (dual numbers, jets, towers) are :class:`Lifted`: they carry
+the Python operators, and `OPERATORS` maps each arithmetic function's name
+to its operator, so one table applies arithmetic in every lifted mode.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
@@ -51,13 +56,14 @@ class ElementaryFn:
     genuine function evaluations cost 1.
 
     `derivative`, for unary functions, backs the jet and tower lifts: called
-    as ``derivative(a, f, lift, op, const)`` it returns f'(a) in catalogue
-    terms, where `a` is the lifted argument, `f` the lifted result, `lift(name)`
-    the lift of another catalogue function on the same argument, `op` the
-    lifted arithmetic by name (``op["mul"](x, y)``) and `const(c)` a lifted
-    constant.  Sigmoid's is ``op["mul"](f, op["sub"](const(1.0), f))``.  Jets
-    take degree 1 from `partials`, as dual numbers do, and the rule from
-    degree 2 up; towers take every entry after the head from the rule.
+    as ``derivative(a, f, lift)`` it returns f'(a) in catalogue terms, where
+    `a` is the lifted argument, `f` the lifted result and `lift(name)` the
+    lift of another catalogue function on the same argument.  It is written
+    with the operators of lifted scalars, where a float stands for a lifted
+    constant, and it may return a float: sigmoid's is ``f * (1.0 - f)`` and
+    ``pow0``'s is ``0.0``.  Jets take degree 1 from `partials`, as dual
+    numbers do, and the rule from degree 2 up; towers take every entry after
+    the head from the rule.
 
     The modes dispatch on a function's name, so the names of the catalogue's
     own functions (``add sub neg mul div copy const``, ``pow<k>`` and the
@@ -112,6 +118,16 @@ def ipow(x: float, k: int) -> float:
     return r
 
 
+def _div_partials(a: Sequence[float]) -> list[float]:
+    x, y = a
+    square = y * y
+    if square == 0.0:
+        # y*y underflowed: write -x/(y*y) as -(x/y)/y, the form of the dual
+        # tangent (x' - q y')/y, which then overflows at worst
+        return [1.0 / y, -(x / y) / y]
+    return [1.0 / y, -x / square]
+
+
 ADD = _Builtin(
     "add", 2, lambda a: a[0] + a[1], lambda a: [1.0, 1.0], _always, unit_cost=0
 )
@@ -126,7 +142,7 @@ DIV = _Builtin(
     "div",
     2,
     lambda a: a[0] / a[1],
-    lambda a: [1.0 / a[1], -a[0] / (a[1] * a[1])],
+    _div_partials,
     lambda a: a[1] != 0.0,
     unit_cost=0,
 )
@@ -140,33 +156,74 @@ COPY = _Builtin(
 )
 
 
+#: Arithmetic by name, as the operators of lifted scalars.  Lifted scalars
+#: are immutable, so a copy is the value itself.
+OPERATORS: dict[str, Callable[..., Any]] = {
+    "add": operator.add, "sub": operator.sub, "neg": operator.neg,
+    "mul": operator.mul, "div": operator.truediv, "copy": lambda a: a,
+}
+
+
+def _operators(method: str):
+    """The operator pair (x op b, a op x) that promotes the other operand and
+    calls `method` on the two scalars in the written order."""
+    def forward(self, b):
+        b = self._promote(b)
+        return NotImplemented if b is NotImplemented else getattr(self, method)(b)
+
+    def reflected(self, a):
+        a = self._promote(a)
+        return NotImplemented if a is NotImplemented else getattr(a, method)(self)
+
+    return forward, reflected
+
+
+class Lifted:
+    """The operators ``+ - * /`` of a lifted scalar type, with its own kind
+    and with floats; the subclass defines unary ``-``.
+
+    A subclass defines `_promote(b)`, which returns b itself if it is of its
+    kind, the lifted constant if it is a float, else NotImplemented, and the
+    methods `_add _sub _mul _div` on two scalars of its kind.  A float is
+    promoted and the operation keeps the written order, so ``c * x`` has the
+    bits of ``_promote(c) * x``, NaN payloads included: jet and tower
+    products sum their terms in operand order.
+    """
+
+    __slots__ = ()
+    __add__, __radd__ = _operators("_add")
+    __sub__, __rsub__ = _operators("_sub")
+    __mul__, __rmul__ = _operators("_mul")
+    __truediv__, __rtruediv__ = _operators("_div")
+
+
 EXP = _Builtin(
     "exp", 1, lambda a: math.exp(a[0]), lambda a: [math.exp(a[0])], _always,
-    derivative=lambda a, f, lift, op, const: f,
+    derivative=lambda a, f, lift: f,
 )
 LN = _Builtin(
     "ln", 1, lambda a: math.log(a[0]), lambda a: [1.0 / a[0]],
     lambda a: a[0] > 0.0,
-    derivative=lambda a, f, lift, op, const: op["div"](const(1.0), a),
+    derivative=lambda a, f, lift: 1.0 / a,
 )
 SQRT = _Builtin(
     "sqrt", 1, lambda a: math.sqrt(a[0]), lambda a: [0.5 / math.sqrt(a[0])],
     lambda a: a[0] > 0.0,
-    derivative=lambda a, f, lift, op, const: op["div"](const(0.5), f),
+    derivative=lambda a, f, lift: 0.5 / f,
 )
 SIN = _Builtin(
     "sin", 1, lambda a: math.sin(a[0]), lambda a: [math.cos(a[0])], _always,
-    derivative=lambda a, f, lift, op, const: lift("cos"),
+    derivative=lambda a, f, lift: lift("cos"),
 )
 COS = _Builtin(
     "cos", 1, lambda a: math.cos(a[0]), lambda a: [-math.sin(a[0])], _always,
-    derivative=lambda a, f, lift, op, const: op["neg"](lift("sin")),
+    derivative=lambda a, f, lift: -lift("sin"),
 )
 TAN = _Builtin(
     "tan", 1, lambda a: math.tan(a[0]),
     lambda a: [1.0 + math.tan(a[0]) * math.tan(a[0])],
     lambda a: math.cos(a[0]) != 0.0,
-    derivative=lambda a, f, lift, op, const: op["add"](const(1.0), op["mul"](f, f)),
+    derivative=lambda a, f, lift: 1.0 + f * f,
 )
 
 
@@ -188,10 +245,10 @@ def pow_fn(k: int) -> ElementaryFn:
             return [0.0]
         return [float(k) * ipow(a[0], k - 1)]
 
-    def derivative(a, f, lift, op, const):
+    def derivative(a, f, lift):
         if k == 0:
-            return const(0.0)
-        return op["mul"](const(float(k)), lift(f"pow{k - 1}"))
+            return 0.0
+        return float(k) * lift(f"pow{k - 1}")
 
     return _Builtin(f"pow{k}", 1, value, partials, _always, unit_cost=0,
                         derivative=derivative)

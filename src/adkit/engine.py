@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .algebras import CountingAlgebra
-from .catalog import ADD, DIV, MUL, DomainError, ElementaryFn
+from .catalog import ADD, MUL, DomainError, ElementaryFn
 from .counting import CountingScalar, EvalCounter, counting_eval, counting_partials
 from .expr import Apply, Expr, FunctionDef, Step, Variable, _path_of, eval_generic
 
@@ -113,14 +113,7 @@ def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
         if not fn.domain(args):  # a compiled step's arity always matches
             raise DomainError(fn.name, args, _path_of(fdef, step.out_slot))
         add_value(fn.value(args))
-        try:
-            add_partials(tuple(fn.partials(args)))
-        except ZeroDivisionError:
-            if fn is not DIV:
-                raise
-            # b*b underflowed to 0: write -a/(b*b) as -q/b, the form of the
-            # dual tangent (a' - q b')/b, which then overflows at worst
-            add_partials((1.0 / args[1], -values[-1] / args[1]))
+        add_partials(tuple(fn.partials(args)))
     tape = Tape(fdef.n, program.steps, tuple(values), tuple(partials), program.output_slots)
     object.__setattr__(program, "last_tape", (key, tape))
     return tape

@@ -1,12 +1,13 @@
 """Truncated multivariate polynomial arithmetic ("jets").
 
 A jet over n variables truncated at total degree N is a dense coefficient
-vector over all monomials X1^k1 ... Xn^kn with k1 + ... + kn <= N.  Products
-simply drop every term of total degree above N.  A unary catalogue function
-is lifted degree by degree from its first-order rule: with E = sum_i X_i d/dX_i
-the Euler operator, the chain rule E f(u) = f'(u) E u fixes the degree-d part
-of f(u) from f'(u) truncated at degree d - 1 (Griewank & Walther, *Evaluating
-Derivatives*, ch. 13).  Evaluating f on the jets (x1 + X1, ..., xn + Xn) then
+vector over all monomials X1^k1 ... Xn^kn with k1 + ... + kn <= N.  Jets
+carry the operators ``+ - * /`` and unary ``-``, with each other and with
+floats, and products simply drop every term of total degree above N.  A
+unary catalogue function is lifted degree by degree from its first-order
+rule: with E = sum_i X_i d/dX_i the Euler operator, the chain rule
+E f(u) = f'(u) E u fixes the degree-d part of f(u) from f'(u) truncated at
+degree d - 1 (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Evaluating f on the jets (x1 + X1, ..., xn + Xn) then
 packs every partial derivative of f at x up to order N into one coefficient
 vector.
 
@@ -24,12 +25,7 @@ import math
 from functools import lru_cache
 from itertools import product as _cartesian
 
-from .catalog import (
-    DomainError,
-    ElementaryFn,
-    derivative_rule,
-    lookup,
-)
+from .catalog import DomainError, ElementaryFn, Lifted, derivative_rule, lookup
 
 #: Largest supported truncation order: 12! is the last factorial exactly
 #: representable alongside its multinomial weights without drift.
@@ -122,8 +118,10 @@ def jet_shape(n: int, order: int) -> JetShape:
     return JetShape(n, order)
 
 
-class Jet:
-    """Dense coefficient vector over a JetShape, in one of the two bases."""
+class Jet(Lifted):
+    """Dense coefficient vector over a JetShape, in one of the two bases.
+    Its operators take jets of the same shape and basis, and floats (a float
+    c is the constant jet c)."""
 
     __slots__ = ("shape", "coeffs", "basis")
 
@@ -151,12 +149,63 @@ class Jet:
     def __hash__(self):
         return hash((id(self.shape), self.basis, tuple(self.coeffs)))
 
+    def _promote(self, b):
+        if isinstance(b, Jet):
+            if b.shape is not self.shape:
+                raise ValueError("jet shape mismatch")
+            if b.basis != self.basis:
+                raise ValueError("jet basis mismatch")
+            return b
+        if isinstance(b, (int, float)):
+            return jet_constant(self.shape, b, self.basis)
+        return NotImplemented
 
-def _require_compatible(a: Jet, b: Jet) -> None:
-    if a.shape is not b.shape:
-        raise ValueError("jet shape mismatch")
-    if a.basis != b.basis:
-        raise ValueError("jet basis mismatch")
+    def _add(self, b: Jet) -> Jet:
+        return Jet(self.shape, [x + y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
+
+    def _sub(self, b: Jet) -> Jet:
+        return Jet(self.shape, [x - y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
+
+    def __neg__(self) -> Jet:
+        return Jet(self.shape, [-x for x in self.coeffs], self.basis)
+
+    def _mul(self, b: Jet) -> Jet:
+        """Coefficient convolution, discarding all terms of total degree > N.
+
+        In the berz basis each contribution is weighted by the multinomial
+        k!/(r! s!) forced by multiplying factorial-scaled monomials.
+        """
+        out = [0.0] * self.shape.size
+        berz = self.basis == BERZ
+        ac, bc = self.coeffs, b.coeffs
+        for i, row in enumerate(self.shape.pair_table()):
+            ai = ac[i]
+            for j, target, w in row:
+                if berz:
+                    out[target] += w * ai * bc[j]
+                else:
+                    out[target] += ai * bc[j]
+        return Jet(self.shape, out, self.basis)
+
+    def _div(self, b: Jet) -> Jet:
+        """Long division: solve q * b = self coefficient by coefficient in
+        graded order.  Defined iff the constant term of b is nonzero."""
+        b0 = b.coeffs[0]
+        if b0 == 0.0:
+            raise DomainError("div", (self.coeffs[0], b0))
+        shape = self.shape
+        ac, bc = self.coeffs, b.coeffs
+        q = [0.0] * shape.size
+        q[0] = ac[0] / b0
+        splits = shape.split_table()
+        berz = self.basis == BERZ
+        # every split t = r + s with r != 0; s is then strictly lower degree
+        for t in range(1, shape.size):
+            acc = 0.0
+            for r, s, w in splits[t]:
+                acc += (w * bc[r] if berz else bc[r]) * q[s]
+            q[t] = (ac[t] - acc) / b0
+        return Jet(shape, q, self.basis)
 
 
 def jet_constant(shape: JetShape, c: float, basis: str = STANDARD) -> Jet:
@@ -179,93 +228,18 @@ def jet_variable(shape: JetShape, i: int, c: float, basis: str = STANDARD) -> Je
     return Jet(shape, coeffs, basis)
 
 
-def jet_add(a: Jet, b: Jet) -> Jet:
-    _require_compatible(a, b)
-    return Jet(a.shape, [x + y for x, y in zip(a.coeffs, b.coeffs)], a.basis)
+def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
+    """A unary catalogue function with a first-order rule (else
+    UnsupportedOrderError), lifted degree by degree onto the jet args[0].
 
-
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    _require_compatible(a, b)
-    return Jet(a.shape, [x - y for x, y in zip(a.coeffs, b.coeffs)], a.basis)
-
-
-def jet_neg(a: Jet) -> Jet:
-    return Jet(a.shape, [-x for x in a.coeffs], a.basis)
-
-
-def jet_scale(a: Jet, s: float) -> Jet:
-    return Jet(a.shape, [x * s for x in a.coeffs], a.basis)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Coefficient convolution, discarding all terms of total degree > N.
-
-    In the berz basis each contribution is weighted by the multinomial
-    k!/(r! s!) forced by multiplying factorial-scaled monomials.
+    w = f(u) has the constant term f(u_0), and its degree-d coefficients are
+    w_t = sum |r| u_r v_s / d over the splits t = r + s, where v = f'(u) is
+    the rule evaluated at truncation d - 1, or at d = 1 the first partial
+    f'(u_0) from `partials` (in the berz basis each term carries the split's
+    multinomial weight).  The lifts f' needs on the same argument (cos for
+    sin, pow{k-1} for pow{k}) form one family: each is built once and filled
+    alongside.
     """
-    _require_compatible(a, b)
-    out = [0.0] * a.shape.size
-    berz = a.basis == BERZ
-    ac, bc = a.coeffs, b.coeffs
-    for i, row in enumerate(a.shape.pair_table()):
-        ai = ac[i]
-        for j, target, w in row:
-            if berz:
-                out[target] += w * ai * bc[j]
-            else:
-                out[target] += ai * bc[j]
-    return Jet(a.shape, out, a.basis)
-
-
-def jet_div(a: Jet, b: Jet) -> Jet:
-    """Long division: solve q * b = a coefficient by coefficient in graded
-    order.  Defined iff the constant term of b is nonzero."""
-    _require_compatible(a, b)
-    b0 = b.coeffs[0]
-    if b0 == 0.0:
-        raise DomainError("div", (a.coeffs[0], b0))
-    shape = a.shape
-    ac, bc = a.coeffs, b.coeffs
-    q = [0.0] * shape.size
-    q[0] = ac[0] / b0
-    splits = shape.split_table()
-    berz = a.basis == BERZ
-    # every split t = r + s with r != 0; s is then strictly lower degree
-    for t in range(1, shape.size):
-        acc = 0.0
-        for r, s, w in splits[t]:
-            acc += (w * bc[r] if berz else bc[r]) * q[s]
-        q[t] = (ac[t] - acc) / b0
-    return Jet(shape, q, a.basis)
-
-
-#: Arithmetic by name: jet arithmetic directly.
-_ARITHMETIC = {
-    "add": jet_add,
-    "sub": jet_sub,
-    "neg": jet_neg,
-    "mul": jet_mul,
-    "div": jet_div,
-    "copy": lambda a: Jet(a.shape, list(a.coeffs), a.basis),
-}
-
-
-def jet_lift_elementary(fn: ElementaryFn, args: list[Jet]) -> Jet:
-    """Apply a catalogue function to jet arguments.
-
-    Arithmetic uses jet arithmetic directly.  A unary f with a first-order
-    rule is lifted degree by degree: w = f(u) has the constant term f(u_0),
-    and its degree-d coefficients are w_t = sum |r| u_r v_s / d over the
-    splits t = r + s, where v = f'(u) is the rule evaluated at truncation
-    d - 1, or at d = 1 the first partial f'(u_0) from `partials` (in the
-    berz basis each term carries the split's multinomial weight).  The lifts
-    f' needs on the same argument (cos for sin, pow{k-1} for pow{k}) form one
-    family: each is built once and filled alongside.
-    """
-    fn.check_arity(args)
-    op = _ARITHMETIC.get(fn.name)
-    if op is not None:
-        return op(*args)
     derivative_rule(fn)
     arg = args[0]
     return Jet(arg.shape, _Family(arg).fill(fn, arg.shape.order), arg.basis)
@@ -312,11 +286,10 @@ class _Family:
             def view(coeffs: list[float]) -> Jet:
                 return Jet(low, coeffs[:low.size], basis)
 
-            v = fn.derivative(
-                view(arg.coeffs), view(w),
-                lambda name: view(self.fill(lookup(name), d - 1)),
-                _ARITHMETIC, lambda c: jet_constant(low, c, basis),
-            ).coeffs
+            a = view(arg.coeffs)
+            v = a._promote(fn.derivative(
+                a, view(w), lambda name: view(self.fill(lookup(name), d - 1)),
+            )).coeffs
         u, shape = arg.coeffs, arg.shape
         splits, degrees = shape.split_table(), shape.degrees
         berz = basis == BERZ

@@ -5,8 +5,8 @@ operation node keeps its inputs and its entries filled so far.
 `tower_take(t, k)` orders t's ancestors with fewer than k entries by creation
 (a topological order) and fills entry d of each for d = 1 ... k-1 in loops:
 nothing recurses, and no entry is computed ahead of the one requested.
-Products take the Leibniz sum, and division solves it for the quotient.  A
-lift w = f(u) has entry 1 g_0 u_1, with g = f'(u) built from fn's rule when
+The operators ``+ - * /`` build nodes: products take the Leibniz sum, and
+division solves it for the quotient.  A lift w = f(u) has entry 1 g_0 u_1, with g = f'(u) built from fn's rule when
 that entry is first filled, and from entry 2 up the n = 1 Berz jet's form,
 w_d = (sum_{r=1..d} r binom(d, r) u_r g_{d-r}) / d in ascending r (Griewank &
 Walther, *Evaluating Derivatives*, ch. 13): towers and jets share one lift.
@@ -24,11 +24,15 @@ from functools import lru_cache, partial
 from itertools import count
 from typing import Callable, Optional
 
-from .catalog import DomainError, ElementaryFn, derivative_rule, lookup
+from .catalog import DomainError, ElementaryFn, Lifted, derivative_rule, lookup
 
 
-class Tower:
-    """A leaf of a lazy derivative sequence: a head and a memoised tail."""
+class Tower(Lifted):
+    """A leaf of a lazy derivative sequence: a head and a memoised tail.
+
+    Towers carry the operators ``+ - * /`` and unary ``-``, with each other
+    and with floats (a float c is the constant tower (c, 0, 0, ...)).
+    """
 
     __slots__ = ("head", "_tail_fn", "_tail")
 
@@ -52,6 +56,34 @@ class Tower:
 
     def __repr__(self) -> str:
         return f"Tower(head={self.head!r}, ...)"
+
+    @staticmethod
+    def _promote(b):
+        if isinstance(b, Tower):
+            return b
+        if isinstance(b, (int, float)):
+            return tower_const(b)
+        return NotImplemented
+
+    def _add(self, b: Tower) -> Tower:
+        return _Node([self.head + b.head], (self, b), _binary, operator.add)
+
+    def _sub(self, b: Tower) -> Tower:
+        return _Node([self.head - b.head], (self, b), _binary, operator.sub)
+
+    def __neg__(self) -> Tower:
+        return _Node([-self.head], (self,), _neg)
+
+    def _mul(self, b: Tower) -> Tower:
+        """Entry n is the Leibniz sum: sum_i binom(n, i) a_i b_{n-i}."""
+        return _Node([self.head * b.head], (self, b), _leibniz)
+
+    def _div(self, b: Tower) -> Tower:
+        """The q with q * b = self, from the Leibniz sum solved for its last
+        term: q_n = (a_n - sum_{i>=1} binom(n, i) b_i q_{n-i}) / b_0."""
+        if b.head == 0.0:
+            raise DomainError("div", (self.head, b.head))
+        return _Node([self.head / b.head], (self, b), _quotient)
 
 
 _serial = count()
@@ -148,18 +180,6 @@ def _neg(node: _Node, d: int, order: list) -> None:
     node.entries.append(-node.inputs[0].entries[d])
 
 
-def tower_add(a: Tower, b: Tower) -> Tower:
-    return _Node([a.head + b.head], (a, b), _binary, operator.add)
-
-
-def tower_sub(a: Tower, b: Tower) -> Tower:
-    return _Node([a.head - b.head], (a, b), _binary, operator.sub)
-
-
-def tower_neg(a: Tower) -> Tower:
-    return _Node([-a.head], (a,), _neg)
-
-
 @lru_cache(maxsize=None)
 def _rows(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """binom(n, r) and r * binom(n, r), formed as the Berz jet forms it."""
@@ -167,7 +187,7 @@ def _rows(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return row, tuple(r * c for r, c in enumerate(row))
 
 
-def _mul(node: _Node, d: int, order: list) -> None:
+def _leibniz(node: _Node, d: int, order: list) -> None:
     x, y = node.inputs[0].entries, node.inputs[1].entries
     total = 0.0
     for i, c in enumerate(_rows(d)[0]):
@@ -175,7 +195,7 @@ def _mul(node: _Node, d: int, order: list) -> None:
     node.entries.append(total)
 
 
-def _div(node: _Node, d: int, order: list) -> None:
+def _quotient(node: _Node, d: int, order: list) -> None:
     x, y, q = node.inputs[0].entries, node.inputs[1].entries, node.entries
     row = _rows(d)[0]
     total = 0.0
@@ -184,26 +204,7 @@ def _div(node: _Node, d: int, order: list) -> None:
     q.append((x[d] - total) / y[0])
 
 
-def tower_mul(a: Tower, b: Tower) -> Tower:
-    """Entry n is the Leibniz sum: sum_i binom(n, i) a_i b_{n-i}."""
-    return _Node([a.head * b.head], (a, b), _mul)
-
-
-def tower_div(a: Tower, b: Tower) -> Tower:
-    """The q with q * b = a, from the Leibniz sum solved for its last term:
-    q_n = (a_n - sum_{i>=1} binom(n, i) b_i q_{n-i}) / b_0."""
-    if b.head == 0.0:
-        raise DomainError("div", (a.head, b.head))
-    return _Node([a.head / b.head], (a, b), _div)
-
-
-#: Arithmetic by name: the tower operations themselves.  Towers are
-#: immutable, so a copy is the tower itself.
-_ARITHMETIC = {"add": tower_add, "sub": tower_sub, "neg": tower_neg,
-               "mul": tower_mul, "div": tower_div, "copy": lambda a: a}
-
-
-def tower_lift_elementary(
+def lift(
     fn: ElementaryFn, a: Tower, resolve: Optional[Callable[[str], ElementaryFn]] = None
 ) -> Tower:
     """Lift a unary catalogue function with a rule (else UnsupportedOrderError)
@@ -231,7 +232,8 @@ def _chain(node: _Node, d: int, order: list) -> None:
     u = node.inputs[0].entries
     if d == 1:  # build g; its new nodes are filled after the lift
         rule, family, view = node.extra
-        g = _node(rule(node.inputs[0], view, partial(_member, family), _ARITHMETIC, tower_const))
+        a = node.inputs[0]
+        g = _node(a._promote(rule(a, view, partial(_member, family))))
         node.inputs, node.extra = (node.inputs[0], g), None
         order += _unfilled(g, 2)
         node.entries.append(g.entries[0] * u[1])

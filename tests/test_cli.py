@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +215,19 @@ def test_graph_annotated_matches_trace(capsys):
     for value, tangent in zip(rec.states[-1], rec.derivative_states[-1]):
         assert f'<FONT COLOR="blue">{value!r}</FONT>' in out
         assert f'<FONT COLOR="red">{tangent!r}</FONT>' in out
+
+
+def test_graph_annotates_a_quotient_whose_divisor_square_underflows():
+    # y*y underflows to 0 at y = 1e-200; the quotient's partial is -(x/y)/y.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adkit.cli", "graph", "f(x,y)=x/y", "--annotate", "at=1,1e-200,dir=0,1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert_valid_dot(proc.stdout)
+    assert '<FONT COLOR="red">-inf</FONT>' in proc.stdout
 
 
 def test_bench_table_and_csv(tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""numpy is loaded only by the dense trace oracle.
+"""The package's import surface: numpy is loaded only by the dense trace
+oracle, and `adkit` exports exactly a written list of names.
 
-Each case runs in a fresh interpreter, since this test process may already
-have imported numpy.
+Each numpy case runs in a fresh interpreter, since this test process may
+already have imported numpy.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +13,20 @@ import sys
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: Every name `adkit/__init__.py` imports, sorted.  A new export edits this.
+EXPORTS = """
+Apply BERZ CATALOG Constant CostReport CountingAlgebra CountingScalar
+DomainError Dual DualAlgebra ElementaryFn EvalCounter Expr FunctionDef Jet
+JetAlgebra JetShape ParseError RealAlgebra STANDARD SeedSpec StateProgram
+Tape Tower TowerAlgebra TraceRecord UnsupportedOrderError Variable backprop
+compile_program const_fn cost_compare counted_variant counting_eval
+eval_generic forward_derivative forward_derivative_trace forward_directional
+forward_trace jacobian jet_constant jet_convert_basis jet_extract_partial
+jet_shape jet_variable parse pow_fn record reverse_derivative
+reverse_derivative_trace reverse_gradient schedule to_dot tower_const
+tower_df tower_take tower_var unparse
+""".split()
 
 #: Run in the child: optionally block numpy, run the body, then report the
 #: body's result and whether numpy got loaded on the last line of stderr.
@@ -79,3 +95,16 @@ def test_trace_forward_derivative_loads_numpy():
 def test_annotate_size_check_runs_before_numpy():
     source = "f(x) = " + " + ".join(["x"] * 600)
     assert run_cli(["graph", source, "--annotate", "at=1,dir=1"], blocked=True) == (3, False)
+
+
+def test_exports_are_the_written_list():
+    with open(os.path.join(SRC, "adkit", "__init__.py")) as handle:
+        tree = ast.parse(handle.read())
+    names = sorted(
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    assert EXPORTS == sorted(EXPORTS)
+    assert names == EXPORTS
+    assert len(names) == 58

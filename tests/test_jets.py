@@ -6,29 +6,24 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adkit.algebras import DualAlgebra, JetAlgebra
+from adkit.algebras import DualAlgebra, JetAlgebra, TowerAlgebra
 from adkit.catalog import CATALOG, MUL, DomainError, UnsupportedOrderError, ElementaryFn
 from adkit.counting import EvalCounter, counted_variant
-from adkit.dual import Dual, lift_elementary
+from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, record
 from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
 from adkit.jets import (
     BERZ,
     STANDARD,
     Jet,
-    jet_add,
     jet_constant,
     jet_convert_basis,
-    jet_div,
     jet_extract_partial,
-    jet_lift_elementary,
-    jet_mul,
-    jet_scale,
     jet_shape,
     jet_variable,
 )
 
-from adkit.towers import tower_lift_elementary, tower_take, tower_var
+from adkit.towers import tower_take, tower_var
 
 from conftest import random_program
 from oracles import (
@@ -70,19 +65,19 @@ def test_degree_one_jet_is_a_dual_number():
     # one variable truncated at order one: exactly the dual numbers
     shape = jet_shape(1, 1)
     x, xp, y, yp = 1.3, -0.7, 0.4, 2.2
-    prod = jet_mul(Jet(shape, [x, xp]), Jet(shape, [y, yp]))
+    prod = Jet(shape, [x, xp]) * Jet(shape, [y, yp])
     d = Dual(x, xp) * Dual(y, yp)
     assert prod.coeffs == [d.primal, d.tangent]
 
 
 def test_mul_examples():
     shape = jet_shape(1, 2)
-    sq = jet_mul(Jet(shape, [3.0, 1.0, 0.0]), Jet(shape, [3.0, 1.0, 0.0]))
+    sq = Jet(shape, [3.0, 1.0, 0.0]) * Jet(shape, [3.0, 1.0, 0.0])
     assert sq.coeffs == [9.0, 6.0, 1.0]
 
     c = 1.7
     tower = Jet(shape, [c, 1.0, 0.0], BERZ)
-    sq = jet_mul(tower, tower)
+    sq = tower * tower
     # oracle: (c + X)^2 = c^2 + 2cX + X^2, rescaled by k! per slot
     naive = poly_mul_truncated({(0,): c, (1,): 1.0}, {(0,): c, (1,): 1.0}, 2)
     expected = [naive.get((k,), 0.0) * math.factorial(k) for k in range(3)]
@@ -97,7 +92,7 @@ def test_mul_matches_naive_polynomial_oracle_exactly():
         shape = jet_shape(n, order)
         av = [float(rng.randint(-9, 9)) for _ in range(shape.size)]
         bv = [float(rng.randint(-9, 9)) for _ in range(shape.size)]
-        prod = jet_mul(Jet(shape, av), Jet(shape, bv))
+        prod = Jet(shape, av) * Jet(shape, bv)
         pa = {k: av[i] for i, k in enumerate(shape.monomials)}
         pb = {k: bv[i] for i, k in enumerate(shape.monomials)}
         naive = poly_mul_truncated(pa, pb, order)
@@ -113,8 +108,8 @@ def test_berz_mul_consistent_with_standard():
         shape = jet_shape(n, order)
         a = Jet(shape, [rng.uniform(-2, 2) for _ in range(shape.size)])
         b = Jet(shape, [rng.uniform(-2, 2) for _ in range(shape.size)])
-        via_standard = jet_convert_basis(jet_mul(a, b), BERZ)
-        via_berz = jet_mul(jet_convert_basis(a, BERZ), jet_convert_basis(b, BERZ))
+        via_standard = jet_convert_basis(a * b, BERZ)
+        via_berz = jet_convert_basis(a, BERZ) * jet_convert_basis(b, BERZ)
         for x, y in zip(via_standard.coeffs, via_berz.coeffs):
             assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -123,30 +118,30 @@ def test_vector_space_operations():
     shape = jet_shape(2, 2)
     a = Jet(shape, [float(i) for i in range(shape.size)])
     zero = jet_constant(shape, 0.0)
-    assert jet_add(a, zero).coeffs == a.coeffs
-    assert jet_add(a, jet_scale(a, -1.0)).coeffs == [0.0] * shape.size
-    assert jet_scale(a, 1.0).coeffs == a.coeffs
+    assert (a + zero).coeffs == a.coeffs
+    assert (a + a * -1.0).coeffs == [0.0] * shape.size
+    assert (a * 1.0).coeffs == a.coeffs
 
 
 def test_shape_and_basis_mismatch_rejected():
     a = Jet(jet_shape(1, 2), [1.0, 2.0, 3.0])
     b = Jet(jet_shape(1, 3), [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
-        jet_mul(a, b)
+        a * b
     c = Jet(jet_shape(1, 2), [1.0, 2.0, 3.0], BERZ)
     with pytest.raises(ValueError):
-        jet_add(a, c)
+        a + c
 
 
 def test_lift_sin_maclaurin():
     shape = jet_shape(1, 2)
-    out = jet_lift_elementary(CATALOG["sin"], [jet_variable(shape, 1, 0.0)])
+    out = JetAlgebra(shape).apply(CATALOG["sin"], [jet_variable(shape, 1, 0.0)])
     assert out.coeffs == [0.0, 1.0, 0.0]
 
 
 def test_lift_exp_berz_partials():
     shape = jet_shape(1, 3)
-    out = jet_lift_elementary(CATALOG["exp"], [jet_variable(shape, 1, 1.0, BERZ)])
+    out = JetAlgebra(shape, BERZ).apply(CATALOG["exp"], [jet_variable(shape, 1, 1.0, BERZ)])
     e = math.exp(1.0)
     for c in out.coeffs:
         assert math.isclose(c, e, rel_tol=1e-14)
@@ -162,7 +157,7 @@ def test_lift_degenerates_to_dual_exactly():
             x = rng.uniform(0.4, 1.4)
             seeds = [rng.uniform(-2, 2) for _ in range(n)]
             coeffs = [x] + seeds
-            out = jet_lift_elementary(fn, [Jet(shape, coeffs)])
+            out = JetAlgebra(shape).apply(fn, [Jet(shape, coeffs)])
             assert out.coeffs[0] == fn.value([x])
             for j in range(n):
                 dual = Dual(x, seeds[j])
@@ -177,9 +172,9 @@ def test_unsupported_order_rule():
                           lambda a: [0.25], lambda a: True)
     shape = jet_shape(1, 2)
     with pytest.raises(UnsupportedOrderError):
-        jet_lift_elementary(custom, [jet_variable(shape, 1, 0.0)])
+        JetAlgebra(shape).apply(custom, [jet_variable(shape, 1, 0.0)])
     with pytest.raises(UnsupportedOrderError):  # when built, not when forced
-        tower_lift_elementary(custom, tower_var(0.0))
+        TowerAlgebra().apply(custom, [tower_var(0.0)])
 
 
 def _sigmoid(a):
@@ -187,32 +182,37 @@ def _sigmoid(a):
 
 
 def test_registered_first_order_rule_lifts_in_jets_and_towers():
-    # A registered function that carries only its first-order rule.
+    # Registered functions that carry only their first-order rule: a sigmoid,
+    # and a line whose rule returns a float, promoted like an operand.
     sigmoid = ElementaryFn(
         "sigmoid", 1, _sigmoid,
         lambda a: [_sigmoid(a) * (1.0 - _sigmoid(a))],
         lambda a: True,
-        derivative=lambda a, f, lift, op, const: op["mul"](f, op["sub"](const(1.0), f)),
+        derivative=lambda a, f, lift: f * (1.0 - f),
     )
-    rng = random.Random(17)
-    for _ in range(20):
-        x = rng.uniform(-4.0, 4.0)
-        for n in (1, 2, 3):
-            seeds = [rng.uniform(-2, 2) for _ in range(n)]
-            out = jet_lift_elementary(sigmoid, [Jet(jet_shape(n, 1), [x] + seeds)])
-            assert out.coeffs[0] == _sigmoid([x])
-            for j in range(n):
-                dual = lift_elementary(sigmoid, [Dual(x, seeds[j])])
-                assert out.coeffs[1 + j] == dual.tangent
-        order = 8
-        shape = jet_shape(1, order)
-        jet = jet_lift_elementary(sigmoid, [jet_variable(shape, 1, x, BERZ)]).coeffs
-        tower = tower_take(tower_lift_elementary(sigmoid, tower_var(x)), order + 1)
-        assert tower[:2] == jet[:2]
-        for r in range(2, order + 1):
-            scale = math.factorial(r) * max(abs(c) / math.factorial(k)
-                                            for k, c in enumerate(jet[:r + 1]))
-            assert abs(tower[r] - jet[r]) <= 1e-14 * scale, (x, r)
+    line = ElementaryFn("line", 1, lambda a: 2.5 * a[0] - 1.0, lambda a: [2.5],
+                        lambda a: True, derivative=lambda a, f, lift: 2.5)
+    for fn in (sigmoid, line):
+        rng = random.Random(17)
+        for _ in range(20):
+            x = rng.uniform(-4.0, 4.0)
+            for n in (1, 2, 3):
+                seeds = [rng.uniform(-2, 2) for _ in range(n)]
+                shape = jet_shape(n, 1)
+                out = JetAlgebra(shape).apply(fn, [Jet(shape, [x] + seeds)])
+                assert out.coeffs[0] == fn.value([x])
+                for j in range(n):
+                    dual = DualAlgebra().apply(fn, [Dual(x, seeds[j])])
+                    assert out.coeffs[1 + j] == dual.tangent
+            order = 8
+            shape = jet_shape(1, order)
+            jet = JetAlgebra(shape, BERZ).apply(fn, [jet_variable(shape, 1, x, BERZ)]).coeffs
+            tower = tower_take(TowerAlgebra().apply(fn, [tower_var(x)]), order + 1)
+            assert tower[:2] == jet[:2]
+            for r in range(2, order + 1):
+                scale = math.factorial(r) * max(abs(c) / math.factorial(k)
+                                                for k, c in enumerate(jet[:r + 1]))
+                assert abs(tower[r] - jet[r]) <= 1e-14 * scale, (x, r)
 
 
 def test_catalogue_names_are_reserved():
@@ -278,13 +278,13 @@ def test_order_12_lifts_match_a_60_digit_series():
 def test_lift_domain_checked_on_constant_term():
     shape = jet_shape(1, 2)
     with pytest.raises(DomainError):
-        jet_lift_elementary(CATALOG["ln"], [jet_variable(shape, 1, -1.0)])
+        JetAlgebra(shape).apply(CATALOG["ln"], [jet_variable(shape, 1, -1.0)])
 
 
 def test_extract_examples():
     shape = jet_shape(1, 2)
     x = jet_variable(shape, 1, 3.0)
-    sq = jet_mul(x, x)
+    sq = x * x
     assert jet_extract_partial(sq, (2,)) == 2.0  # d^2/dx^2 x^2
     assert jet_extract_partial(sq, (0,)) == 9.0
     with pytest.raises(IndexError):
@@ -426,8 +426,8 @@ def test_division_round_trip():
             b_coeffs = [rng.uniform(-2, 2) for _ in range(shape.size)]
             b_coeffs[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
             b = Jet(shape, b_coeffs, basis)
-            q = jet_div(a, b)
-            back = jet_mul(q, b)
+            q = a / b
+            back = q * b
             for x, y in zip(back.coeffs, a.coeffs):
                 assert math.isclose(x, y, rel_tol=1e-10, abs_tol=1e-10)
 
@@ -445,7 +445,7 @@ def test_division_matches_per_coefficient_long_division_bit_for_bit():
                     b_coeffs = [rng.uniform(-2, 2) for _ in range(shape.size)]
                     b_coeffs[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
                     b = Jet(shape, b_coeffs, basis)
-                    assert jet_div(a, b).coeffs == jet_long_division(a, b), (n, order, basis)
+                    assert (a / b).coeffs == jet_long_division(a, b), (n, order, basis)
 
 
 def test_split_table_regroups_the_pair_table():

@@ -8,11 +8,13 @@ import struct
 import sys
 import threading
 
-from adkit.algebras import DualAlgebra
+from adkit.algebras import CountingAlgebra, DualAlgebra
 from adkit.catalog import ADD, CATALOG, DIV, MUL, NEG, SUB, pow_fn
+from adkit.counting import EvalCounter
 from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, jacobian, record
 from adkit.expr import Apply, Constant, FunctionDef, Variable, eval_generic, parse
+from adkit.trace import compile_program, forward_derivative, reverse_derivative
 
 from conftest import random_program
 from oracles import entry_gradient
@@ -146,6 +148,15 @@ def test_quotient_whose_divisor_square_underflows():
         assert bits(jacobian(fdef, point, mode="reverse")[0]) == bits(forward[0]), point
     assert jacobian(fdef, [1e-170, 1e-170], mode="reverse") == [[1e170, -1e170]]
     assert jacobian(fdef, [1.0, 1e-200], mode="reverse")[0][1] == -math.inf
+    # The dense trace and the counting sweep read the same partials.  (The
+    # trace's x entry is NaN in reverse: its embedding multiplies 0 by -inf.)
+    program = compile_program(fdef)
+    assert forward_derivative(program, [1.0, 1e-200], [0.0, 1.0]) == [-math.inf]
+    assert reverse_derivative(program, [1.0, 1e-200], [1.0])[1] == -math.inf
+    counter = EvalCounter()
+    algebra = CountingAlgebra(counter)
+    out = eval_generic(fdef, [algebra.constant(1.0), algebra.constant(1e-200)], algebra)
+    assert (out[0].value, counter.count) == (1e200, 0)
 
 
 # --- the memo ---

@@ -18,13 +18,8 @@ from adkit.jets import BERZ, jet_shape, jet_variable
 from adkit.algebras import JetAlgebra
 from adkit.towers import (
     Tower,
-    tower_add,
     tower_const,
     tower_df,
-    tower_div,
-    tower_lift_elementary,
-    tower_mul,
-    tower_neg,
     tower_take,
     tower_var,
 )
@@ -49,31 +44,31 @@ def test_var_and_const():
     assert tower_take(tower_const(3.0), 3) == [3.0, 0.0, 0.0]
     assert tower_take(tower_df(tower_const(3.0)), 2) == [0.0, 0.0]
     a = tower_var(1.5)
-    assert tower_take(tower_add(a, tower_const(0.0)), 4) == tower_take(a, 4)
+    assert tower_take(a + tower_const(0.0), 4) == tower_take(a, 4)
 
 
 def test_add():
-    assert tower_take(tower_add(tower_var(2.0), tower_const(3.0)), 3) == [5.0, 1.0, 0.0]
+    assert tower_take(tower_var(2.0) + tower_const(3.0), 3) == [5.0, 1.0, 0.0]
     s = eval_generic(parse("f(x) = sin(x)"), [tower_var(0.0)], TowerAlgebra())[0]
     c = eval_generic(parse("f(x) = cos(x)"), [tower_var(0.0)], TowerAlgebra())[0]
-    assert tower_take(tower_add(s, c), 4) == [1.0, 1.0, -1.0, -1.0]
+    assert tower_take(s + c, 4) == [1.0, 1.0, -1.0, -1.0]
 
 
 def test_mul_examples():
     x = tower_var(3.0)
-    assert tower_take(tower_mul(x, x), 4) == [9.0, 6.0, 2.0, 0.0]
+    assert tower_take(x * x, 4) == [9.0, 6.0, 2.0, 0.0]
 
     a = tower_from([1.5, -2.0, 0.5])
     b = tower_from([0.5, 3.0, -1.0])
-    entry1 = tower_take(tower_mul(a, b), 2)[1]
+    entry1 = tower_take(a * b, 2)[1]
     assert entry1 == a.head * 3.0 + (-2.0) * b.head  # a db + da b
 
     # exp * sin and its first three derivatives at c
     c = 0.7
     e, s, co = math.exp(c), math.sin(c), math.cos(c)
-    prod = tower_mul(
-        tower_lift_elementary(CATALOG["exp"], tower_var(c)),
-        tower_lift_elementary(CATALOG["sin"], tower_var(c)),
+    prod = (
+        TowerAlgebra().apply(CATALOG["exp"], [tower_var(c)])
+        * TowerAlgebra().apply(CATALOG["sin"], [tower_var(c)])
     )
     got = tower_take(prod, 3)
     want = [e * s, e * s + e * co, 2 * e * co]  # product rule, twice
@@ -83,10 +78,10 @@ def test_mul_examples():
 
 def test_div_examples():
     a = tower_from([1.2, 0.4, -0.3, 2.0])
-    assert tower_take(tower_div(a, a), 4) == [1.0, 0.0, 0.0, 0.0]
+    assert tower_take(a / a, 4) == [1.0, 0.0, 0.0, 0.0]
 
     c = 1.7
-    inv = tower_div(tower_const(1.0), tower_var(c))
+    inv = tower_const(1.0) / tower_var(c)
     got = tower_take(inv, 3)
     want = [1 / c, -1 / c**2, 2 / c**3]
     for g, w in zip(got, want):
@@ -101,18 +96,18 @@ def test_div_defining_property():
         b_entries = [rng.uniform(-1, 1) for _ in range(9)]
         b_entries[0] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
         b = tower_from(b_entries)
-        back = tower_take(tower_mul(tower_div(a, b), b), 8)
+        back = tower_take(a / b * b, 8)
         for x, y in zip(back, tower_take(a, 8)):
             assert math.isclose(x, y, rel_tol=1e-10, abs_tol=1e-10)
 
 
 def test_div_by_zero_head():
     with pytest.raises(DomainError):
-        tower_div(tower_var(1.0), tower_const(0.0))
+        tower_var(1.0) / tower_const(0.0)
 
 
 def test_df_shift():
-    t = tower_lift_elementary(CATALOG["exp"], tower_var(0.0))
+    t = TowerAlgebra().apply(CATALOG["exp"], [tower_var(0.0)])
     assert tower_df(tower_df(tower_df(t))).head == 1.0
     rng = random.Random(3)
     a = tower_from([rng.uniform(-3, 3) for _ in range(10)])
@@ -129,16 +124,16 @@ def test_take_prefix_monotone():
 
 def test_lift_maclaurin_prefixes():
     assert tower_take(
-        tower_lift_elementary(CATALOG["exp"], tower_var(0.0)), 4
+        TowerAlgebra().apply(CATALOG["exp"], [tower_var(0.0)]), 4
     ) == [1.0, 1.0, 1.0, 1.0]
     assert tower_take(
-        tower_lift_elementary(CATALOG["sin"], tower_var(0.0)), 4
+        TowerAlgebra().apply(CATALOG["sin"], [tower_var(0.0)]), 4
     ) == [0.0, 1.0, 0.0, -1.0]
 
 
 def test_lift_domain_error_on_head():
     with pytest.raises(DomainError):
-        tower_lift_elementary(CATALOG["ln"], tower_var(-2.0))
+        TowerAlgebra().apply(CATALOG["ln"], [tower_var(-2.0)])
 
 
 @settings(max_examples=1000, deadline=None)
@@ -149,7 +144,7 @@ def test_lift_domain_error_on_head():
 )
 def test_leibniz_law_exact(xs, ys, order):
     a, b = tower_from(xs), tower_from(ys)
-    got = tower_take(tower_mul(a, b), order + 1)[order]
+    got = tower_take(a * b, order + 1)[order]
     expected = 0.0
     for i in range(order + 1):
         weight = math.factorial(order) // (
@@ -166,10 +161,8 @@ def test_leibniz_law_exact(xs, ys, order):
 )
 def test_df_product_rule(xs, ys):
     a, b = tower_from(xs), tower_from(ys)
-    lhs = tower_take(tower_df(tower_mul(a, b)), 8)
-    rhs = tower_take(
-        tower_add(tower_mul(tower_df(a), b), tower_mul(a, tower_df(b))), 8
-    )
+    lhs = tower_take(tower_df(a * b), 8)
+    rhs = tower_take(tower_df(a) * b + a * tower_df(b), 8)
     for k, (x, y) in enumerate(zip(lhs, rhs)):
         bound = sum(
             math.comb(k + 1, i) * abs(xs[i]) * abs(ys[k + 1 - i])
@@ -248,14 +241,14 @@ def test_jet_agreement_to_order_12_with_divisions():
 def test_closed_forms_to_order_24():
     rel = 1e-14  # 1/x accumulates one rounding per order; exp and sin none
     for c in (0.3, 1.7, -2.5):
-        inv = tower_take(tower_div(tower_const(1.0), tower_var(c)), 25)
+        inv = tower_take(tower_const(1.0) / tower_var(c), 25)
         for k, got in enumerate(inv):
             want = (-1) ** k * math.factorial(k) / c ** (k + 1)
             assert math.isclose(got, want, rel_tol=rel), (c, k)
-        exp = tower_take(tower_lift_elementary(CATALOG["exp"], tower_var(c)), 25)
+        exp = tower_take(TowerAlgebra().apply(CATALOG["exp"], [tower_var(c)]), 25)
         for got in exp:
             assert math.isclose(got, math.exp(c), rel_tol=rel), c
-        sin = tower_take(tower_lift_elementary(CATALOG["sin"], tower_var(c)), 25)
+        sin = tower_take(TowerAlgebra().apply(CATALOG["sin"], [tower_var(c)]), 25)
         cycle = (math.sin(c), math.cos(c), -math.sin(c), -math.cos(c))
         for k, got in enumerate(sin):
             assert math.isclose(got, cycle[k % 4], rel_tol=rel), (c, k)
@@ -317,7 +310,7 @@ def test_laziness_forces_only_requested_depth():
     def resolve(name):
         return wrapped[name]
 
-    t = tower_lift_elementary(wrapped["sin"], tower_var(0.3), resolve=resolve)
+    t = TowerAlgebra(resolve).apply(wrapped["sin"], [tower_var(0.3)])
     assert counter.count == 1  # building the head is one value evaluation
     counts = []
     for k in range(1, 5):
@@ -343,14 +336,14 @@ def test_lift_family_evaluates_each_function_once():
         per_name[name] = per_name.get(name, 0) + 1
         return wrapped[name]
 
-    inner = tower_lift_elementary(wrapped["sin"], tower_var(0.3), resolve=resolve)
-    t = tower_lift_elementary(wrapped["exp"], inner, resolve=resolve)
+    inner = TowerAlgebra(resolve).apply(wrapped["sin"], [tower_var(0.3)])
+    t = TowerAlgebra(resolve).apply(wrapped["exp"], [inner])
     prefix = tower_take(t, 25)
     # exp and sin for the heads, cos once for sin's whole tail
     assert counter.count == 3
     assert per_name == {"cos": 1}
-    plain = tower_lift_elementary(
-        CATALOG["exp"], tower_lift_elementary(CATALOG["sin"], tower_var(0.3))
+    plain = TowerAlgebra().apply(
+        CATALOG["exp"], [TowerAlgebra().apply(CATALOG["sin"], [tower_var(0.3)])]
     )
     assert prefix == tower_take(plain, 25)
 
@@ -468,12 +461,12 @@ def test_forcing_inside_forcing_gives_the_same_entries():
         except DomainError:
             continue
         leaf = tower_from(ref)
-        want = tower_take(tower_add(tower_mul(tower_df(leaf), leaf), tower_df(tower_df(leaf))), 11)
+        want = tower_take(tower_df(leaf) * leaf + tower_df(tower_df(leaf)), 11)
         for primed in (0, 2, 3):
             t = build()
             if primed:
                 tower_take(tower_df(t), primed)
-            got = tower_add(tower_mul(tower_df(t), t), tower_df(tower_df(t)))
+            got = tower_df(t) * t + tower_df(tower_df(t))
             assert tower_take(got, 11) == want
             assert tower_take(t, 14) == ref
         checked += 1
@@ -481,7 +474,7 @@ def test_forcing_inside_forcing_gives_the_same_entries():
     # the lift's derivative is then built outside the outer fill order.
     later = []
     leaf = Tower(0.0, lambda: (tower_take(later[0], 2), tower_const(0.0))[1])
-    negated = tower_neg(leaf)
-    later.append(tower_lift_elementary(CATALOG["sin"], tower_var(0.4)))
-    got = tower_take(tower_add(negated, later[0]), 9)
-    assert got == tower_take(tower_lift_elementary(CATALOG["sin"], tower_var(0.4)), 9)
+    negated = -leaf
+    later.append(TowerAlgebra().apply(CATALOG["sin"], [tower_var(0.4)]))
+    got = tower_take(negated + later[0], 9)
+    assert got == tower_take(TowerAlgebra().apply(CATALOG["sin"], [tower_var(0.4)]), 9)
