@@ -21,7 +21,7 @@ from .catalog import (
     const_fn,
     pow_fn,
 )
-from .counting import CountingScalar, EvalCounter, counted_variant, counting_eval
+from .counting import EvalCounter, counted_variant
 from .dual import Dual
 from .engine import (
     CostReport,

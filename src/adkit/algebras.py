@@ -2,10 +2,11 @@
 
 Each algebra supplies `constant` and `apply`; evaluating a FunctionDef over
 an algebra propagates whatever that algebra's scalars carry (plain values,
-one directional derivative, operation counts, all partials to order N, or a
-whole derivative tower).  The lifted algebras (dual numbers, jets, towers)
-share one `apply`: arithmetic through `catalog.OPERATORS` and their scalars'
-operators, every other function through the algebra's own `lift(fn, args)`.
+with or without operation counts charged to a counter, one directional
+derivative, all partials to order N, or a whole derivative tower).  The
+lifted algebras (dual numbers, jets, towers) share one `apply`: arithmetic
+through `catalog.OPERATORS` and their scalars' operators, every other
+function through the algebra's own `lift(fn, args)`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Optional
 
 from . import jets, towers
 from .catalog import OPERATORS, ElementaryFn
-from .counting import CountingScalar, EvalCounter, counting_eval
+from .counting import EvalCounter
 from .dual import Dual
 from .jets import STANDARD, Jet, JetShape, jet_constant
 from .towers import Tower, tower_const
@@ -33,19 +34,23 @@ class RealAlgebra:
         return fn.value(args)
 
 
-class CountingAlgebra:
-    """Cost accounting; with `include_derivative` the run models a forward
-    value-plus-derivative sweep."""
+class CountingAlgebra(RealAlgebra):
+    """RealAlgebra, charging `counter` a step's `unit_cost` before its value
+    is taken (so a value that raises is charged); with `include_derivative`,
+    a forward value-plus-derivative sweep: once more, and its partials."""
 
     def __init__(self, counter: EvalCounter, include_derivative: bool = True):
         self.counter = counter
         self.include_derivative = include_derivative
 
-    def constant(self, c: float) -> CountingScalar:
-        return CountingScalar(c, self.counter)
-
-    def apply(self, fn: ElementaryFn, args: list[CountingScalar]) -> CountingScalar:
-        return counting_eval(fn, args, self.include_derivative, counter=self.counter)
+    def apply(self, fn: ElementaryFn, args: list[float]) -> float:
+        fn.check_domain(args)
+        self.counter.add(fn.unit_cost)
+        value = fn.value(args)
+        if self.include_derivative:
+            self.counter.add(fn.unit_cost)
+            fn.partials(args)
+        return value
 
 
 class _LiftedAlgebra:

@@ -110,6 +110,11 @@ def _always(args: Sequence[float]) -> bool:
     return True
 
 
+# sin, cos and tan are undefined at +-inf; NaN passes, as through _always.
+def _not_infinite(args: Sequence[float]) -> bool:
+    return abs(args[0]) != math.inf
+
+
 def ipow(x: float, k: int) -> float:
     """x**k for k >= 0 by repeated multiplication (left fold)."""
     r = 1.0
@@ -212,17 +217,17 @@ SQRT = _Builtin(
     derivative=lambda a, f, lift: 0.5 / f,
 )
 SIN = _Builtin(
-    "sin", 1, lambda a: math.sin(a[0]), lambda a: [math.cos(a[0])], _always,
+    "sin", 1, lambda a: math.sin(a[0]), lambda a: [math.cos(a[0])], _not_infinite,
     derivative=lambda a, f, lift: lift("cos"),
 )
 COS = _Builtin(
-    "cos", 1, lambda a: math.cos(a[0]), lambda a: [-math.sin(a[0])], _always,
+    "cos", 1, lambda a: math.cos(a[0]), lambda a: [-math.sin(a[0])], _not_infinite,
     derivative=lambda a, f, lift: -lift("sin"),
 )
 TAN = _Builtin(
     "tan", 1, lambda a: math.tan(a[0]),
     lambda a: [1.0 + math.tan(a[0]) * math.tan(a[0])],
-    lambda a: math.cos(a[0]) != 0.0,
+    lambda a: _not_infinite(a) and math.cos(a[0]) != 0.0,
     derivative=lambda a, f, lift: 1.0 + f * f,
 )
 

@@ -155,7 +155,10 @@ def _cmd_diff(args) -> int:
             raise FlagError("--mode jet supports single-output functions")
         if not 1 <= args.order <= MAX_ORDER:
             raise FlagError(f"--mode jet requires --order in 1..{MAX_ORDER}")
-        shape = jet_shape(fdef.n, args.order)
+        try:
+            shape = jet_shape(fdef.n, args.order)
+        except ValueError as err:  # too many coefficients
+            raise FlagError(f"--mode jet: {err}")
         algebra = JetAlgebra(shape, BERZ)
         inputs = [
             jet_variable(shape, i + 1, point[i], BERZ) for i in range(fdef.n)
@@ -228,51 +231,28 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+#: The bench columns: the CSV header and each JSON row's leading keys.
+_BENCH_COLUMNS = ("n", "symbolic", "ad", "closed_form_symbolic", "closed_form_ad")
+
+
 def _cmd_bench(args) -> int:
     if args.max_n < 1:
         raise FlagError("--max-n must be >= 1")
     reports = [cost_compare(args.scenario, n) for n in range(1, args.max_n + 1)]
-    rows = [
-        [r.n, r.symbolic, r.ad, r.closed_form_symbolic, r.closed_form_ad]
-        for r in reports
-    ]
+    rows = [[getattr(r, column) for column in _BENCH_COLUMNS] for r in reports]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "function": args.scenario,
-                    "mode": "bench",
-                    "point": [],
-                    "seed": [],
-                    "value": [],
-                    "derivative": [],
-                    "counts": {
-                        "scenario": args.scenario,
-                        "rows": [
-                            {
-                                "n": r.n,
-                                "symbolic": r.symbolic,
-                                "ad": r.ad,
-                                "closed_form_symbolic": r.closed_form_symbolic,
-                                "closed_form_ad": r.closed_form_ad,
-                                **r.details,
-                            }
-                            for r in reports
-                        ],
-                    },
-                }
-            )
-        )
+        keyed = [{**dict(zip(_BENCH_COLUMNS, row)), **r.details} for row, r in zip(rows, reports)]
+        counts = {"scenario": args.scenario, "rows": keyed}
+        print(json.dumps(_report(args.scenario, "bench", [], [], [], [], counts)))
     else:
-        header = f"{'n':>4} {'symbolic':>10} {'ad':>8} {'closed sym':>11} {'closed ad':>10}"
         print(f"scenario: {args.scenario}")
-        print(header)
+        print(f"{'n':>4} {'symbolic':>10} {'ad':>8} {'closed sym':>11} {'closed ad':>10}")
         for n, symbolic, ad, cs, ca in rows:
             print(f"{n:>4} {symbolic:>10} {ad:>8} {cs:>11} {ca:>10}")
     if args.csv_path:
         with open(args.csv_path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["n", "symbolic", "ad", "closed_form_symbolic", "closed_form_ad"])
+            writer.writerow(_BENCH_COLUMNS)
             writer.writerows(rows)
     return EXIT_OK
 

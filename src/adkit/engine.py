@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .algebras import CountingAlgebra
 from .catalog import ADD, MUL, DomainError, ElementaryFn
-from .counting import CountingScalar, EvalCounter, counting_eval, counting_partials
+from .counting import EvalCounter, counted_variant
 from .expr import Apply, Expr, FunctionDef, Step, Variable, _path_of, eval_generic
 
 
@@ -291,42 +291,42 @@ def cost_compare(scenario: str, n: int, at: float = 0.3) -> CostReport:
     phis = [_phi(i + 1) for i in range(n)]
     details: dict = {}
 
+    # The symbolic patterns call counted copies of phi_i and psi directly:
+    # each .value and each .partials costs 1.
     sym = EvalCounter()
-
-    def value_of(fn: ElementaryFn, x: float, counter: EvalCounter) -> float:
-        return counting_eval(fn, [CountingScalar(x, counter)]).value
+    phi = [counted_variant(fn, sym) for fn in phis]
+    psi = counted_variant(_PSI, sym)
 
     if scenario == "chain":
         # every chain-rule factor re-evaluates its whole prefix
         for i in range(1, n + 1):
             v = at
             for j in range(i - 1):
-                v = value_of(phis[j], v, sym)
-            counting_partials(phis[i - 1], [v], sym)
+                v = phi[j].value([v])
+            phi[i - 1].partials([v])
         fdef = _chain_def(phis)
         closed_sym, closed_ad = n * (n + 1) // 2, 2 * n
     elif scenario == "product":
         # every product-rule summand evaluates one derivative and the n-1
         # other factor values afresh
         for i in range(n):
-            counting_partials(phis[i], [at], sym)
+            phi[i].partials([at])
             for j in range(n):
                 if j != i:
-                    value_of(phis[j], at, sym)
+                    phi[j].value([at])
         fdef = _product_def(phis)
         closed_sym, closed_ad = n * n, 2 * n
     else:
         # factored form: the inner value re-evaluated per summand, its
         # derivative once; the unfactored variant pays that derivative n times
         for i in range(n):
-            z = value_of(_PSI, at, sym)
-            counting_partials(phis[i], [z], sym)
-        counting_partials(_PSI, [at], sym)
+            phi[i].partials([psi.value([at])])
+        psi.partials([at])
         unfactored = EvalCounter()
+        psi_u = counted_variant(_PSI, unfactored)
         for i in range(n):
-            z = value_of(_PSI, at, unfactored)
-            counting_partials(phis[i], [z], unfactored)
-            counting_partials(_PSI, [at], unfactored)
+            counted_variant(phis[i], unfactored).partials([psi_u.value([at])])
+            psi_u.partials([at])
         details["symbolic_unfactored"] = unfactored.count
         fdef = _shared_def(phis)
         closed_sym, closed_ad = 2 * n + 1, 2 * n + 2

@@ -31,6 +31,10 @@ from .catalog import DomainError, ElementaryFn, Lifted, derivative_rule, lookup
 #: representable alongside its multinomial weights without drift.
 MAX_ORDER = 12
 
+#: Largest jet, in coefficients C(n+N, N): (4, 12) holds 1820, while
+#: (8, 12) would hold 125,970 and take hours to tabulate.
+MAX_SIZE = 2000
+
 STANDARD = "standard"
 BERZ = "berz"
 
@@ -54,6 +58,10 @@ class JetShape:
             raise ValueError("need at least one variable")
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"truncation order must be in 1..{MAX_ORDER}")
+        size = math.comb(n + order, order)  # checked before any enumeration
+        if size > MAX_SIZE:
+            raise ValueError(f"a jet in {n} variables to order {order} holds "
+                             f"{size} coefficients, more than {MAX_SIZE}")
         self.n = n
         self.order = order
         monos = [

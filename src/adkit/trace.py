@@ -11,7 +11,8 @@ materialised matrices against embedded seed vectors.
 
 Everything here favours transparency over speed; matrices are dense and the
 state-space dimension is capped.  Row sums use exact (correctly rounded)
-accumulation so results do not depend on summation order.
+accumulation so results do not depend on summation order; a row that
+overflows on the way, or holds both infinities, takes the plain IEEE sum.
 
 numpy is imported by the functions that build or multiply matrices, not by
 this module, so importing adkit (and every mode but this oracle) does not
@@ -112,9 +113,18 @@ def step_jacobian(p: StateProgram, i: int, state: Sequence[float]) -> np.ndarray
 def _matvec(mat: np.ndarray, vec: Sequence[float]) -> list[float]:
     import numpy as np
 
-    # Exactly rounded row sums: immune to accumulation-order effects.
-    prods = mat * np.asarray(vec)
-    return [math.fsum(row) for row in prods]
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN here
+        prods = mat * np.asarray(vec)
+    return [_row_sum(row.tolist()) for row in prods]  # one row of floats at a time
+
+
+def _row_sum(row: list[float]) -> float:
+    """Exactly rounded, so immune to accumulation order; where fsum refuses
+    (an intermediate overflow, or inf + -inf), the plain IEEE sum."""
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):
+        return sum(row)
 
 
 def _embed_matrix(p: StateProgram) -> np.ndarray:

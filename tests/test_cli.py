@@ -153,6 +153,32 @@ def test_exit_code_domain_error(capsys):
     assert code == 2 and "domain error" in err
 
 
+@pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "forward", "--dir", "1"],
+        ["--mode", "reverse", "--cov", "1"],
+        ["--mode", "jet", "--order", "3"],
+        ["--mode", "tower", "--order", "3"],
+        None,  # the dense trace, through graph --annotate
+    ],
+    ids=["forward", "reverse", "jet", "tower", "trace"],
+)
+def test_trigonometric_functions_at_infinity_are_domain_errors(capsys, name, argv):
+    source = f"f(x)={name}(x)"
+    for at in ("inf", "-inf"):
+        if argv is None:
+            command = ["graph", source, "--annotate", f"at={at},dir=1"]
+            where = f"step 1 ({name})"
+        else:
+            command = ["diff", source, "--at", at, *argv]
+            where = "out0"
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert err == f"adkit: domain error: {name} undefined on ({float(at)},) (at {where})\n"
+
+
 def test_reverse_domain_error_names_its_location(capsys):
     source = "f(x)=sqrt(x)*2"
     forward = run(capsys, ["diff", source, "--at", "-1", "--mode", "forward", "--dir", "1"])
@@ -228,6 +254,26 @@ def test_graph_annotates_a_quotient_whose_divisor_square_underflows():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert_valid_dot(proc.stdout)
     assert '<FONT COLOR="red">-inf</FONT>' in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "source, annotation",
+    [
+        ("f(x,y)=x+y", "at=1,1,dir=1e308,1e308"),  # the row sum overflows
+        ("f(x,y)=x/y", "at=1,1e-200,dir=1e200,1"),  # a row holds inf and -inf
+        ("f(x,y)=x/y", "at=1,1e-200,dir=1,0"),  # a product is 0 * inf
+    ],
+    ids=["overflow", "inf-minus-inf", "zero-times-inf"],
+)
+def test_graph_annotates_non_finite_row_sums(source, annotation):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adkit.cli", "graph", source, "--annotate", annotation],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert_valid_dot(proc.stdout)
 
 
 def test_bench_table_and_csv(tmp_path, capsys):

@@ -1,38 +1,42 @@
 """The exact-count cost model."""
 
+from adkit.algebras import CountingAlgebra
 from adkit.catalog import ADD, CATALOG, MUL, const_fn
-from adkit.counting import CountingScalar, EvalCounter, counted_variant, counting_eval
+from adkit.counting import EvalCounter, counted_variant
 
 
 def test_unary_chain_with_derivatives_costs_two_per_node():
     counter = EvalCounter()
-    v = CountingScalar(0.5, counter)
+    algebra = CountingAlgebra(counter, include_derivative=True)
+    v = 0.5
     for name in ("sin", "exp", "cos"):
-        v = counting_eval(CATALOG[name], [v], include_derivative=True)
+        v = algebra.apply(CATALOG[name], [v])
     assert counter.count == 6
 
 
 def test_constants_are_free():
     counter = EvalCounter()
-    counting_eval(const_fn(3.0), [], include_derivative=True, counter=counter)
+    CountingAlgebra(counter, include_derivative=True).apply(const_fn(3.0), [])
     assert counter.count == 0
 
 
 def test_arithmetic_on_computed_values_is_free():
     counter = EvalCounter()
-    a = counting_eval(CATALOG["sin"], [CountingScalar(0.3, counter)])
-    b = counting_eval(CATALOG["cos"], [CountingScalar(0.3, counter)])
+    values = CountingAlgebra(counter, include_derivative=False)
+    a = values.apply(CATALOG["sin"], [0.3])
+    b = values.apply(CATALOG["cos"], [0.3])
     assert counter.count == 2
-    s = counting_eval(ADD, [a, b], include_derivative=True)
-    p = counting_eval(MUL, [a, b], include_derivative=True)
+    sweep = CountingAlgebra(counter, include_derivative=True)
+    s = sweep.apply(ADD, [a, b])
+    p = sweep.apply(MUL, [a, b])
     assert counter.count == 2
-    assert s.value == a.value + b.value
-    assert p.value == a.value * b.value
+    assert s == a + b
+    assert p == a * b
 
 
 def test_value_only_costs_one():
     counter = EvalCounter()
-    counting_eval(CATALOG["sin"], [CountingScalar(0.3, counter)])
+    CountingAlgebra(counter, include_derivative=False).apply(CATALOG["sin"], [0.3])
     assert counter.count == 1
 
 

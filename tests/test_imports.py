@@ -16,11 +16,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 #: Every name `adkit/__init__.py` imports, sorted.  A new export edits this.
 EXPORTS = """
-Apply BERZ CATALOG Constant CostReport CountingAlgebra CountingScalar
+Apply BERZ CATALOG Constant CostReport CountingAlgebra
 DomainError Dual DualAlgebra ElementaryFn EvalCounter Expr FunctionDef Jet
 JetAlgebra JetShape ParseError RealAlgebra STANDARD SeedSpec StateProgram
 Tape Tower TowerAlgebra TraceRecord UnsupportedOrderError Variable backprop
-compile_program const_fn cost_compare counted_variant counting_eval
+compile_program const_fn cost_compare counted_variant
 eval_generic forward_derivative forward_derivative_trace forward_directional
 forward_trace jacobian jet_constant jet_convert_basis jet_extract_partial
 jet_shape jet_variable parse pow_fn record reverse_derivative
@@ -107,4 +107,4 @@ def test_exports_are_the_written_list():
     )
     assert EXPORTS == sorted(EXPORTS)
     assert names == EXPORTS
-    assert len(names) == 58
+    assert len(names) == 56

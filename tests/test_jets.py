@@ -2,12 +2,14 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adkit.algebras import DualAlgebra, JetAlgebra, TowerAlgebra
 from adkit.catalog import CATALOG, MUL, DomainError, UnsupportedOrderError, ElementaryFn
+from adkit.cli import main
 from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, record
@@ -461,6 +463,18 @@ def test_split_table_regroups_the_pair_table():
             assert pairs[r, s] == (t, w)
             k = tuple(x + y for x, y in zip(shape.monomials[r], shape.monomials[s]))
             assert shape.position[k] == t
+
+
+def test_too_large_a_jet_is_refused_promptly():
+    # (8, 12) would enumerate 13**8 index tuples; the size check runs first.
+    assert jet_shape(4, 12).size == 1820
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="125970 coefficients, more than 2000"):
+        jet_shape(8, 12)
+    assert time.perf_counter() - start < 1.0
+    source = "f(a,b,c,d,e,f,g,h) = a*b*c*d*e*f*g*h"
+    argv = ["diff", source, "--at", ",".join(["1"] * 8), "--mode", "jet", "--order", "12"]
+    assert main(argv) == 3
 
 
 def test_max_order_enforced():
