@@ -202,8 +202,11 @@ class Lifted:
     __truediv__, __rtruediv__ = _operators("_div")
 
 
+# exp is undefined above math.log(sys.float_info.max) = 709.782712893384, the
+# largest argument whose exp is a finite float; NaN passes, as through _always.
 EXP = _Builtin(
-    "exp", 1, lambda a: math.exp(a[0]), lambda a: [math.exp(a[0])], _always,
+    "exp", 1, lambda a: math.exp(a[0]), lambda a: [math.exp(a[0])],
+    lambda a: not a[0] > 709.782712893384,
     derivative=lambda a, f, lift: f,
 )
 LN = _Builtin(

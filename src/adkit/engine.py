@@ -4,6 +4,8 @@ Both first-order modes read one linearization of the program at a point.
 `record` sweeps the compiled program once and keeps two parallel tuples:
 every slot's primal value (the n inputs, then one per step) and every
 step's local partials.  Together they are the chain of step Jacobians.
+All three sweeps read the program's op table (`StateProgram.ops`), which
+decodes each step once per program, its kind looked up by function name.
 Forward mode multiplies that chain by a direction from the right:
 `forward_directional` sweeps tangents only, with the dual-number formulas of
 `dual.py`, so its bits equal those of a dual sweep.  Reverse mode multiplies
@@ -69,7 +71,7 @@ class Tape:
 
     `values[s]` is slot s's primal: the n inputs, then step k's value at
     n + k.  `partials[k]` holds step k's local partials, one per argument
-    slot in `steps[k].arg_slots`.
+    slot in `steps[k].arg_slots`.  `ops` is the program's op table, shared.
     """
 
     n: int
@@ -77,6 +79,7 @@ class Tape:
     values: tuple[float, ...]
     partials: tuple[tuple[float, ...], ...]
     output_refs: tuple[int, ...]
+    ops: tuple[tuple, ...] = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -92,11 +95,16 @@ class Tape:
         )
 
 
+# The constant local partials of add, sub, neg and copy, shared by every tape.
+_ADD, _SUB, _NEG, _COPY = (1.0, 1.0), (1.0, -1.0), (-1.0,), (1.0,)
+
+
 def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
-    """Linearize the program at c in one sweep: every primal and every
-    step's local partials.  A call at the point of the definition's last
-    tape (the same float bits) returns that tape.  A domain error names
-    the failing node's path, as `eval_generic` does."""
+    """Linearize the program at c in one sweep of its op table, with
+    arithmetic other than division inline: every primal and every step's
+    local partials.  A call at the point of the definition's last tape (the
+    same float bits) returns that tape.  A domain error names the failing
+    node's path, as `eval_generic` does."""
     if len(c) != fdef.n:
         raise ValueError(f"expected {fdef.n} inputs, got {len(c)}")
     values = [float(x) for x in c]
@@ -106,15 +114,35 @@ def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
     if memo is not None and memo[0] == key:
         return memo[1]
     partials = []
-    add_value, add_partials = values.append, partials.append
-    for step in program.steps:
-        fn = step.fn
-        args = [values[r] for r in step.arg_slots]
-        if not fn.domain(args):  # a compiled step's arity always matches
-            raise DomainError(fn.name, args, _path_of(fdef, step.out_slot))
-        add_value(fn.value(args))
-        add_partials(tuple(fn.partials(args)))
-    tape = Tape(fdef.n, program.steps, tuple(values), tuple(partials), program.output_slots)
+    put, note = values.append, partials.append
+    for kind, a, b, fn in program.ops:
+        if kind == "mul":
+            put(values[a] * values[b])
+            note((values[b], values[a]))
+        elif kind == "add":
+            put(values[a] + values[b])
+            note(_ADD)
+        elif kind == "sub":
+            put(values[a] - values[b])
+            note(_SUB)
+        elif kind == "const":
+            put(a)
+            note(())
+        elif kind == "neg":
+            put(-values[a])
+            note(_NEG)
+        elif kind == "copy":
+            put(values[a])
+            note(_COPY)
+        else:  # div, unary and other steps: through the function itself
+            args = ([values[r] for r in a] if kind == "other" else
+                    [values[a]] if b is None else [values[a], values[b]])
+            if not fn.domain(args):  # a compiled step's arity always matches
+                raise DomainError(fn.name, args, _path_of(fdef, len(values)))
+            put(fn.value(args))
+            note(tuple(fn.partials(args)))
+    tape = Tape(fdef.n, program.steps, tuple(values), tuple(partials),
+                program.output_slots, program.ops)
     object.__setattr__(program, "last_tape", (key, tape))
     return tape
 
@@ -122,33 +150,29 @@ def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
 def _tangents(tape: Tape, direction: Sequence[float]) -> list[float]:
     """J_f(c) . direction from one tangent sweep over the tape.  Each step
     uses the formula its dual-number lift uses, so the bits are the same."""
-    v = tape.values
+    n, v, partials = tape.n, tape.values, tape.partials
     t = [float(d) for d in direction]
     add = t.append
-    for step, parts in zip(tape.steps, tape.partials):
-        refs, name = step.arg_slots, step.fn.name
-        if len(refs) == 1:
-            if name == "neg":
-                add(-t[refs[0]])
-            elif name == "copy":
-                add(t[refs[0]])
-            else:
-                add(0.0 + parts[0] * t[refs[0]])
-        elif name == "mul":
-            a, b = refs
+    for kind, a, b, _ in tape.ops:  # step len(t) - n writes slot len(t)
+        if kind == "mul":
             add(v[a] * t[b] + t[a] * v[b])
-        elif name == "add":
-            a, b = refs
+        elif kind == "add":
             add(t[a] + t[b])
-        elif name == "sub":
-            a, b = refs
+        elif kind == "sub":
             add(t[a] - t[b])
-        elif name == "div":
-            a, b = refs
+        elif kind == "unary":
+            add(0.0 + partials[len(t) - n][0] * t[a])
+        elif kind == "const":
+            add(0.0)
+        elif kind == "div":
             add((t[a] - v[len(t)] * t[b]) / v[b])  # v[len(t)] is the quotient
-        else:  # constants and any other function: grad f . tangents
+        elif kind == "neg":
+            add(-t[a])
+        elif kind == "copy":
+            add(t[a])
+        else:  # any other function: grad f . tangents
             tangent = 0.0
-            for ref, p in zip(refs, parts):
+            for ref, p in zip(a, partials[len(t) - n]):
                 tangent += p * t[ref]
             add(tangent)
     return [t[r] for r in tape.output_refs]
@@ -172,18 +196,26 @@ def backprop(tape: Tape, ybar: Sequence[float]) -> list[float]:
     Contributions into the same slot add up, which realises fan-out."""
     if len(ybar) != tape.m:
         raise ValueError(f"expected a covector of length {tape.m}")
-    n, steps, partials = tape.n, tape.steps, tape.partials
     adjoint = [0.0] * len(tape.values)
     for ref, y in zip(tape.output_refs, ybar):
         adjoint[ref] += float(y)
-    for k in range(len(steps) - 1, -1, -1):
-        a = adjoint[n + k]
-        if a == 0.0:
+    n, ops, partials = tape.n, tape.ops, tape.partials
+    for k in range(len(ops) - 1, -1, -1):
+        adj = adjoint[n + k]
+        if adj == 0.0:
             # zero adjoints still distribute zeros; skipping them changes
             # nothing but avoids needless work on wide tapes
             continue
-        for ref, p in zip(steps[k].arg_slots, partials[k]):
-            adjoint[ref] += a * p
+        kind, a, b, _ = ops[k]
+        if b is not None:
+            pa, pb = partials[k]
+            adjoint[a] += adj * pa
+            adjoint[b] += adj * pb
+        elif kind == "other":
+            for ref, p in zip(a, partials[k]):
+                adjoint[ref] += adj * p
+        elif kind != "const":
+            adjoint[a] += adj * partials[k][0]
     return adjoint[:n]
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, filterfalse, islice
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .catalog import (
     ADD,
@@ -342,8 +342,7 @@ def parse(source: str) -> FunctionDef:
 # --- the compiled program ---
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     """One elementary transition: fn applied to earlier slots, writing
     slot `out_slot` (all indices 0-based)."""
 
@@ -369,6 +368,23 @@ class StateProgram:
     #: The memo of `engine.record`: the last (point key, tape) pair it
     #: built from this program.  It is replaced whole, never changed.
     last_tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def ops(self) -> tuple[tuple, ...]:
+        """One (kind, a, b, fn) per step for `engine`'s float sweeps: kind is
+        an arithmetic function's name, a and b its slots (b None for neg and
+        copy); or "const", a the value; "unary", a the slot; "other", a the slots."""
+        table = []
+        for fn, slots, _ in self.steps:
+            if fn.name in ("mul", "add", "sub", "div", "neg", "copy"):
+                table.append((fn.name, slots[0], slots[1] if len(slots) == 2 else None, fn))
+            elif fn.name == "const":
+                table.append(("const", fn.value(()), None, fn))
+            elif len(slots) == 1:
+                table.append(("unary", slots[0], None, fn))
+            else:
+                table.append(("other", slots, None, fn))
+        return tuple(table)
 
     @property
     def mu(self) -> int:

@@ -1,10 +1,14 @@
-"""Shared test helpers: a domain-safe random program generator and
-structural comparison of expression DAGs."""
+"""Shared test helpers: a domain-safe random program generator,
+structural comparison of expression DAGs, and the benchmark's modules
+loaded by path."""
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+import types
+from pathlib import Path
 
 from adkit.catalog import ADD, CATALOG, DIV, MUL, NEG, SUB, pow_fn
 from adkit.expr import Apply, Constant, Expr, FunctionDef, Variable
@@ -110,3 +114,18 @@ def structurally_equal(a: FunctionDef, b: FunctionDef) -> bool:
         return all(eq(xa, ya) for xa, ya in zip(x.args, y.args))
 
     return all(eq(xr, yr) for xr, yr in zip(a.outputs, b.outputs))
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """perfbench/<name>.py, loaded once by path under its own name, so that
+    the benchmark's own imports (``import gen``) find it.  It is compiled
+    from source in memory, so nothing is written under perfbench/."""
+    if name not in sys.modules:
+        path = PERFBENCH / f"{name}.py"
+        module = sys.modules[name] = types.ModuleType(name)
+        module.__file__ = str(path)
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return sys.modules[name]

@@ -3,9 +3,12 @@
 Nothing in here goes through the library's jet/tower/trace code paths: the
 nested-dual evaluator differentiates by recursive (value, derivative) pairs,
 polynomial products are dict-based convolution, and the stencil module is
-plain central finite differences.  The front-end section keeps the tokenizer
-that matched every token and whitespace run, and the four-pass compile, as
-references that the one-scan tokenizer and the two-pass compile must match.
+plain central finite differences.  The tape section keeps the sweeps that
+decoded every step on every pass, as references that the sweeps over the
+op table must match bit for bit.  The front-end section keeps the
+tokenizer that matched every token and whitespace run, and the four-pass
+compile, as references that the one-scan tokenizer and the two-pass
+compile must match.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 
-from adkit.catalog import COPY, const_fn
+from adkit.catalog import COPY, DomainError, const_fn
 from adkit.expr import (
     Apply,
     Constant,
@@ -23,6 +26,7 @@ from adkit.expr import (
     Step,
     Variable,
     _Parser,
+    _path_of,
 )
 
 # --- nested first-order duals (forward-over-forward-over-...) ---
@@ -378,6 +382,76 @@ def entry_gradient(fdef: FunctionDef, c, ybar) -> list[float]:
         if a == 0.0:
             continue
         for ref, p in zip(entry.arg_refs, entry.local_partials):
+            adjoint[ref] += a * p
+    return adjoint[:n]
+
+
+# --- the tape sweeps that decoded every step on every sweep ---
+
+
+def step_record(fdef: FunctionDef, c) -> tuple[tuple, tuple]:
+    """(values, partials) by the `record` loop that called every step's
+    domain, value and partials, kept as a bit-for-bit reference for the
+    sweeps over the op table."""
+    values = [float(x) for x in c]
+    partials = []
+    for step in fdef.program.steps:
+        fn = step.fn
+        args = [values[r] for r in step.arg_slots]
+        if not fn.domain(args):
+            raise DomainError(fn.name, args, _path_of(fdef, step.out_slot))
+        values.append(fn.value(args))
+        partials.append(tuple(fn.partials(args)))
+    return tuple(values), tuple(partials)
+
+
+def step_tangents(fdef: FunctionDef, values, partials, direction) -> list[float]:
+    """J_f(c) . direction by the tangent sweep that dispatched on each
+    step's function name."""
+    v = values
+    t = [float(d) for d in direction]
+    add = t.append
+    for step, parts in zip(fdef.program.steps, partials):
+        refs, name = step.arg_slots, step.fn.name
+        if len(refs) == 1:
+            if name == "neg":
+                add(-t[refs[0]])
+            elif name == "copy":
+                add(t[refs[0]])
+            else:
+                add(0.0 + parts[0] * t[refs[0]])
+        elif name == "mul":
+            a, b = refs
+            add(v[a] * t[b] + t[a] * v[b])
+        elif name == "add":
+            a, b = refs
+            add(t[a] + t[b])
+        elif name == "sub":
+            a, b = refs
+            add(t[a] - t[b])
+        elif name == "div":
+            a, b = refs
+            add((t[a] - v[len(t)] * t[b]) / v[b])
+        else:
+            tangent = 0.0
+            for ref, p in zip(refs, parts):
+                tangent += p * t[ref]
+            add(tangent)
+    return [t[r] for r in fdef.program.output_slots]
+
+
+def step_backprop(fdef: FunctionDef, values, partials, ybar) -> list[float]:
+    """ybar . J_f(c) by the adjoint sweep that zipped each step's argument
+    slots with its partials."""
+    n, steps = fdef.n, fdef.program.steps
+    adjoint = [0.0] * len(values)
+    for ref, y in zip(fdef.program.output_slots, ybar):
+        adjoint[ref] += float(y)
+    for k in range(len(steps) - 1, -1, -1):
+        a = adjoint[n + k]
+        if a == 0.0:
+            continue
+        for ref, p in zip(steps[k].arg_slots, partials[k]):
             adjoint[ref] += a * p
     return adjoint[:n]
 

@@ -179,6 +179,34 @@ def test_trigonometric_functions_at_infinity_are_domain_errors(capsys, name, arg
         assert err == f"adkit: domain error: {name} undefined on ({float(at)},) (at {where})\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "forward", "--dir", "1"],
+        ["--mode", "reverse", "--cov", "1"],
+        ["--mode", "jacobian"],
+        ["--mode", "jet", "--order", "3"],
+        ["--mode", "tower", "--order", "3"],
+        None,  # the dense trace, through graph --annotate
+    ],
+    ids=["forward", "reverse", "jacobian", "jet", "tower", "trace"],
+)
+def test_exp_past_the_float_range_is_a_domain_error(capsys, argv):
+    last = "709.782712893384"  # the largest argument whose exp is finite
+    for at, code in ((last, 0), (repr(math.nextafter(float(last), math.inf)), 2), ("1000", 2)):
+        if argv is None:
+            command = ["graph", "f(x)=exp(x)", "--annotate", f"at={at},dir=1"]
+            where = "step 1 (exp)"
+        else:
+            command = ["diff", "f(x)=exp(x)", "--at", at, *argv]
+            where = "out0"
+        got = run(capsys, command)
+        if code == 0:
+            assert got[0] == 0 and got[2] == ""
+        else:
+            assert got == (2, "", f"adkit: domain error: exp undefined on ({float(at)},) (at {where})\n")
+
+
 def test_reverse_domain_error_names_its_location(capsys):
     source = "f(x)=sqrt(x)*2"
     forward = run(capsys, ["diff", source, "--at", "-1", "--mode", "forward", "--dir", "1"])

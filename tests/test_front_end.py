@@ -2,11 +2,9 @@
 replaced (`oracles.match_tokenize`, `oracles.four_pass_compile`): the same
 tokens, the same ParseErrors, the same programs and the same schedules."""
 
-import importlib.util
 import math
 import random
 import struct
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +25,7 @@ from adkit.expr import (
     unparse,
 )
 
-from conftest import random_program
+from conftest import perfbench_module, random_program
 from oracles import (
     OffsetParser,
     four_pass_compile,
@@ -36,10 +34,7 @@ from oracles import (
     offset_error,
 )
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
+gen = perfbench_module("gen")
 
 HAND_WRITTEN = [
     "f(x) = ٣ * x",                  # a non-ASCII decimal digit is a number
