@@ -22,7 +22,7 @@ from .catalog import DomainError
 from .engine import SCENARIOS, SeedSpec, cost_compare, forward_directional, jacobian, record, backprop
 from .expr import ParseError, eval_generic, parse, to_dot
 from .jets import BERZ, MAX_ORDER, jet_shape, jet_variable
-from .towers import tower_take, tower_var
+from .towers import MAX_TOWER_ORDER, tower_take, tower_var
 from .trace import compile_program, forward_derivative_trace
 
 EXIT_OK = 0
@@ -115,6 +115,14 @@ def _report(fdef_source, mode, point, seed, value, derivative, counts=None) -> d
     return report
 
 
+def _print_json(report: dict) -> None:
+    """Strict JSON: a non-finite number goes out as the text that text mode
+    prints for it ("inf", "-inf", "nan"), which float() reads back."""
+    loose = json.dumps(report)  # writes them as Infinity, -Infinity and NaN
+    strict = json.loads(loose, parse_constant=lambda token: repr(float(token)))
+    print(json.dumps(strict, allow_nan=False))
+
+
 def _cmd_diff(args) -> int:
     fdef = parse(args.expression)
     point = _vector(args.at, "--at")
@@ -181,8 +189,8 @@ def _cmd_diff(args) -> int:
             raise FlagError("--mode tower requires --order")
         if fdef.n != 1 or fdef.m != 1:
             raise FlagError("--mode tower supports univariate single-output functions")
-        if args.order < 0:
-            raise FlagError("--mode tower requires --order >= 0")
+        if not 0 <= args.order <= MAX_TOWER_ORDER:
+            raise FlagError(f"--mode tower requires --order >= 0 and <= {MAX_TOWER_ORDER}")
         out = eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
         entries = tower_take(out, args.order + 1)
         report = _report(args.expression, mode, point, [], [entries[0]], [entries])
@@ -201,7 +209,7 @@ def _cmd_diff(args) -> int:
                 print(f"jacobian row: {_fmt_vector(row)}")
 
     if args.json:
-        print(json.dumps(report))
+        _print_json(report)
     return EXIT_OK
 
 
@@ -243,7 +251,7 @@ def _cmd_bench(args) -> int:
     if args.json:
         keyed = [{**dict(zip(_BENCH_COLUMNS, row)), **r.details} for row, r in zip(rows, reports)]
         counts = {"scenario": args.scenario, "rows": keyed}
-        print(json.dumps(_report(args.scenario, "bench", [], [], [], [], counts)))
+        _print_json(_report(args.scenario, "bench", [], [], [], [], counts))
     else:
         print(f"scenario: {args.scenario}")
         print(f"{'n':>4} {'symbolic':>10} {'ad':>8} {'closed sym':>11} {'closed ad':>10}")

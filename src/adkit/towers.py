@@ -89,6 +89,10 @@ class Tower(Lifted):
 _serial = count()
 _LOCK = threading.RLock()
 
+#: The highest entry a tower fills: from order 1021 the lift's weight
+#: r * binom(d, r) overflows a float, and from 1030 binom(d, r) does.
+MAX_TOWER_ORDER = 1020
+
 
 class _Node(Tower):
     """An operation: `fill(node, d, order)` appends entry d from the inputs and
@@ -111,6 +115,8 @@ class _Node(Tower):
 
 def _force(t: _Node, k: int) -> list[float]:
     """t's entry list, filled through at least entry k - 1."""
+    if k > MAX_TOWER_ORDER + 1:
+        raise ValueError(f"tower order {k - 1} exceeds {MAX_TOWER_ORDER}")
     if len(t.entries) < k:
         with _LOCK:
             order = _unfilled(t, k)

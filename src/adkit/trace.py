@@ -13,10 +13,8 @@ Everything here favours transparency over speed; matrices are dense and the
 state-space dimension is capped.  Row sums use exact (correctly rounded)
 accumulation so results do not depend on summation order; a row that
 overflows on the way, or holds both infinities, takes the plain IEEE sum.
-
-numpy is imported by the functions that build or multiply matrices, not by
-this module, so importing adkit (and every mode but this oracle) does not
-load it.
+A matrix is a list of rows of Python floats, and its transpose is
+``zip(*rows)``.
 """
 
 from __future__ import annotations
@@ -25,13 +23,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .catalog import DomainError
 from .expr import FunctionDef, StateProgram
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Dense matrices only exist for validation; refuse absurd state spaces.
 MAX_STATE_DIM = 512
@@ -95,54 +91,39 @@ def forward_trace(p: StateProgram, c: Sequence[float]) -> TraceRecord:
     return TraceRecord(states)
 
 
-def step_jacobian(p: StateProgram, i: int, state: Sequence[float]) -> np.ndarray:
+def step_jacobian(p: StateProgram, i: int, state: Sequence[float]) -> list[list[float]]:
     """The dense Jacobian of transition i at the given pre-state: identity
     with row n+i replaced by the step's gradient (zero diagonal included)."""
-    import numpy as np
-
     step = p.steps[i]
-    mat = np.eye(p.dim)
-    row = np.zeros(p.dim)
+    mat = _unit_rows(p.dim, range(p.dim))
+    row = mat[step.out_slot] = [0.0] * p.dim
     args = [state[s] for s in step.arg_slots]
     for s, d in zip(step.arg_slots, step.fn.partials(args)):
         row[s] += d
-    mat[step.out_slot, :] = row
     return mat
 
 
-def _matvec(mat: np.ndarray, vec: Sequence[float]) -> list[float]:
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN here
-        prods = mat * np.asarray(vec)
-    return [_row_sum(row.tolist()) for row in prods]  # one row of floats at a time
-
-
-def _row_sum(row: list[float]) -> float:
-    """Exactly rounded, so immune to accumulation order; where fsum refuses
-    (an intermediate overflow, or inf + -inf), the plain IEEE sum."""
-    try:
-        return math.fsum(row)
-    except (OverflowError, ValueError):
-        return sum(row)
+def _unit_rows(width: int, cols: Iterable[int]) -> list[list[float]]:
+    """One row of `width` zeros per entry c of `cols`, holding 1.0 at column
+    c when c < width: rows of the identity, picked and cropped."""
+    rows = [[0.0] * width for _ in cols]
+    for row, c in zip(rows, cols):
+        if c < width:
+            row[c] = 1.0
+    return rows
 
 
-def _embed_matrix(p: StateProgram) -> np.ndarray:
-    import numpy as np
-
-    px = np.zeros((p.dim, p.n))
-    for i in range(p.n):
-        px[i, i] = 1.0
-    return px
-
-
-def _project_matrix(p: StateProgram) -> np.ndarray:
-    import numpy as np
-
-    py = np.zeros((p.m, p.dim))
-    for j, s in enumerate(p.output_slots):
-        py[j, s] = 1.0
-    return py
+def _matvec(rows: Iterable[Sequence[float]], vec: Sequence[float]) -> list[float]:
+    """Each row's products with vec (0 * inf is NaN here), summed exactly
+    rounded so immune to accumulation order; where fsum refuses (an
+    intermediate overflow, or inf + -inf), the plain IEEE sum."""
+    out = []
+    for row in rows:
+        try:
+            out.append(math.fsum(map(mul, vec, row)))
+        except (OverflowError, ValueError):
+            out.append(sum(map(mul, vec, row)))
+    return out
 
 
 def forward_derivative_trace(
@@ -152,12 +133,12 @@ def forward_derivative_trace(
     if len(xdot) != p.n:
         raise ValueError(f"expected a direction of length {p.n}")
     record = forward_trace(p, c)
-    vdot = _matvec(_embed_matrix(p), xdot)
-    derivative_states = [list(vdot)]
+    vdot = _matvec(_unit_rows(p.n, range(p.dim)), xdot)
+    derivative_states = [vdot]
     for i in range(p.mu):
         mat = step_jacobian(p, i, record.states[i])
         vdot = _matvec(mat, vdot)
-        derivative_states.append(list(vdot))
+        derivative_states.append(vdot)
     record.derivative_states = derivative_states
     record.kind = FORWARD
     return record
@@ -168,7 +149,7 @@ def forward_derivative(
 ) -> list[float]:
     """J_f(c) . xdot via the right-to-left dense matrix product."""
     record = forward_derivative_trace(p, c, xdot)
-    return _matvec(_project_matrix(p), record.derivative_states[-1])
+    return _matvec(_unit_rows(p.dim, p.output_slots), record.derivative_states[-1])
 
 
 def reverse_derivative_trace(
@@ -178,12 +159,12 @@ def reverse_derivative_trace(
     if len(ybar) != p.m:
         raise ValueError(f"expected a covector of length {p.m}")
     record = forward_trace(p, c)
-    vbar = _matvec(_project_matrix(p).T, ybar)
-    adjoints = [list(vbar)]
+    vbar = _matvec(zip(*_unit_rows(p.dim, p.output_slots)), ybar)
+    adjoints = [vbar]
     for i in range(p.mu - 1, -1, -1):
         mat = step_jacobian(p, i, record.states[i])
-        vbar = _matvec(mat.T, vbar)
-        adjoints.append(list(vbar))
+        vbar = _matvec(zip(*mat), vbar)
+        adjoints.append(vbar)
     adjoints.reverse()  # align index i with "i steps of the value sweep done"
     record.derivative_states = adjoints
     record.kind = REVERSE
@@ -195,4 +176,4 @@ def reverse_derivative(
 ) -> list[float]:
     """ybar . J_f(c), computed through the transposed product."""
     record = reverse_derivative_trace(p, c, ybar)
-    return _matvec(_embed_matrix(p).T, record.derivative_states[0])
+    return _matvec(zip(*_unit_rows(p.n, range(p.dim))), record.derivative_states[0])

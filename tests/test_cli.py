@@ -141,6 +141,30 @@ def test_tower_mode(capsys):
     assert report["derivative"] == [[0.0, 1.0, 0.0, -1.0]]
 
 
+@pytest.mark.parametrize(
+    "source, at",
+    [("f(x)=x", "1e400"), ("f(x)=x", "nan"), ("f(x)=x*x", "1e200")],
+    ids=["inf-point", "nan-point", "overflowing-value"],
+)
+def test_json_writes_non_finite_numbers_as_text_mode_does(capsys, source, at):
+    argv = ["diff", source, "--at", at, "--mode", "forward", "--dir", "1"]
+    code, text, _ = run(capsys, argv)
+    assert code == 0
+    code, out, err = run(capsys, argv + ["--json"])
+    assert (code, err) == (0, "")
+
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    report = json.loads(out, parse_constant=reject)
+    strings = [v for v in report["point"] + report["value"] if isinstance(v, str)]
+    assert strings and set(strings) <= {"inf", "-inf", "nan"}
+    assert all(not math.isfinite(float(v)) for v in strings)
+    lines = dict(line.split(": ", 1) for line in text.strip().split("\n"))
+    assert lines["value"] == "[" + ", ".join(map(str, report["value"])) + "]"
+    assert lines["tangent"] == "[" + ", ".join(map(str, report["derivative"][0])) + "]"
+
+
 def test_exit_code_parse_error(capsys):
     code, out, err = run(capsys, ["diff", "f(x) = x +", "--at", "1"])
     assert code == 1 and out == "" and "parse error" in err
@@ -285,15 +309,15 @@ def test_graph_annotates_a_quotient_whose_divisor_square_underflows():
 
 
 @pytest.mark.parametrize(
-    "source, annotation",
+    "source, annotation, output",
     [
-        ("f(x,y)=x+y", "at=1,1,dir=1e308,1e308"),  # the row sum overflows
-        ("f(x,y)=x/y", "at=1,1e-200,dir=1e200,1"),  # a row holds inf and -inf
-        ("f(x,y)=x/y", "at=1,1e-200,dir=1,0"),  # a product is 0 * inf
+        ("f(x,y)=x+y", "at=1,1,dir=1e308,1e308", ("2.0", "inf")),  # the row sum overflows
+        ("f(x,y)=x/y", "at=1,1e-200,dir=1e200,1", ("1e+200", "nan")),  # a row holds inf and -inf
+        ("f(x,y)=x/y", "at=1,1e-200,dir=1,0", ("1e+200", "nan")),  # a product is 0 * inf
     ],
     ids=["overflow", "inf-minus-inf", "zero-times-inf"],
 )
-def test_graph_annotates_non_finite_row_sums(source, annotation):
+def test_graph_annotates_non_finite_row_sums(source, annotation, output):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -302,6 +326,9 @@ def test_graph_annotates_non_finite_row_sums(source, annotation):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert_valid_dot(proc.stdout)
+    value, tangent = output  # the output node's labels, as text mode prints them
+    assert f'<FONT COLOR="blue">{value}</FONT>' in proc.stdout
+    assert f'<FONT COLOR="red">{tangent}</FONT>' in proc.stdout
 
 
 def test_bench_table_and_csv(tmp_path, capsys):
@@ -384,8 +411,9 @@ def test_vector_with_an_empty_component_is_refused(capsys, argv, bad):
         (["--mode", "jet", "--order", "0"], "--order in 1..12"),
         (["--mode", "jet", "--order", "13"], "--order in 1..12"),
         (["--mode", "tower", "--order", "-1"], "--order >= 0"),
+        (["--mode", "tower", "--order", "1021"], "and <= 1020"),
     ],
-    ids=["jet-0", "jet-13", "tower-minus-1"],
+    ids=["jet-0", "jet-13", "tower-minus-1", "tower-1021"],
 )
 def test_out_of_range_order_is_flag_misuse(capsys, argv, message):
     code, out, err = run(capsys, ["diff", "f(x)=exp(x)", "--at", "1", *argv])

@@ -1,5 +1,6 @@
-"""The package's import surface: numpy is loaded only by the dense trace
-oracle, and `adkit` exports exactly a written list of names.
+"""The package's import surface: no module loads numpy, every command and
+the dense trace oracle run with it blocked, and `adkit` exports exactly a
+written list of names.
 
 Each numpy case runs in a fresh interpreter, since this test process may
 already have imported numpy.
@@ -78,23 +79,55 @@ def test_commands_without_the_trace_do_not_load_numpy(argv, blocked):
     assert run_cli(argv, blocked) == (0, False)
 
 
-def test_graph_annotate_loads_numpy():
-    argv = ["graph", "f(x,y)=(exp(x)*sin(x+y), y)", "--annotate", "at=1,1,dir=1,0"]
-    assert run_cli(argv) == (0, True)
+ANNOTATE = ["graph", "f(x,y)=(exp(x)*sin(x+y), y)", "--annotate", "at=1,1,dir=1,0"]
 
 
-def test_trace_forward_derivative_loads_numpy():
+def test_graph_annotate_runs_with_numpy_blocked():
+    assert run_cli(ANNOTATE, blocked=True) == (0, False)
+
+
+def test_trace_forward_derivative_runs_with_numpy_blocked():
     body = (
         "from adkit.trace import compile_program, forward_derivative\n"
         "from adkit.expr import parse\n"
         "result = forward_derivative(compile_program(parse('f(x)=x*x')), [3.0], [1.0])"
     )
-    assert run_child(body) == ("[6.0]", True)
+    assert run_child(body, blocked=True) == ("[6.0]", False)
 
 
-def test_annotate_size_check_runs_before_numpy():
+def test_annotate_size_check_exits_3():
     source = "f(x) = " + " + ".join(["x"] * 600)
     assert run_cli(["graph", source, "--annotate", "at=1,dir=1"], blocked=True) == (3, False)
+
+
+def test_every_command_and_the_trace_run_with_numpy_blocked():
+    body = f"""
+from adkit.cli import main
+from adkit.expr import parse
+from adkit.trace import compile_program, forward_derivative, reverse_derivative
+codes = [main(argv) for argv in {[*NON_TRACE.values(), ANNOTATE]!r}]
+program = compile_program(parse("f(x,y)=(x*y, sin(x))"))
+result = (codes, forward_derivative(program, [2.0, 3.0], [1.0, 0.0]),
+          reverse_derivative(program, [2.0, 3.0], [1.0, 0.0]))
+"""
+    want = ([0] * 8, [3.0, -0.4161468365471424], [3.0, 2.0])  # cos(2) = -0.416...
+    assert run_child(body, blocked=True) == (repr(want), False)
+
+
+def test_no_module_imports_numpy():
+    imported = []
+    for name in sorted(os.listdir(os.path.join(SRC, "adkit"))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, "adkit", name)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((name, node.module))
+    assert imported  # the scan sees the standard-library imports
+    assert [(f, m) for f, m in imported if m.split(".")[0] == "numpy"] == []
 
 
 def test_exports_are_the_written_list():

@@ -17,6 +17,7 @@ from adkit.expr import eval_generic, parse
 from adkit.jets import BERZ, jet_shape, jet_variable
 from adkit.algebras import JetAlgebra
 from adkit.towers import (
+    MAX_TOWER_ORDER,
     Tower,
     tower_const,
     tower_df,
@@ -299,6 +300,22 @@ def test_single_elementary_matches_jet_entry():
             jet = JetAlgebra(shape, BERZ).apply(fn, [jet_variable(shape, 1, c, BERZ)])
             got = tower_take(tower, order + 1)[order]
             assert math.isclose(got, jet.coeffs[order], rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_orders_past_the_bound_are_refused_before_any_forcing():
+    # From entry 1021 a lift's weight r * binom(d, r) overflows, and exp's
+    # tower, e^c in every entry, would read nan.
+    t = TowerAlgebra().apply(lookup("exp"), [tower_var(0.5)])
+    with pytest.raises(ValueError, match="exceeds 1020"):
+        tower_take(t, MAX_TOWER_ORDER + 2)
+    assert t.entries == [math.exp(0.5)]  # nothing was forced
+
+    shifted = tower_var(0.5)  # the shift derivation meets the bound too
+    for _ in range(MAX_TOWER_ORDER):
+        shifted = tower_df(shifted)
+    assert shifted.head == 0.0
+    with pytest.raises(ValueError, match="exceeds 1020"):
+        tower_df(shifted)
 
 
 def test_laziness_forces_only_requested_depth():

@@ -197,13 +197,14 @@ def test_step_jacobian_shape():
     program = compile_program(parse("f(x1,x2) = x1*x2"))
     record = forward_trace(program, [3.0, 4.0])
     mat = step_jacobian(program, 0, record.states[0])
-    assert mat.shape == (program.dim, program.dim)
+    assert len(mat) == program.dim
+    assert all(len(row) == program.dim for row in mat)
     out = program.steps[0].out_slot
-    assert mat[out, out] == 0.0  # gradient row, zero diagonal
-    assert mat[out, 0] == 4.0 and mat[out, 1] == 3.0
+    assert mat[out][out] == 0.0  # gradient row, zero diagonal
+    assert mat[out][0] == 4.0 and mat[out][1] == 3.0
     for s in range(program.dim):
         if s != out:
-            assert mat[s, s] == 1.0
+            assert mat[s] == [1.0 if c == s else 0.0 for c in range(program.dim)]
 
 
 def test_reverse_trace_adjoint_sequence():
