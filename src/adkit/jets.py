@@ -22,8 +22,9 @@ Jets are immutable values; every operation is pure.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import combinations_with_replacement
 
 from .catalog import DomainError, ElementaryFn, Lifted, derivative_rule, lookup
 
@@ -44,14 +45,12 @@ class JetShape:
 
     Monomial multi-indices are laid out in graded lexicographic order, so
     position 0 is the constant term and the table has C(n+N, N) entries.
-    Obtain instances through :func:`jet_shape` (they are cached and compared
-    by identity).
+    Each degree is enumerated on its own, by stars and bars.  Obtain
+    instances through :func:`jet_shape` (they are cached and compared by
+    identity).
     """
 
-    __slots__ = (
-        "n", "order", "monomials", "position", "_pair_table", "_split_table",
-        "factorials", "degrees",
-    )
+    __slots__ = ("n", "order", "monomials", "position", "_pair_table", "factorials", "degrees")
 
     def __init__(self, n: int, order: int):
         if n < 1:
@@ -64,61 +63,51 @@ class JetShape:
                              f"{size} coefficients, more than {MAX_SIZE}")
         self.n = n
         self.order = order
-        monos = [
-            k
-            for k in _cartesian(range(order + 1), repeat=n)
-            if sum(k) <= order
-        ]
-        monos.sort(key=lambda k: (sum(k), k))
+        monos = [k for d in range(order + 1) for k in _degree(n, d)]
         self.monomials: tuple[tuple[int, ...], ...] = tuple(monos)
         self.position: dict[tuple[int, ...], int] = {
             k: i for i, k in enumerate(monos)
         }
         self.factorials: tuple[float, ...] = tuple(
-            float(math.prod(math.factorial(ki) for ki in k)) for k in monos
+            float(math.prod(map(math.factorial, k))) for k in monos
         )
-        self.degrees: tuple[int, ...] = tuple(sum(k) for k in monos)
+        self.degrees: tuple[int, ...] = tuple(map(sum, monos))
         self._pair_table = None
-        self._split_table = None
 
     @property
     def size(self) -> int:
         return len(self.monomials)
 
     def pair_table(self):
-        """For each position i: list of (j, target, multinomial weight) with
-        deg(i) + deg(j) <= N."""
+        """For each position t: list of (r, s, multinomial weight) with
+        monomials r + s = t and r != 0, in ascending r.
+
+        The partners s of r are the first C(n + N - deg r, n) positions of
+        the graded layout, so visiting r in ascending order lists each
+        target's splits in ascending r.  The weight t! / (r! s!) is exact,
+        since every factorial involved is at most 12!.
+        """
         if self._pair_table is None:
-            table = []
-            for ki in self.monomials:
-                row = []
-                for j, kj in enumerate(self.monomials):
-                    k = tuple(a + b for a, b in zip(ki, kj))
-                    if sum(k) > self.order:
-                        continue
-                    w = float(
-                        math.prod(math.comb(a + b, a) for a, b in zip(ki, kj))
-                    )
-                    row.append((j, self.position[k], w))
-                table.append(row)
+            monos, position, fact = self.monomials, self.position, self.factorials
+            table = [[] for _ in monos]
+            for r in range(1, self.size):
+                kr, fr = monos[r], fact[r]
+                for s in range(math.comb(self.n + self.order - self.degrees[r], self.n)):
+                    t = position[tuple(map(operator.add, kr, monos[s]))]
+                    table[t].append((r, s, fact[t] / (fr * fact[s])))
             self._pair_table = table
         return self._pair_table
 
-    def split_table(self):
-        """For each position t: list of (r, s, multinomial weight) with
-        monomials r + s = t and r != 0, in ascending r.  These are the pair
-        table's entries with i != 0, regrouped by target."""
-        if self._split_table is None:
-            table = [[] for _ in self.monomials]
-            pairs = self.pair_table()
-            for r in range(1, self.size):
-                for s, t, w in pairs[r]:
-                    table[t].append((r, s, w))
-            self._split_table = table
-        return self._split_table
-
     def __repr__(self) -> str:
         return f"JetShape(n={self.n}, order={self.order})"
+
+
+def _degree(n: int, d: int):
+    """The multi-indices of total degree d in n variables, in lexicographic
+    order, by stars and bars: the gaps between cuts 0 <= c_1 <= ... <= d."""
+    for cuts in combinations_with_replacement(range(d + 1), n - 1):
+        edges = (0, *cuts, d)
+        yield tuple(map(operator.sub, edges[1:], edges))
 
 
 @lru_cache(maxsize=None)
@@ -180,19 +169,20 @@ class Jet(Lifted):
     def _mul(self, b: Jet) -> Jet:
         """Coefficient convolution, discarding all terms of total degree > N.
 
-        In the berz basis each contribution is weighted by the multinomial
-        k!/(r! s!) forced by multiplying factorial-scaled monomials.
+        Target t sums a_0 b_t and then its splits t = r + s in ascending r,
+        from +0.0.  In the berz basis each split is weighted by the
+        multinomial t!/(r! s!) forced by multiplying factorial-scaled
+        monomials (1 for r = 0).
         """
-        out = [0.0] * self.shape.size
         berz = self.basis == BERZ
         ac, bc = self.coeffs, b.coeffs
-        for i, row in enumerate(self.shape.pair_table()):
-            ai = ac[i]
-            for j, target, w in row:
-                if berz:
-                    out[target] += w * ai * bc[j]
-                else:
-                    out[target] += ai * bc[j]
+        a0 = ac[0]
+        out = []
+        for t, row in enumerate(self.shape.pair_table()):
+            acc = 0.0 + a0 * bc[t]
+            for r, s, w in row:
+                acc += (w * ac[r] if berz else ac[r]) * bc[s]
+            out.append(acc)
         return Jet(self.shape, out, self.basis)
 
     def _div(self, b: Jet) -> Jet:
@@ -205,7 +195,7 @@ class Jet(Lifted):
         ac, bc = self.coeffs, b.coeffs
         q = [0.0] * shape.size
         q[0] = ac[0] / b0
-        splits = shape.split_table()
+        splits = shape.pair_table()
         berz = self.basis == BERZ
         # every split t = r + s with r != 0; s is then strictly lower degree
         for t in range(1, shape.size):
@@ -299,7 +289,7 @@ class _Family:
                 a, view(w), lambda name: view(self.fill(lookup(name), d - 1)),
             )).coeffs
         u, shape = arg.coeffs, arg.shape
-        splits, degrees = shape.split_table(), shape.degrees
+        splits, degrees = shape.pair_table(), shape.degrees
         berz = basis == BERZ
         for t in range(math.comb(n + d - 1, n), math.comb(n + d, n)):
             acc = 0.0

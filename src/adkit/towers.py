@@ -17,10 +17,9 @@ read through its tails.  Forcing holds one lock, so threads agree on entries.
 
 from __future__ import annotations
 
-import math
 import operator
 import threading
-from functools import lru_cache, partial
+from functools import partial
 from itertools import count
 from typing import Callable, Optional
 
@@ -186,11 +185,20 @@ def _neg(node: _Node, d: int, order: list) -> None:
     node.entries.append(-node.inputs[0].entries[d])
 
 
-@lru_cache(maxsize=None)
-def _rows(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """binom(n, r) and r * binom(n, r), formed as the Berz jet forms it."""
-    row = tuple(float(math.comb(n, r)) for r in range(n + 1))
-    return row, tuple(r * c for r, c in enumerate(row))
+_ROWS = [((1.0,), (0.0,))]
+_LAST = [1]  # binom(d, r) as exact integers for the last row in _ROWS
+
+
+def _rows(d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """binom(d, r) and r * binom(d, r), formed as the Berz jet forms it.
+
+    Rows are built in order by Pascal's rule on exact integers, and each
+    entry is rounded to a float once; callers hold the forcing lock."""
+    while len(_ROWS) <= d:
+        _LAST[:] = [1, *map(operator.add, _LAST, _LAST[1:]), 1]
+        row = tuple(map(float, _LAST))
+        _ROWS.append((row, tuple(r * c for r, c in enumerate(row))))
+    return _ROWS[d]
 
 
 def _leibniz(node: _Node, d: int, order: list) -> None:

@@ -3,7 +3,9 @@
 Nothing in here goes through the library's jet/tower/trace code paths: the
 nested-dual evaluator differentiates by recursive (value, derivative) pairs,
 polynomial products are dict-based convolution, and the stencil module is
-plain central finite differences.  The tape section keeps the sweeps that
+plain central finite differences.  The jet section keeps the exhaustive
+scans that built the monomial layout and the pair table, as references
+that the graded build must equal.  The tape section keeps the sweeps that
 decoded every step on every pass, as references that the sweeps over the
 op table must match bit for bit.  The front-end section keeps the
 tokenizer that matched every token and whitespace run, and the four-pass
@@ -13,6 +15,7 @@ compile must match.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -202,6 +205,34 @@ def poly_mul_truncated(a: dict, b: dict, order: int) -> dict:
                 continue
             out[k] = out.get(k, 0.0) + ca * cb
     return out
+
+
+# --- jet index tables by exhaustive scans (the construction before the
+# graded build) ---
+
+
+def scanned_monomials(n: int, order: int) -> tuple:
+    """The graded lexicographic layout, from a scan of all (order + 1)^n
+    index tuples sorted by (degree, tuple)."""
+    monos = [k for k in itertools.product(range(order + 1), repeat=n) if sum(k) <= order]
+    monos.sort(key=lambda k: (sum(k), k))
+    return tuple(monos)
+
+
+def scanned_pair_table(shape) -> list:
+    """For each position t, the (r, s, weight) with monomials r + s = t and
+    r != 0 in ascending r: every pair of the shape's monomials is tested,
+    weighted by the exact product of binomials, and regrouped by target."""
+    position = {k: i for i, k in enumerate(shape.monomials)}
+    table = [[] for _ in shape.monomials]
+    for r, kr in enumerate(shape.monomials[1:], 1):
+        for s, ks in enumerate(shape.monomials):
+            k = tuple(a + b for a, b in zip(kr, ks))
+            if sum(k) > shape.order:
+                continue
+            w = float(math.prod(math.comb(a + b, a) for a, b in zip(kr, ks)))
+            table[position[k]].append((r, s, w))
+    return table
 
 
 # --- per-coefficient jet long division (split enumeration per call) ---

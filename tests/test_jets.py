@@ -16,8 +16,11 @@ from adkit.engine import SeedSpec, backprop, forward_directional, record
 from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
 from adkit.jets import (
     BERZ,
+    MAX_ORDER,
+    MAX_SIZE,
     STANDARD,
     Jet,
+    JetShape,
     jet_constant,
     jet_convert_basis,
     jet_extract_partial,
@@ -34,6 +37,8 @@ from oracles import (
     mp_taylor,
     nested_partial,
     poly_mul_truncated,
+    scanned_monomials,
+    scanned_pair_table,
 )
 
 
@@ -450,19 +455,60 @@ def test_division_matches_per_coefficient_long_division_bit_for_bit():
                     assert (a / b).coeffs == jet_long_division(a, b), (n, order, basis)
 
 
-def test_split_table_regroups_the_pair_table():
-    shape = jet_shape(3, 4)
-    splits = shape.split_table()
-    assert splits[0] == []
-    pairs = {(r, s): (t, w) for r, row in enumerate(shape.pair_table()) if r
-             for s, t, w in row}
-    assert sorted((r, s) for row in splits for r, s, _ in row) == sorted(pairs)
-    for t, row in enumerate(splits):
-        assert [r for r, _, _ in row] == sorted(r for r, _, _ in row)
-        for r, s, w in row:
-            assert pairs[r, s] == (t, w)
-            k = tuple(x + y for x, y in zip(shape.monomials[r], shape.monomials[s]))
-            assert shape.position[k] == t
+def test_pair_table_equals_the_pair_scan():
+    # Every shape of at most 100 coefficients, and every shape in at most
+    # four variables of at most 500, (4, 8) among them: the graded build
+    # equals the scan of all pairs of monomials, entry for entry.  Where the
+    # (N+1)^n scan is cheap, the layout equals the scanned one too.
+    shapes = [(n, order) for order in range(1, MAX_ORDER + 1) for n in range(1, 100)
+              if math.comb(n + order, order) <= (500 if n <= 4 else 100)]
+    assert (4, 8) in shapes and (99, 1) in shapes
+    for n, order in shapes:
+        shape = jet_shape(n, order)
+        if (order + 1) ** n <= 10**5:
+            assert shape.monomials == scanned_monomials(n, order), (n, order)
+        assert shape.pair_table() == scanned_pair_table(shape), (n, order)
+
+
+def _max_variables(order):
+    """The most variables a jet of this order may have under MAX_SIZE."""
+    n = 1
+    while math.comb(n + 1 + order, order) <= MAX_SIZE:
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=MAX_ORDER).flatmap(
+    lambda order: st.tuples(st.integers(1, _max_variables(order)), st.just(order))))
+def test_layout_is_graded_lex_under_the_bound(shape_args):
+    n, order = shape_args
+    shape = JetShape(n, order)  # uncached: up to 2000 tuples of 1999 entries
+    assert shape.size == math.comb(n + order, order)
+    keys = [(sum(k), k) for k in shape.monomials]
+    assert keys == sorted(keys) and len(set(keys)) == shape.size
+    assert all(len(k) == n and min(k) >= 0 and sum(k) <= order for k in shape.monomials)
+    assert shape.degrees == tuple(d for d, _ in keys)
+    assert all(shape.position[k] == i for i, k in enumerate(shape.monomials))
+    assert len(shape.position) == shape.size
+
+
+def test_many_variable_shapes_build_promptly():
+    # Shapes the (N+1)^n scan never finished: (30, 2) would have tested 3^30
+    # index tuples, (1999, 1) 2^1999.
+    for build, n, order in ((jet_shape, 30, 2), (JetShape, 1999, 1)):
+        start = time.perf_counter()
+        shape = build(n, order)
+        table = shape.pair_table()
+        assert time.perf_counter() - start < 5.0, (n, order)
+        assert shape.size == math.comb(n + order, order) <= MAX_SIZE
+        assert sum(map(len, table)) == math.comb(2 * n + order, order) - shape.size
+    with pytest.raises(ValueError, match="2001 coefficients, more than 2000"):
+        JetShape(2000, 1)
+    names = [f"x{i}" for i in range(1, 31)]
+    source = "f({}) = {}".format(",".join(names), " + ".join(f"{v}*{v}" for v in names))
+    argv = ["diff", source, "--at", ",".join(["0.5"] * 30), "--mode", "jet", "--order", "2"]
+    assert main(argv) == 0
 
 
 def test_too_large_a_jet_is_refused_promptly():

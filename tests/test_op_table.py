@@ -129,12 +129,14 @@ def test_evaluation_counts_match_the_per_step_dispatch():
 
 
 def test_benchmark_workload_checks_pass():
-    """Untimed operations of fo-reuse and fresh-programs, each verified by
-    the benchmark's own `check`.  Nothing is written under perfbench/."""
+    """Untimed operations of fo-reuse, fresh-programs and one block of
+    higher-order, each verified by the benchmark's own `check`.  Nothing is
+    written under perfbench/."""
     before = sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*"))
     workloads = perfbench_module("workloads")
     untimed = perfbench_module("spans").Direct
-    for workload, count in ((workloads.FoReuse, 144), (workloads.FreshPrograms, 60)):
+    for workload, count in ((workloads.FoReuse, 144), (workloads.FreshPrograms, 60),
+                            (workloads.HigherOrder, workloads.HigherOrder.BLOCK)):
         wl = workload(1807)
         wl.setup()
         for i in range(count):

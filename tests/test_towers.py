@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from adkit.dual import Dual
 from adkit.expr import eval_generic, parse
 from adkit.jets import BERZ, jet_shape, jet_variable
 from adkit.algebras import JetAlgebra
+from adkit import towers
 from adkit.towers import (
     MAX_TOWER_ORDER,
     Tower,
@@ -316,6 +318,20 @@ def test_orders_past_the_bound_are_refused_before_any_forcing():
     assert shifted.head == 0.0
     with pytest.raises(ValueError, match="exceeds 1020"):
         tower_df(shifted)
+
+
+def test_binomial_rows_are_exact_and_an_order_1020_tower_forces_promptly():
+    # Rows are built by Pascal's rule on integers and rounded once each.
+    for d in (0, 1, 2, 57, 500, 1020):
+        row, weighted = towers._rows(d)
+        want = tuple(float(math.comb(d, r)) for r in range(d + 1))
+        assert row == want and weighted == tuple(r * c for r, c in enumerate(want))
+    start = time.perf_counter()
+    t = TowerAlgebra().apply(lookup("exp"), [tower_var(0.5)])
+    entries = tower_take(t, MAX_TOWER_ORDER + 1)
+    assert time.perf_counter() - start < 5.0
+    assert len(entries) == 1021
+    assert all(math.isclose(e, math.exp(0.5), rel_tol=1e-12) for e in entries)
 
 
 def test_laziness_forces_only_requested_depth():
