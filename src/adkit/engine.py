@@ -5,7 +5,7 @@ Both first-order modes read one linearization of the program at a point.
 every slot's primal value (the n inputs, then one per step) and every
 step's local partials.  Together they are the chain of step Jacobians.
 All three sweeps read the program's op table (`StateProgram.ops`), which
-decodes each step once per program, its kind looked up by function name.
+the compiler emits with each step's kind, looked up by function name.
 Forward mode multiplies that chain by a direction from the right:
 `forward_directional` sweeps tangents only, with the dual-number formulas of
 `dual.py`, so its bits equal those of a dual sweep.  Reverse mode multiplies
@@ -14,12 +14,14 @@ backwards, summing each step's adjoint into its arguments - the summation
 is what accounts for fan-out.  A full Jacobian takes n tangent sweeps or m
 adjoint sweeps over one tape.
 
-The compiled program keeps the last tape `record` built, as one immutable
+The definition keeps the last tape `record` built, as one immutable
 (point key, tape) pair, so every direction and covector asked for at one
-point shares one linearization.  The key is the bit pattern of the floated
-point, so 0.0 and -0.0, or two NaN payloads, never share a tape.  The pair
-is replaced in one assignment and a tape is never changed, so threads
-sharing a definition can only miss the memo.
+point shares one linearization.  A tape refers to its program, and the
+program to nothing that refers back, so the memo makes no reference cycle.
+The key is the bit pattern of the floated point, so 0.0 and -0.0, or two
+NaN payloads, never share a tape.  The pair is replaced in one assignment
+and a tape is never changed, so threads sharing a definition can only miss
+the memo.
 
 `cost_compare` instruments three function families with the shared
 evaluation counter and reports exact integer operation counts for a
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 from .algebras import CountingAlgebra
 from .catalog import ADD, MUL, DomainError, ElementaryFn
 from .counting import EvalCounter, counted_variant
-from .expr import Apply, Expr, FunctionDef, Step, Variable, _path_of, eval_generic
+from .expr import Apply, Expr, FunctionDef, StateProgram, Step, Variable, _path_of, eval_generic
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,29 @@ class Tape:
 
     `values[s]` is slot s's primal: the n inputs, then step k's value at
     n + k.  `partials[k]` holds step k's local partials, one per argument
-    slot in `steps[k].arg_slots`.  `ops` is the program's op table, shared.
+    slot in `steps[k].arg_slots`.  `n`, `steps` and `output_refs` are read
+    from `program`, which the tape shares; the sweeps read its `ops`.
     """
 
-    n: int
-    steps: tuple[Step, ...]
+    program: StateProgram
     values: tuple[float, ...]
     partials: tuple[tuple[float, ...], ...]
-    output_refs: tuple[int, ...]
-    ops: tuple[tuple, ...] = field(repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.program.n
 
     @property
     def m(self) -> int:
-        return len(self.output_refs)
+        return self.program.m
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return self.program.steps
+
+    @property
+    def output_refs(self) -> tuple[int, ...]:
+        return self.program.output_slots
 
     @property
     def entries(self) -> tuple[TapeEntry, ...]:
@@ -110,7 +122,7 @@ def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
     values = [float(x) for x in c]
     key = struct.pack(f"{len(values)}d", *values)
     program = fdef.program
-    memo = program.last_tape
+    memo = fdef.last_tape
     if memo is not None and memo[0] == key:
         return memo[1]
     partials = []
@@ -141,9 +153,8 @@ def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
                 raise DomainError(fn.name, args, _path_of(fdef, len(values)))
             put(fn.value(args))
             note(tuple(fn.partials(args)))
-    tape = Tape(fdef.n, program.steps, tuple(values), tuple(partials),
-                program.output_slots, program.ops)
-    object.__setattr__(program, "last_tape", (key, tape))
+    tape = Tape(program, tuple(values), tuple(partials))
+    object.__setattr__(fdef, "last_tape", (key, tape))
     return tape
 
 
@@ -153,7 +164,7 @@ def _tangents(tape: Tape, direction: Sequence[float]) -> list[float]:
     n, v, partials = tape.n, tape.values, tape.partials
     t = [float(d) for d in direction]
     add = t.append
-    for kind, a, b, _ in tape.ops:  # step len(t) - n writes slot len(t)
+    for kind, a, b, _ in tape.program.ops:  # step len(t) - n writes slot len(t)
         if kind == "mul":
             add(v[a] * t[b] + t[a] * v[b])
         elif kind == "add":
@@ -199,7 +210,7 @@ def backprop(tape: Tape, ybar: Sequence[float]) -> list[float]:
     adjoint = [0.0] * len(tape.values)
     for ref, y in zip(tape.output_refs, ybar):
         adjoint[ref] += float(y)
-    n, ops, partials = tape.n, tape.ops, tape.partials
+    n, ops, partials = tape.n, tape.program.ops, tape.partials
     for k in range(len(ops) - 1, -1, -1):
         adj = adjoint[n + k]
         if adj == 0.0:

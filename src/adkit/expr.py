@@ -27,9 +27,10 @@ token's first character, and a token carries its index, not its offset,
 which is computed by a second scan only when a ParseError is raised.  Each
 definition is compiled once into a straight-line program over the state
 space R^(n+mu) (`FunctionDef.program`) by one walk of the DAG (post-order,
-consumed output roots, the number of constants) and one pass that builds
-every step.  Generic evaluation, the tape that both first-order modes
-sweep, the dense trace oracle and the DOT export all read that one program.
+consumed output roots, the number of constants) and one pass that emits its
+op table, one (kind, a, b, fn) per step.  The tape that both first-order
+modes sweep reads that table; generic evaluation, the dense trace oracle
+and the DOT export read the same program as `Step`s, built on first read.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ class FunctionDef:
     name: str
     params: tuple[str, ...]
     outputs: tuple[Expr, ...]
+    #: The memo of `engine.record`: the last (point key, tape) pair it
+    #: built from this definition's program.  It is replaced whole, never
+    #: changed.  The tape refers to the program, which refers to nothing
+    #: here, so the memo makes no reference cycle.
+    last_tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -363,32 +369,26 @@ class StateProgram:
 
     n: int
     m: int
-    steps: tuple[Step, ...]
+    #: The steps, one (kind, a, b, fn) each, as `engine`'s float sweeps read
+    #: them: kind is an arithmetic function's name, a and b its slots (b None
+    #: for neg and copy); or "const", a the value and fn None; "unary", a the
+    #: slot; "other", a the slots.
+    ops: tuple[tuple, ...]
     output_slots: tuple[int, ...]
-    #: The memo of `engine.record`: the last (point key, tape) pair it
-    #: built from this program.  It is replaced whole, never changed.
-    last_tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
-    def ops(self) -> tuple[tuple, ...]:
-        """One (kind, a, b, fn) per step for `engine`'s float sweeps: kind is
-        an arithmetic function's name, a and b its slots (b None for neg and
-        copy); or "const", a the value; "unary", a the slot; "other", a the slots."""
-        table = []
-        for fn, slots, _ in self.steps:
-            if fn.name in ("mul", "add", "sub", "div", "neg", "copy"):
-                table.append((fn.name, slots[0], slots[1] if len(slots) == 2 else None, fn))
-            elif fn.name == "const":
-                table.append(("const", fn.value(()), None, fn))
-            elif len(slots) == 1:
-                table.append(("unary", slots[0], None, fn))
-            else:
-                table.append(("other", slots, None, fn))
-        return tuple(table)
+    def steps(self) -> tuple[Step, ...]:
+        """The op table as `Step`s, built on first read and kept.  A
+        constant's step applies a zero-argument `const_fn` of its value."""
+        return tuple(
+            Step(const_fn(a), (), slot) if fn is None
+            else Step(fn, a if kind == "other" else (a,) if b is None else (a, b), slot)
+            for slot, (kind, a, b, fn) in enumerate(self.ops, self.n)
+        )
 
     @property
     def mu(self) -> int:
-        return len(self.steps)
+        return len(self.ops)
 
     @property
     def dim(self) -> int:
@@ -452,14 +452,19 @@ def schedule(fdef: FunctionDef) -> list[Apply]:
     return list(_walk(fdef.outputs)[1])
 
 
+#: The op-table kind of each arithmetic function, looked up by name, so a
+#: `counted_variant` copy decodes as its original.
+_ARITHMETIC = {name: name for name in ("mul", "add", "sub", "div", "neg", "copy")}
+
+
 def _compile(fdef: FunctionDef) -> StateProgram:
-    """One pass over the schedule: the k-th constant to be used takes slot
-    n + k, and the operations follow from n + (number of constants)."""
+    """One pass over the schedule that emits the op table: the k-th constant
+    to be used takes slot n + k, and the operations follow the constants."""
     _, nodes, constants = _walk(fdef.outputs)
     n = fdef.n
     slot_of: dict[Expr, int] = {}
-    const_steps: list[Step] = []
-    steps: list[Step] = []
+    const_ops: list[tuple] = []
+    ops: list[tuple] = []
     slot = n + constants
     for node in nodes:
         arg_slots = []
@@ -469,13 +474,20 @@ def _compile(fdef: FunctionDef) -> StateProgram:
                 if isinstance(child, Variable):
                     arg = slot_of[child] = child.index - 1
                 else:
-                    arg = slot_of[child] = n + len(const_steps)
-                    const_steps.append(Step(const_fn(child.value), (), arg))
+                    arg = slot_of[child] = n + len(const_ops)
+                    const_ops.append(("const", child.value, None, None))
             arg_slots.append(arg)
+        fn = node.fn
+        kind = _ARITHMETIC.get(fn.name)
+        if kind is not None:
+            ops.append((kind, arg_slots[0], arg_slots[1] if len(arg_slots) == 2 else None, fn))
+        elif len(arg_slots) == 1:
+            ops.append(("unary", arg_slots[0], None, fn))
+        else:
+            ops.append(("other", tuple(arg_slots), None, fn))
         slot_of[node] = slot
-        steps.append(Step(node.fn, tuple(arg_slots), slot))
         slot += 1
-    return StateProgram(n, fdef.m, (*const_steps, *steps), tuple(range(slot - fdef.m, slot)))
+    return StateProgram(n, fdef.m, (*const_ops, *ops), tuple(range(slot - fdef.m, slot)))
 
 
 # --- generic evaluation ---

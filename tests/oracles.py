@@ -570,7 +570,10 @@ def four_pass_schedule(fdef: FunctionDef) -> list[Apply]:
 
 def four_pass_compile(fdef: FunctionDef) -> StateProgram:
     """The compiled program from `four_pass_schedule`, a scan of every
-    argument for constants, and a last pass that builds the steps."""
+    argument for constants, and a last pass that builds the steps and
+    decodes each into its op-table entry.  The program keeps the steps built
+    here, so a comparison with it checks the compiled program's steps view
+    against steps that no view produced."""
     order = four_pass_schedule(fdef)
     n = fdef.n
     slot_of: dict = {}
@@ -581,6 +584,7 @@ def four_pass_compile(fdef: FunctionDef) -> StateProgram:
                 slot_of[child] = n + len(consts)
                 consts.append(child)
     steps = [Step(const_fn(c.value), (), slot_of[c]) for c in consts]
+    ops = [("const", c.value, None, None) for c in consts]
     for node in order:
         arg_slots = tuple(
             child.index - 1 if isinstance(child, Variable) else slot_of[child]
@@ -588,5 +592,18 @@ def four_pass_compile(fdef: FunctionDef) -> StateProgram:
         )
         slot = slot_of[node] = n + len(steps)
         steps.append(Step(node.fn, arg_slots, slot))
+        ops.append(_decode_step(node.fn, arg_slots))
     dim = n + len(steps)
-    return StateProgram(n, fdef.m, tuple(steps), tuple(range(dim - fdef.m, dim)))
+    program = StateProgram(n, fdef.m, tuple(ops), tuple(range(dim - fdef.m, dim)))
+    program.__dict__["steps"] = tuple(steps)  # what `StateProgram.steps` would cache
+    return program
+
+
+def _decode_step(fn, slots: tuple) -> tuple:
+    """An operation step's (kind, a, b, fn), decoded from its function's
+    name and its slots."""
+    if fn.name in ("mul", "add", "sub", "div", "neg", "copy"):
+        return (fn.name, slots[0], slots[1] if len(slots) == 2 else None, fn)
+    if len(slots) == 1:
+        return ("unary", slots[0], None, fn)
+    return ("other", slots, None, fn)

@@ -1,20 +1,25 @@
 """Command-line surface: modes, exit codes, JSON/CSV reports."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adkit.algebras import DualAlgebra, RealAlgebra, TowerAlgebra
 from adkit.cli import main
 from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, jacobian, record
-from adkit.expr import eval_generic, parse
+from adkit.expr import eval_generic, parse, unparse
 from adkit.towers import tower_take, tower_var
 
+from conftest import random_program
 from test_expr import assert_valid_dot
 
 DUAL_EXAMPLE = "f(x1,x2)=x2*cos(x1*x1+3)"
@@ -24,6 +29,13 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text: str):
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_diff_forward_example(capsys):
@@ -152,11 +164,7 @@ def test_json_writes_non_finite_numbers_as_text_mode_does(capsys, source, at):
     assert code == 0
     code, out, err = run(capsys, argv + ["--json"])
     assert (code, err) == (0, "")
-
-    def reject(token):
-        raise AssertionError(f"{token} is not JSON")
-
-    report = json.loads(out, parse_constant=reject)
+    report = strict_json(out)
     strings = [v for v in report["point"] + report["value"] if isinstance(v, str)]
     assert strings and set(strings) <= {"inf", "-inf", "nan"}
     assert all(not math.isfinite(float(v)) for v in strings)
@@ -458,3 +466,72 @@ def test_tower_mode_forces_deep_programs(capsys):
     for k, got in enumerate(entries):
         want = math.perm(1000, k) * 1.0001 ** (1000 - k)
         assert math.isclose(got, want, rel_tol=1e-12), k
+
+
+def test_exp_higher_derivatives_overflow_before_the_true_values(capsys):
+    # A documented limit: a lift forms r * binom(d, r) * u_r * g_(d-r) before
+    # it divides by d, so exp's higher derivatives overflow near the top of
+    # the float range although each equals the finite value exp(x).
+    for at, finite in (("709", 3), ("709.782712893384", 2)):
+        value = math.exp(float(at))
+        for mode in ("tower", "jet"):
+            argv = ["diff", "f(x)=exp(x)", "--at", at, "--mode", mode, "--order", "3", "--json"]
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, ""), (at, mode)
+            derivative = strict_json(out)["derivative"]
+            got = derivative[0] if mode == "tower" else [row["value"] for row in derivative]
+            assert got == [value] * finite + ["inf"] * (4 - finite), (at, mode)
+
+
+#: Points and seeds at the edges of the float range, and exp's last finite
+#: integer argument.
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, 709.0)
+
+
+def _vector_text(values) -> str:
+    return ",".join(map(repr, values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_ends_every_generated_call_in_a_typed_exit(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    fdef, safe = random_program(rng, max_vars=data.draw(st.sampled_from((1, 3))),
+                                max_outputs=data.draw(st.sampled_from((1, 2))), max_ops=12)
+    source = unparse(fdef)
+    edge = st.sampled_from(EDGES)
+    point = [data.draw(st.just(c) | edge) for c in safe]
+    direction = data.draw(st.lists(edge | st.just(1.0), min_size=fdef.n, max_size=fdef.n))
+    command = data.draw(st.sampled_from(
+        ("forward", "reverse", "jacobian", "jet", "tower", "graph", "annotate")))
+    as_json = command not in ("graph", "annotate") and data.draw(st.booleans())
+    if command == "graph":
+        argv = ["graph", source]
+    elif command == "annotate":
+        argv = ["graph", source, "--annotate",
+                f"at={_vector_text(point)},dir={_vector_text(direction)}"]
+    else:
+        argv = ["diff", source, "--at", _vector_text(point), "--mode", command]
+        if command == "forward":
+            argv += ["--dir", _vector_text(direction)]
+        elif command == "reverse":
+            covector = data.draw(st.lists(edge | st.just(1.0), min_size=fdef.m, max_size=fdef.m))
+            argv += ["--cov", _vector_text(covector)]
+        elif command == "jet":
+            argv += ["--order", str(data.draw(st.integers(1, 3)))]
+        elif command == "tower":
+            argv += ["--order", str(data.draw(st.integers(0, 8)))]
+        if as_json:
+            argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code != 0:
+        assert out == "" and err.startswith("adkit: "), argv
+    elif as_json:
+        strict_json(out)
+    elif command in ("graph", "annotate"):
+        assert_valid_dot(out)

@@ -10,6 +10,7 @@ import pytest
 
 from adkit.algebras import RealAlgebra
 from adkit.catalog import ADD, COPY, MUL, SIN, pow_fn
+from adkit.engine import record
 from adkit.expr import (
     Apply,
     Constant,
@@ -171,6 +172,15 @@ def _assert_same_program(fdef: FunctionDef) -> None:
     program, reference = _compile(fdef), four_pass_compile(fdef)
     assert (program.n, program.m, program.output_slots) == (
         reference.n, reference.m, reference.output_slots)
+    assert len(program.ops) == len(reference.ops)
+    for op, ref in zip(program.ops, reference.ops):
+        if op[0] == "const":
+            assert ref[0] == "const" and op[2:] == ref[2:] == (None, None)
+            assert struct.pack("<d", op[1]) == struct.pack("<d", ref[1])
+        else:
+            assert op[:3] == ref[:3] and op[3] is ref[3]
+    assert "steps" not in program.__dict__  # compile builds no Step
+    assert program.steps is program.steps  # the view is built once
     assert len(program.steps) == len(reference.steps)
     for step, ref in zip(program.steps, reference.steps):
         assert (step.arg_slots, step.out_slot) == (ref.arg_slots, ref.out_slot)
@@ -214,3 +224,5 @@ def test_compile_edge_cases_match_the_four_pass_compile():
     program = _compile(edge_cases[8])
     assert [_bits(step) for step in program.steps[:2]] == [
         struct.pack("<d", -0.0), struct.pack("<d", 0.0)]
+    for fdef in edge_cases:  # a tape reads the steps of its definition's program
+        assert record(fdef, [0.5] * fdef.n).steps is fdef.program.steps

@@ -1,5 +1,6 @@
 """The compiled program: one straight-line layout read by every mode."""
 
+import gc
 import math
 import random
 
@@ -20,8 +21,10 @@ from adkit.expr import (
 )
 from adkit.trace import compile_program
 
-from conftest import random_program
+from conftest import perfbench_module, random_program
 from test_expr import assert_valid_dot
+
+gen = perfbench_module("gen")
 
 TERMS = 10_000
 
@@ -164,6 +167,27 @@ def test_program_is_built_once_per_definition():
     assert fdef.program is compile_program(fdef)
     # a structurally equal definition compiles its own program
     assert parse("f(x) = (x, exp(x)*sin(x))").program is not fdef.program
+
+
+def test_definitions_swept_in_every_mode_leave_no_cyclic_garbage():
+    # A definition keeps its program and its last tape, and the tape keeps
+    # the program, so all of it must be freed by reference counting alone.
+    rng = random.Random(2104)
+    cases = []
+    for _ in range(60):
+        p = gen.random_program(rng, rng.randint(1, 6), rng.randint(1, 6), rng.randint(5, 120))
+        cases.append((p.source, p.point(rng)))
+    gc.collect()
+    gc.disable()
+    try:
+        for source, point in cases:
+            fdef = parse(source)
+            forward_directional(fdef, SeedSpec.forward(point, [1.0] * fdef.n))
+            backprop(record(fdef, point), [1.0] * fdef.m)
+            eval_generic(fdef, point, RealAlgebra())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 MULTI_OUTPUT_DOMAIN_CASES = [

@@ -70,7 +70,8 @@ def test_forward_trace_state_sequence():
 
 
 def test_forward_trace_zero_step_program():
-    program = StateProgram(n=2, m=1, steps=(), output_slots=(0,))
+    program = StateProgram(n=2, m=1, ops=(), output_slots=(0,))
+    assert (program.steps, program.mu) == ((), 0)
     record = forward_trace(program, [4.0, 5.0])
     assert record.states == [[4.0, 5.0]]
 
