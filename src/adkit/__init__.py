@@ -18,7 +18,6 @@ from .catalog import (
     DomainError,
     ElementaryFn,
     UnsupportedOrderError,
-    const_fn,
     pow_fn,
 )
 from .counting import EvalCounter, counted_variant

@@ -66,10 +66,11 @@ class ElementaryFn:
     the head from the rule.
 
     The modes dispatch on a function's name, so the names of the catalogue's
-    own functions (``add sub neg mul div copy const``, ``pow<k>`` and the
-    CATALOG names) are reserved for those functions and for copies of them
-    made by ``dataclasses.replace`` (as `counting.counted_variant` makes).
-    Constructing any other function under such a name raises ValueError.
+    own functions (``add sub neg mul div copy``, ``pow<k>`` and the CATALOG
+    names) are reserved for those functions and for copies of them made by
+    ``dataclasses.replace`` (as `counting.counted_variant` makes), and so is
+    ``const``, the op table's kind for a constant.  Constructing any other
+    function under such a name raises ValueError.
 
     Instances are immutable and safe to share between threads.
     """
@@ -260,17 +261,6 @@ def pow_fn(k: int) -> ElementaryFn:
 
     return _Builtin(f"pow{k}", 1, value, partials, _always, unit_cost=0,
                         derivative=derivative)
-
-
-def const_fn(c: float) -> ElementaryFn:
-    """A zero-argument elementary producing the constant c (free of charge).
-
-    Not cached: a cache keyed by value would grow with every constant ever
-    compiled, and would merge 0.0 with -0.0, which compare equal.
-    """
-    return _Builtin(
-        "const", 0, lambda a, c=c: c, lambda a: [], _always, unit_cost=0
-    )
 
 
 #: Functions callable by name from the expression language.

@@ -32,6 +32,10 @@ EXIT_FLAGS = 3
 
 MODES = ("forward", "reverse", "jet", "tower", "jacobian")
 
+#: The largest `bench --max-n`.  The table re-runs every size from 1, and
+#: the product scenario's counts take cubic time: 1 s to n = 200, 12 s to 400.
+MAX_BENCH_N = 200
+
 
 class FlagError(Exception):
     pass
@@ -244,10 +248,20 @@ _BENCH_COLUMNS = ("n", "symbolic", "ad", "closed_form_symbolic", "closed_form_ad
 
 
 def _cmd_bench(args) -> int:
-    if args.max_n < 1:
-        raise FlagError("--max-n must be >= 1")
+    if not 1 <= args.max_n <= MAX_BENCH_N:
+        raise FlagError(f"--max-n must be in 1..{MAX_BENCH_N}")
     reports = [cost_compare(args.scenario, n) for n in range(1, args.max_n + 1)]
     rows = [[getattr(r, column) for column in _BENCH_COLUMNS] for r in reports]
+    if args.csv_path:
+        # written before any output, so a path that cannot be written ends
+        # as flag misuse with nothing printed
+        try:
+            with open(args.csv_path, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(_BENCH_COLUMNS)
+                writer.writerows(rows)
+        except OSError as err:
+            raise FlagError(f"--csv: cannot write {args.csv_path!r}: {err.strerror or err}")
     if args.json:
         keyed = [{**dict(zip(_BENCH_COLUMNS, row)), **r.details} for row, r in zip(rows, reports)]
         counts = {"scenario": args.scenario, "rows": keyed}
@@ -257,11 +271,6 @@ def _cmd_bench(args) -> int:
         print(f"{'n':>4} {'symbolic':>10} {'ad':>8} {'closed sym':>11} {'closed ad':>10}")
         for n, symbolic, ad, cs, ca in rows:
             print(f"{n:>4} {symbolic:>10} {ad:>8} {cs:>11} {ca:>10}")
-    if args.csv_path:
-        with open(args.csv_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_BENCH_COLUMNS)
-            writer.writerows(rows)
     return EXIT_OK
 
 

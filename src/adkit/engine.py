@@ -38,7 +38,9 @@ from typing import Optional, Sequence
 from .algebras import CountingAlgebra
 from .catalog import ADD, MUL, DomainError, ElementaryFn
 from .counting import EvalCounter, counted_variant
-from .expr import Apply, Expr, FunctionDef, StateProgram, Step, Variable, _path_of, eval_generic
+from .expr import (
+    Apply, Expr, FunctionDef, StateProgram, Variable, _path_of, arg_slots, eval_generic,
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class TapeEntry:
-    fn: ElementaryFn
+    fn: Optional[ElementaryFn]  # None for a constant, as in the op table
     arg_refs: tuple[int, ...]  # slot indices: 0..n-1 inputs, then entries
     primal: float
     local_partials: tuple[float, ...]
@@ -72,9 +74,9 @@ class Tape:
     and adjoint sweeps.
 
     `values[s]` is slot s's primal: the n inputs, then step k's value at
-    n + k.  `partials[k]` holds step k's local partials, one per argument
-    slot in `steps[k].arg_slots`.  `n`, `steps` and `output_refs` are read
-    from `program`, which the tape shares; the sweeps read its `ops`.
+    n + k.  `partials[k]` holds step k's local partials, one per slot that
+    `program.ops[k]` reads (`expr.arg_slots`).  `n` and `output_refs` are
+    read from `program`, which the tape shares; the sweeps read its `ops`.
     """
 
     program: StateProgram
@@ -90,10 +92,6 @@ class Tape:
         return self.program.m
 
     @property
-    def steps(self) -> tuple[Step, ...]:
-        return self.program.steps
-
-    @property
     def output_refs(self) -> tuple[int, ...]:
         return self.program.output_slots
 
@@ -102,8 +100,8 @@ class Tape:
         """Step k as one TapeEntry, built afresh on every read."""
         n, values = self.n, self.values
         return tuple(
-            TapeEntry(step.fn, step.arg_slots, values[n + k], parts)
-            for k, (step, parts) in enumerate(zip(self.steps, self.partials))
+            TapeEntry(op[3], arg_slots(op), values[n + k], parts)
+            for k, (op, parts) in enumerate(zip(self.program.ops, self.partials))
         )
 
 

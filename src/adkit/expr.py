@@ -28,9 +28,9 @@ which is computed by a second scan only when a ParseError is raised.  Each
 definition is compiled once into a straight-line program over the state
 space R^(n+mu) (`FunctionDef.program`) by one walk of the DAG (post-order,
 consumed output roots, the number of constants) and one pass that emits its
-op table, one (kind, a, b, fn) per step.  The tape that both first-order
-modes sweep reads that table; generic evaluation, the dense trace oracle
-and the DOT export read the same program as `Step`s, built on first read.
+op table, one (kind, a, b, fn) per step.  That table is the program's only
+compiled form: the tape that both first-order modes sweep, generic
+evaluation, the dense trace oracle and the DOT export all read it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, filterfalse, islice
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .catalog import (
     ADD,
@@ -53,7 +53,6 @@ from .catalog import (
     SUB,
     DomainError,
     ElementaryFn,
-    const_fn,
     is_pow,
     pow_exponent,
     pow_fn,
@@ -348,43 +347,24 @@ def parse(source: str) -> FunctionDef:
 # --- the compiled program ---
 
 
-class Step(NamedTuple):
-    """One elementary transition: fn applied to earlier slots, writing
-    slot `out_slot` (all indices 0-based)."""
-
-    fn: ElementaryFn
-    arg_slots: tuple[int, ...]
-    out_slot: int
-
-
 @dataclass(frozen=True)
 class StateProgram:
     """A straight-line program over the state space R^(n+mu).
 
     Slots 0..n-1 hold the inputs.  Steps fill the following slots in order:
-    first one zero-argument ``const`` step per constant, in first-use order,
-    then the scheduled operations.  The last m steps produce the outputs in
-    order, so the output projection is a pure slot selection.
+    first one ``const`` step per constant, in first-use order, then the
+    scheduled operations.  The last m steps produce the outputs in order, so
+    the output projection is a pure slot selection.
     """
 
     n: int
     m: int
-    #: The steps, one (kind, a, b, fn) each, as `engine`'s float sweeps read
-    #: them: kind is an arithmetic function's name, a and b its slots (b None
-    #: for neg and copy); or "const", a the value and fn None; "unary", a the
-    #: slot; "other", a the slots.
+    #: The steps, one (kind, a, b, fn) each; step k fills slot n + k.  kind
+    #: is an arithmetic function's name, a and b its slots (b None for neg
+    #: and copy); or "const", a the value and fn None; "unary", a the slot;
+    #: "other", a the slots.  `arg_slots` gives any step's slots.
     ops: tuple[tuple, ...]
     output_slots: tuple[int, ...]
-
-    @cached_property
-    def steps(self) -> tuple[Step, ...]:
-        """The op table as `Step`s, built on first read and kept.  A
-        constant's step applies a zero-argument `const_fn` of its value."""
-        return tuple(
-            Step(const_fn(a), (), slot) if fn is None
-            else Step(fn, a if kind == "other" else (a,) if b is None else (a, b), slot)
-            for slot, (kind, a, b, fn) in enumerate(self.ops, self.n)
-        )
 
     @property
     def mu(self) -> int:
@@ -457,6 +437,17 @@ def schedule(fdef: FunctionDef) -> list[Apply]:
 _ARITHMETIC = {name: name for name in ("mul", "add", "sub", "div", "neg", "copy")}
 
 
+def arg_slots(op: tuple) -> tuple[int, ...]:
+    """The slots an op-table step reads, in argument order: () for a
+    constant."""
+    kind, a, b, _ = op
+    if kind == "other":
+        return a
+    if kind == "const":
+        return ()
+    return (a,) if b is None else (a, b)
+
+
 def _compile(fdef: FunctionDef) -> StateProgram:
     """One pass over the schedule that emits the op table: the k-th constant
     to be used takes slot n + k, and the operations follow the constants."""
@@ -467,7 +458,7 @@ def _compile(fdef: FunctionDef) -> StateProgram:
     ops: list[tuple] = []
     slot = n + constants
     for node in nodes:
-        arg_slots = []
+        slots = []
         for child in node.args:
             arg = slot_of.get(child)
             if arg is None:  # a leaf's first use
@@ -476,15 +467,15 @@ def _compile(fdef: FunctionDef) -> StateProgram:
                 else:
                     arg = slot_of[child] = n + len(const_ops)
                     const_ops.append(("const", child.value, None, None))
-            arg_slots.append(arg)
+            slots.append(arg)
         fn = node.fn
         kind = _ARITHMETIC.get(fn.name)
         if kind is not None:
-            ops.append((kind, arg_slots[0], arg_slots[1] if len(arg_slots) == 2 else None, fn))
-        elif len(arg_slots) == 1:
-            ops.append(("unary", arg_slots[0], None, fn))
+            ops.append((kind, slots[0], slots[1] if len(slots) == 2 else None, fn))
+        elif len(slots) == 1:
+            ops.append(("unary", slots[0], None, fn))
         else:
-            ops.append(("other", tuple(arg_slots), None, fn))
+            ops.append(("other", tuple(slots), None, fn))
         slot_of[node] = slot
         slot += 1
     return StateProgram(n, fdef.m, (*const_ops, *ops), tuple(range(slot - fdef.m, slot)))
@@ -509,19 +500,20 @@ def eval_generic(fdef: FunctionDef, inputs: Sequence, algebra) -> list:
         raise ValueError(f"expected {fdef.n} inputs, got {len(inputs)}")
     program = fdef.program
     slots = list(inputs)
+    put = slots.append
     constant, apply = algebra.constant, algebra.apply
-    for step in program.steps:
-        fn = step.fn
+    for kind, a, b, fn in program.ops:  # this step fills slot len(slots)
         if fn is COPY:
-            slots.append(slots[step.arg_slots[0]])
-        elif not step.arg_slots:
-            slots.append(constant(fn.value(())))
+            put(slots[a])
+        elif kind == "const" or kind == "other" and not a:  # or a zero-argument function
+            put(constant(a if fn is None else fn.value(())))
         else:
             try:
-                slots.append(apply(fn, [slots[s] for s in step.arg_slots]))
+                put(apply(fn, [slots[a], slots[b]] if b is not None else
+                          [slots[s] for s in a] if kind == "other" else [slots[a]]))
             except DomainError as err:
                 if err.path is None:
-                    raise err.at(_path_of(fdef, step.out_slot)) from None
+                    raise err.at(_path_of(fdef, len(slots))) from None
                 raise
     return [slots[s] for s in program.output_slots]
 
@@ -561,27 +553,28 @@ def to_dot(fdef: FunctionDef, annotations: Optional[Sequence] = None) -> str:
     None); values are tagged blue, derivatives red.
     """
     n = fdef.n
-    steps = fdef.program.steps
+    ops = fdef.program.ops
+    reads = [arg_slots(op) for op in ops]
     labels: list[str] = list(fdef.params)
-    labels += [_op_label(s.fn) if s.arg_slots else repr(s.fn.value(())) for s in steps]
+    for (_, a, _, fn), slots in zip(ops, reads):
+        labels.append(_op_label(fn) if slots else repr(a if fn is None else fn.value(())))
     if annotations is not None and len(annotations) != len(labels):
         raise ValueError(
             f"expected {len(labels)} annotation entries, got {len(annotations)}"
         )
 
     consumers = [0] * len(labels)
-    for step in steps:
-        for src in step.arg_slots:
+    for slots in reads:
+        for src in slots:
             consumers[src] += 1
 
     hidden: set[int] = set()
-    for step in steps:
-        if step.fn.name == "copy":
-            src = step.arg_slots[0]
-            is_leaf = src < n or not steps[src - n].arg_slots
-            if is_leaf and consumers[src] == 1:
-                hidden.add(src)
-                labels[step.out_slot] = labels[src]
+    for out, (kind, a, _, _) in enumerate(ops, n):
+        if kind == "copy":
+            is_leaf = a < n or not reads[a - n]
+            if is_leaf and consumers[a] == 1:
+                hidden.add(a)
+                labels[out] = labels[a]
 
     lines = ["digraph {", "  node [shape=box];"]
     for i, label in enumerate(labels):
@@ -596,11 +589,11 @@ def to_dot(fdef: FunctionDef, annotations: Optional[Sequence] = None) -> str:
                 f'<BR/><FONT COLOR="red">{deriv!r}</FONT>>'
             )
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for step in steps:
-        if step.fn.name == "copy" and step.arg_slots[0] in hidden:
+    for out, ((kind, a, _, _), slots) in enumerate(zip(ops, reads), n):
+        if kind == "copy" and a in hidden:
             continue
-        for src in step.arg_slots:
-            lines.append(f"  n{src} -> n{step.out_slot};")
+        for src in slots:
+            lines.append(f"  n{src} -> n{out};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

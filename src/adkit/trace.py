@@ -27,7 +27,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .catalog import DomainError
-from .expr import FunctionDef, StateProgram
+from .expr import FunctionDef, StateProgram, arg_slots
 
 #: Dense matrices only exist for validation; refuse absurd state spaces.
 MAX_STATE_DIM = 512
@@ -80,13 +80,17 @@ def forward_trace(p: StateProgram, c: Sequence[float]) -> TraceRecord:
         raise ValueError(f"expected {p.n} inputs, got {len(c)}")
     state = [float(x) for x in c] + [0.0] * p.mu
     states = [list(state)]
-    for i, step in enumerate(p.steps):
-        args = [state[s] for s in step.arg_slots]
-        try:
-            step.fn.check_domain(args)
-        except DomainError as err:
-            raise err.at(f"step {i + 1} ({step.fn.name})") from None
-        state[step.out_slot] = step.fn.value(args)
+    for i, op in enumerate(p.ops):
+        fn = op[3]
+        if fn is None:  # a constant
+            state[p.n + i] = op[1]
+        else:
+            args = [state[s] for s in arg_slots(op)]
+            try:
+                fn.check_domain(args)
+            except DomainError as err:
+                raise err.at(f"step {i + 1} ({fn.name})") from None
+            state[p.n + i] = fn.value(args)
         states.append(list(state))
     return TraceRecord(states)
 
@@ -94,12 +98,13 @@ def forward_trace(p: StateProgram, c: Sequence[float]) -> TraceRecord:
 def step_jacobian(p: StateProgram, i: int, state: Sequence[float]) -> list[list[float]]:
     """The dense Jacobian of transition i at the given pre-state: identity
     with row n+i replaced by the step's gradient (zero diagonal included)."""
-    step = p.steps[i]
+    op = p.ops[i]
     mat = _unit_rows(p.dim, range(p.dim))
-    row = mat[step.out_slot] = [0.0] * p.dim
-    args = [state[s] for s in step.arg_slots]
-    for s, d in zip(step.arg_slots, step.fn.partials(args)):
-        row[s] += d
+    row = mat[p.n + i % p.mu] = [0.0] * p.dim  # a negative i counts from the end
+    slots = arg_slots(op)
+    if slots:
+        for s, d in zip(slots, op[3].partials([state[s] for s in slots])):
+            row[s] += d
     return mat
 
 

@@ -5,9 +5,11 @@ nested-dual evaluator differentiates by recursive (value, derivative) pairs,
 polynomial products are dict-based convolution, and the stencil module is
 plain central finite differences.  The jet section keeps the exhaustive
 scans that built the monomial layout and the pair table, as references
-that the graded build must equal.  The tape section keeps the sweeps that
-decoded every step on every pass, as references that the sweeps over the
-op table must match bit for bit.  The front-end section keeps the
+that the graded build must equal.  `decode` turns a program's op table
+into one (fn, arg_slots, out_slot) step per op.  `step_eval` and the tape
+section sweep those steps, decoding every step on every pass, as
+references that `eval_generic` and the sweeps over the op table must match
+bit for bit.  The front-end section keeps the
 tokenizer that matched every token and whitespace run, and the four-pass
 compile, as references that the one-scan tokenizer and the two-pass
 compile must match.
@@ -19,14 +21,13 @@ import itertools
 import math
 import re
 
-from adkit.catalog import COPY, DomainError, const_fn
+from adkit.catalog import COPY, DomainError
 from adkit.expr import (
     Apply,
     Constant,
     FunctionDef,
     ParseError,
     StateProgram,
-    Step,
     Variable,
     _Parser,
     _path_of,
@@ -385,6 +386,45 @@ def mp_taylor(fdef: FunctionDef, x: float, order: int, digits: int = 60):
         return ev(fdef.outputs[0]), list(memo.values())
 
 
+# --- the program as one (fn, arg_slots, out_slot) step per op ---
+
+
+def decode(program: StateProgram) -> list[tuple]:
+    """Each op-table entry as the step (fn, arg_slots, out_slot) that the
+    sweeps below read, decoded here, not by the library.  A constant's step
+    holds its value (a float) as fn, and no argument slots."""
+    steps = []
+    for slot, (kind, a, b, fn) in enumerate(program.ops, program.n):
+        if kind == "const":
+            steps.append((a, (), slot))
+        else:
+            steps.append((fn, a if kind == "other" else (a,) if b is None else (a, b), slot))
+    return steps
+
+
+def step_eval(fdef: FunctionDef, inputs, algebra) -> list:
+    """`eval_generic` by the loop that swept one decoded step at a time: a
+    copy reuses its source, a step without arguments calls ``constant``,
+    any other calls ``apply``.  Kept as a bit-for-bit reference for the
+    sweep over the op table."""
+    if len(inputs) != fdef.n:
+        raise ValueError(f"expected {fdef.n} inputs, got {len(inputs)}")
+    slots = list(inputs)
+    for fn, refs, out in decode(fdef.program):
+        if fn is COPY:
+            slots.append(slots[refs[0]])
+        elif not refs:
+            slots.append(algebra.constant(fn if isinstance(fn, float) else fn.value(())))
+        else:
+            try:
+                slots.append(algebra.apply(fn, [slots[s] for s in refs]))
+            except DomainError as err:
+                if err.path is None:
+                    raise err.at(_path_of(fdef, out)) from None
+                raise
+    return [slots[s] for s in fdef.program.output_slots]
+
+
 # --- the reverse sweep over one TapeEntry per step ---
 
 
@@ -397,13 +437,16 @@ def entry_gradient(fdef: FunctionDef, c, ybar) -> list[float]:
     n = fdef.n
     values = [float(x) for x in c]
     entries = []
-    for step in fdef.program.steps:
-        fn = step.fn
-        args = [values[r] for r in step.arg_slots]
+    for fn, refs, _ in decode(fdef.program):
+        if isinstance(fn, float):  # a constant
+            values.append(fn)
+            entries.append(TapeEntry(None, (), fn, ()))
+            continue
+        args = [values[r] for r in refs]
         fn.check_domain(args)
         primal = fn.value(args)
         values.append(primal)
-        entries.append(TapeEntry(fn, step.arg_slots, primal, tuple(fn.partials(args))))
+        entries.append(TapeEntry(fn, refs, primal, tuple(fn.partials(args))))
     adjoint = [0.0] * (n + len(entries))
     for ref, y in zip(fdef.program.output_slots, ybar):
         adjoint[ref] += float(y)
@@ -426,11 +469,14 @@ def step_record(fdef: FunctionDef, c) -> tuple[tuple, tuple]:
     sweeps over the op table."""
     values = [float(x) for x in c]
     partials = []
-    for step in fdef.program.steps:
-        fn = step.fn
-        args = [values[r] for r in step.arg_slots]
+    for fn, refs, out in decode(fdef.program):
+        if isinstance(fn, float):  # a constant
+            values.append(fn)
+            partials.append(())
+            continue
+        args = [values[r] for r in refs]
         if not fn.domain(args):
-            raise DomainError(fn.name, args, _path_of(fdef, step.out_slot))
+            raise DomainError(fn.name, args, _path_of(fdef, out))
         values.append(fn.value(args))
         partials.append(tuple(fn.partials(args)))
     return tuple(values), tuple(partials)
@@ -442,8 +488,8 @@ def step_tangents(fdef: FunctionDef, values, partials, direction) -> list[float]
     v = values
     t = [float(d) for d in direction]
     add = t.append
-    for step, parts in zip(fdef.program.steps, partials):
-        refs, name = step.arg_slots, step.fn.name
+    for (fn, refs, _), parts in zip(decode(fdef.program), partials):
+        name = fn.name if refs else "const"
         if len(refs) == 1:
             if name == "neg":
                 add(-t[refs[0]])
@@ -474,7 +520,7 @@ def step_tangents(fdef: FunctionDef, values, partials, direction) -> list[float]
 def step_backprop(fdef: FunctionDef, values, partials, ybar) -> list[float]:
     """ybar . J_f(c) by the adjoint sweep that zipped each step's argument
     slots with its partials."""
-    n, steps = fdef.n, fdef.program.steps
+    n, steps = fdef.n, decode(fdef.program)
     adjoint = [0.0] * len(values)
     for ref, y in zip(fdef.program.output_slots, ybar):
         adjoint[ref] += float(y)
@@ -482,7 +528,7 @@ def step_backprop(fdef: FunctionDef, values, partials, ybar) -> list[float]:
         a = adjoint[n + k]
         if a == 0.0:
             continue
-        for ref, p in zip(steps[k].arg_slots, partials[k]):
+        for ref, p in zip(steps[k][1], partials[k]):
             adjoint[ref] += a * p
     return adjoint[:n]
 
@@ -570,10 +616,8 @@ def four_pass_schedule(fdef: FunctionDef) -> list[Apply]:
 
 def four_pass_compile(fdef: FunctionDef) -> StateProgram:
     """The compiled program from `four_pass_schedule`, a scan of every
-    argument for constants, and a last pass that builds the steps and
-    decodes each into its op-table entry.  The program keeps the steps built
-    here, so a comparison with it checks the compiled program's steps view
-    against steps that no view produced."""
+    argument for constants, and a last pass that decodes each operation
+    into its op-table entry."""
     order = four_pass_schedule(fdef)
     n = fdef.n
     slot_of: dict = {}
@@ -583,20 +627,16 @@ def four_pass_compile(fdef: FunctionDef) -> StateProgram:
             if isinstance(child, Constant) and child not in slot_of:
                 slot_of[child] = n + len(consts)
                 consts.append(child)
-    steps = [Step(const_fn(c.value), (), slot_of[c]) for c in consts]
     ops = [("const", c.value, None, None) for c in consts]
     for node in order:
         arg_slots = tuple(
             child.index - 1 if isinstance(child, Variable) else slot_of[child]
             for child in node.args
         )
-        slot = slot_of[node] = n + len(steps)
-        steps.append(Step(node.fn, arg_slots, slot))
+        slot_of[node] = n + len(ops)
         ops.append(_decode_step(node.fn, arg_slots))
-    dim = n + len(steps)
-    program = StateProgram(n, fdef.m, tuple(ops), tuple(range(dim - fdef.m, dim)))
-    program.__dict__["steps"] = tuple(steps)  # what `StateProgram.steps` would cache
-    return program
+    dim = n + len(ops)
+    return StateProgram(n, fdef.m, tuple(ops), tuple(range(dim - fdef.m, dim)))
 
 
 def _decode_step(fn, slots: tuple) -> tuple:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adkit.algebras import DualAlgebra, RealAlgebra, TowerAlgebra
+from adkit import cli
 from adkit.cli import main
 from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, jacobian, record
@@ -354,6 +355,30 @@ def test_bench_table_and_csv(tmp_path, capsys):
     assert text[0] == "n,symbolic,ad,closed_form_symbolic,closed_form_ad"
     assert text[1] == "1,1,2,1,2"
     assert text[5] == "5,15,10,15,10"
+
+
+def test_bench_csv_path_that_cannot_be_written_is_flag_misuse(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):  # no such directory; a directory
+        code, out, err = run(
+            capsys, ["bench", "--scenario", "chain", "--max-n", "3", "--csv", str(path)])
+        assert (code, out) == (3, "")
+        assert err.startswith("adkit: --csv: cannot write") and repr(str(path)) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_max_n_ceiling(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["bench", "--scenario", "shared", "--max-n", "200", "--json"])
+    assert code == 0
+    rows = json.loads(out)["counts"]["rows"]
+    assert (len(rows), rows[-1]["n"], rows[-1]["ad"]) == (200, 200, 402)
+
+    def no_work(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "cost_compare", no_work)
+    for max_n in ("201", "100000", "0"):
+        code, out, err = run(capsys, ["bench", "--scenario", "product", "--max-n", max_n])
+        assert (code, out, err) == (3, "", "adkit: --max-n must be in 1..200\n")
 
 
 def test_bench_product_small(capsys):

@@ -1,8 +1,9 @@
 """The exact-count cost model."""
 
 from adkit.algebras import CountingAlgebra
-from adkit.catalog import ADD, CATALOG, MUL, const_fn
+from adkit.catalog import ADD, CATALOG, MUL
 from adkit.counting import EvalCounter, counted_variant
+from adkit.expr import eval_generic, parse
 
 
 def test_unary_chain_with_derivatives_costs_two_per_node():
@@ -15,9 +16,14 @@ def test_unary_chain_with_derivatives_costs_two_per_node():
 
 
 def test_constants_are_free():
+    # four constants (the two 3s are separate nodes) and arithmetic on them:
+    # nothing is charged
+    fdef = parse("f(x) = (x * 3 + 2, 0.5 - x * 3)")
     counter = EvalCounter()
-    CountingAlgebra(counter, include_derivative=True).apply(const_fn(3.0), [])
+    algebra = CountingAlgebra(counter, include_derivative=True)
+    assert eval_generic(fdef, [1.5], algebra) == [6.5, -4.0]
     assert counter.count == 0
+    assert sum(op[0] == "const" for op in fdef.program.ops) == 4
 
 
 def test_arithmetic_on_computed_values_is_free():

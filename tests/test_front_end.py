@@ -164,8 +164,10 @@ def test_unparse_keeps_the_sign_of_a_zero_constant():
             assert eval_generic(back, [c], RealAlgebra())[0].hex() == want.hex(), (unparse(fdef), c)
 
 
-def _bits(step) -> bytes:
-    return struct.pack("<d", step.fn.value(()))
+def _bits(op) -> bytes:
+    """A constant op's value as its bit pattern."""
+    assert op[0] == "const"
+    return struct.pack("<d", op[1])
 
 
 def _assert_same_program(fdef: FunctionDef) -> None:
@@ -175,19 +177,9 @@ def _assert_same_program(fdef: FunctionDef) -> None:
     assert len(program.ops) == len(reference.ops)
     for op, ref in zip(program.ops, reference.ops):
         if op[0] == "const":
-            assert ref[0] == "const" and op[2:] == ref[2:] == (None, None)
-            assert struct.pack("<d", op[1]) == struct.pack("<d", ref[1])
+            assert op[2:] == ref[2:] == (None, None) and _bits(op) == _bits(ref)
         else:
             assert op[:3] == ref[:3] and op[3] is ref[3]
-    assert "steps" not in program.__dict__  # compile builds no Step
-    assert program.steps is program.steps  # the view is built once
-    assert len(program.steps) == len(reference.steps)
-    for step, ref in zip(program.steps, reference.steps):
-        assert (step.arg_slots, step.out_slot) == (ref.arg_slots, ref.out_slot)
-        if step.arg_slots:
-            assert step.fn is ref.fn
-        else:
-            assert step.fn.name == ref.fn.name == "const" and _bits(step) == _bits(ref)
     order, ref_order = schedule(fdef), four_pass_schedule(fdef)
     assert len(order) == len(ref_order)
     for node, ref in zip(order, ref_order):
@@ -222,7 +214,7 @@ def test_compile_edge_cases_match_the_four_pass_compile():
     for fdef in edge_cases:
         _assert_same_program(fdef)
     program = _compile(edge_cases[8])
-    assert [_bits(step) for step in program.steps[:2]] == [
+    assert [_bits(op) for op in program.ops[:2]] == [
         struct.pack("<d", -0.0), struct.pack("<d", 0.0)]
-    for fdef in edge_cases:  # a tape reads the steps of its definition's program
-        assert record(fdef, [0.5] * fdef.n).steps is fdef.program.steps
+    for fdef in edge_cases:  # a tape reads its definition's program
+        assert record(fdef, [0.5] * fdef.n).program is fdef.program

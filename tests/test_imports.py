@@ -21,7 +21,7 @@ Apply BERZ CATALOG Constant CostReport CountingAlgebra
 DomainError Dual DualAlgebra ElementaryFn EvalCounter Expr FunctionDef Jet
 JetAlgebra JetShape ParseError RealAlgebra STANDARD SeedSpec StateProgram
 Tape Tower TowerAlgebra TraceRecord UnsupportedOrderError Variable backprop
-compile_program const_fn cost_compare counted_variant
+compile_program cost_compare counted_variant
 eval_generic forward_derivative forward_derivative_trace forward_directional
 forward_trace jacobian jet_constant jet_convert_basis jet_extract_partial
 jet_shape jet_variable parse pow_fn record reverse_derivative
@@ -140,4 +140,4 @@ def test_exports_are_the_written_list():
     )
     assert EXPORTS == sorted(EXPORTS)
     assert names == EXPORTS
-    assert len(names) == 56
+    assert len(names) == 55

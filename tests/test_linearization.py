@@ -17,7 +17,7 @@ from adkit.expr import Apply, Constant, FunctionDef, Variable, eval_generic, par
 from adkit.trace import compile_program, forward_derivative, reverse_derivative
 
 from conftest import random_program
-from oracles import entry_gradient
+from oracles import decode, entry_gradient
 
 
 def bits(xs) -> bytes:
@@ -82,9 +82,10 @@ def corpus(seed: int, programs: int = 300):
 def test_corpus_covers_every_step_kind_and_signed_zeros():
     names, zeros = set(), set()
     for fdef, point in corpus(71):
-        names.update(step.fn.name for step in fdef.program.steps)
+        steps = decode(fdef.program)
+        names.update(fn.name if slots else "const" for fn, slots, _ in steps)
         zeros.update(str(c) for c in point if c == 0.0)
-        zeros.update(str(s.fn.value(())) for s in fdef.program.steps if not s.arg_slots)
+        zeros.update(str(fn) for fn, slots, _ in steps if not slots)
     kinds = {"add", "sub", "mul", "div", "neg", "const", "exp", "ln", "sqrt", "sin", "cos", "tan"}
     assert kinds <= names
     assert {"pow0", "pow1", "pow2", "pow3", "pow4"} <= names
@@ -135,7 +136,8 @@ def test_entries_are_a_view_of_the_flat_tuples():
     assert entries is not tape.entries and entries == tape.entries  # built per read
     assert [e.primal for e in entries] == list(tape.values[tape.n:])
     assert [e.local_partials for e in entries] == list(tape.partials)
-    assert [(e.fn, e.arg_refs) for e in entries] == [(s.fn, s.arg_slots) for s in tape.steps]
+    assert [(e.fn, e.arg_refs) for e in entries] == [
+        (fn if slots else None, slots) for fn, slots, _ in decode(tape.program)]
 
 
 def test_quotient_whose_divisor_square_underflows():

@@ -1,20 +1,25 @@
-"""The tape sweeps over the op table against the per-step dispatch they
-replaced (`oracles.step_record`, `step_tangents`, `step_backprop`): the same
-values, partials, tangents and adjoints bit for bit, the same DomainErrors
-and the same evaluation counts.  Last, the benchmark's own workload checks,
-run untimed."""
+"""The sweeps over the op table against the per-step dispatch they
+replaced (`oracles.step_record`, `step_tangents`, `step_backprop` and
+`step_eval`): the same values, partials, tangents and adjoints bit for bit,
+the same generic evaluation in every algebra, the same DomainErrors and the
+same evaluation counts.  Last, the benchmark's own workload checks, run
+untimed."""
 
 import math
 import random
 import struct
 
-from adkit.catalog import ADD, EXP, MUL, DomainError, ElementaryFn
+from adkit.algebras import CountingAlgebra, DualAlgebra, JetAlgebra, RealAlgebra, TowerAlgebra
+from adkit.catalog import ADD, COPY, EXP, MUL, DomainError, ElementaryFn
 from adkit.counting import EvalCounter, counted_variant
+from adkit.dual import Dual
 from adkit.engine import _tangents, backprop, record
-from adkit.expr import Apply, FunctionDef, Variable, parse
+from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
+from adkit.jets import BERZ, STANDARD, jet_shape, jet_variable
+from adkit.towers import tower_take, tower_var
 
 from conftest import PERFBENCH, perfbench_module, random_program
-from oracles import step_backprop, step_record, step_tangents
+from oracles import step_backprop, step_eval, step_record, step_tangents
 
 gen = perfbench_module("gen")
 
@@ -126,6 +131,108 @@ def test_evaluation_counts_match_the_per_step_dispatch():
         sweep(fdef, [0.5, -0.25])
         counts.append(counter.count)
     assert counts == [4, 4]
+
+
+class RecordingAlgebra(RealAlgebra):
+    """RealAlgebra that logs the name of every function it applies."""
+
+    def __init__(self):
+        self.log = []
+
+    def apply(self, fn, args):
+        self.log.append(fn.name)
+        return super().apply(fn, args)
+
+
+def eval_outcomes(fdef: FunctionDef, point) -> list[tuple]:
+    """`eval_generic` and `step_eval` at point in the real, counting,
+    recording, dual, jet (both bases, order 3) and tower (order 8) algebras:
+    per algebra, a pair of results, each the outputs' bit patterns or the
+    error's message and path, paired with the count or the log where the
+    algebra keeps one."""
+    n = len(point)
+    shape = jet_shape(n, 3)
+    cases = [
+        (RealAlgebra, point, lambda v: [v]),
+        (lambda: CountingAlgebra(EvalCounter()), point, lambda v: [v]),
+        (RecordingAlgebra, point, lambda v: [v]),
+        (DualAlgebra, [Dual(c, 1.0 - i) for i, c in enumerate(point)],
+         lambda d: [d.primal, d.tangent]),
+        *((lambda basis=basis: JetAlgebra(shape, basis),
+           [jet_variable(shape, i + 1, c, basis) for i, c in enumerate(point)],
+           lambda j: j.coeffs) for basis in (STANDARD, BERZ)),
+        (TowerAlgebra, [tower_var(c) for c in point], lambda t: tower_take(t, 9)),
+    ]
+    pairs = []
+    for make, inputs, read in cases:
+        pair = []
+        for evaluate in (eval_generic, step_eval):
+            algebra = make()
+            try:
+                got = [bits(read(v)) for v in evaluate(fdef, inputs, algebra)]
+            except DomainError as err:
+                got = ("error", str(err), err.path)
+            if isinstance(algebra, CountingAlgebra):
+                got = (got, algebra.counter.count)
+            elif isinstance(algebra, RecordingAlgebra):
+                got = (got, algebra.log)
+            pair.append(got)
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def test_eval_generic_matches_the_step_sweep_on_generated_programs():
+    rng = random.Random(2207)
+    programs = []
+    for _ in range(60):
+        p = gen.random_program(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(5, 60))
+        programs.append((parse(p.source), p.point(rng)))
+    programs += [random_program(rng, max_ops=25) for _ in range(60)]
+    for fdef, point in programs:
+        edge = [rng.choice(SPECIALS) for _ in point]
+        for at in (point, edge):
+            for new, old in eval_outcomes(fdef, at):
+                assert new == old, (fdef, at)
+        # inside the sampling box, the real algebra evaluates
+        assert isinstance(eval_outcomes(fdef, point)[0][0], list)
+
+
+def test_eval_generic_matches_the_step_sweep_on_edge_cases():
+    x, y = Variable(1), Variable(2)
+    seven = ElementaryFn("seven", 0, lambda a: 7.0, lambda a: [], lambda a: True)
+    copy = counted_variant(COPY, EvalCounter())
+    programs = [
+        FunctionDef("f", ("x", "y"), (Apply(seven, ()),)),  # a zero-argument apply
+        FunctionDef("f", ("x", "y"), (Apply(MUL, (Apply(seven, ()), x)), Apply(copy, (y,)))),
+        FunctionDef("f", ("x", "y"), (Apply(copy, (Apply(EXP, (x,)),)), Apply(COPY, (x,)))),
+        parse("f(x, y) = let a = sin(x) in (x, 3, y * -0.0, a, a * 2)"),
+    ]
+    for fdef in programs:
+        for a in SPECIALS:
+            for b in (1.5, -0.0, math.nan):
+                for new, old in eval_outcomes(fdef, [a, b]):
+                    assert new == old, (fdef, a, b)
+    # constants and zero-argument applies go to `constant`; a copy by COPY
+    # itself reuses its source, and a copy by any other function is applied
+    for fdef, log in zip(programs, ([], ["mul", "copy"], ["exp", "copy"])):
+        algebra = RecordingAlgebra()
+        eval_generic(fdef, [0.5, 2.0], algebra)
+        assert algebra.log == log
+    assert eval_generic(programs[0], [0.5, 2.0], RealAlgebra()) == [7.0]
+
+
+def test_eval_generic_domain_errors_match_the_step_sweep():
+    cases = [
+        ("f(x) = sin(x) + x/0", [1.0], "div undefined on (1.0, 0.0) (at out0.1)"),
+        ("f(x) = (x, 2 * ln(x))", [-1.0], "ln undefined on (-1.0,) (at out1.1)"),
+        ("f(x) = x * tan(x)", [math.inf], "tan undefined on (inf,) (at out0.1)"),
+        ("f(x, y) = let a = sqrt(x - y) in (a, a * y)", [1.0, 2.0],
+         "sqrt undefined on (-1.0,) (at out0)"),
+    ]
+    for source, point, message in cases:
+        outcomes = eval_outcomes(parse(source), point)
+        assert all(new == old for new, old in outcomes)
+        assert outcomes[0][0] == ("error", message, message.split("(at ")[1][:-1])
 
 
 def test_benchmark_workload_checks_pass():

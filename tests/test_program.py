@@ -22,6 +22,7 @@ from adkit.expr import (
 from adkit.trace import compile_program
 
 from conftest import perfbench_module, random_program
+from oracles import decode
 from test_expr import assert_valid_dot
 
 gen = perfbench_module("gen")
@@ -79,7 +80,7 @@ def test_flat_sum_to_dot(deep):
 
 
 def _layout(fdef: FunctionDef) -> list:
-    return [(step.fn.name, step.arg_slots) for step in fdef.program.steps]
+    return [(fn.name if slots else fn, slots) for fn, slots, _ in decode(fdef.program)]
 
 
 @pytest.mark.parametrize(
@@ -153,8 +154,9 @@ def test_tape_is_the_compiled_program():
         fdef, point = random_program(rng)
         program = compile_program(fdef)
         tape = record(fdef, point)
+        # a constant's entry holds no function, as its op holds none
         assert [(e.fn, e.arg_refs) for e in tape.entries] == [
-            (s.fn, s.arg_slots) for s in program.steps
+            (fn if slots else None, slots) for fn, slots, _ in decode(program)
         ]
         assert tape.output_refs == program.output_slots
 

@@ -19,7 +19,7 @@ from adkit.trace import (
 )
 
 from conftest import random_program
-from oracles import central_diff
+from oracles import central_diff, decode
 
 GRIEWANK = "f(x1,x2) = (exp(x1)*sin(x1+x2), x2)"
 REVERSE_EXAMPLE = "f(x) = (x, exp(x)*sin(x))"
@@ -29,25 +29,22 @@ def test_compile_two_output_example():
     program = compile_program(parse(GRIEWANK))
     assert program.mu == 5
     assert program.dim == 7
-    assert [s.fn.name for s in program.steps] == ["exp", "add", "sin", "mul", "copy"]
+    steps = decode(program)
+    assert [fn.name for fn, _, _ in steps] == ["exp", "add", "sin", "mul", "copy"]
     assert program.output_slots == (5, 6)
     # argument wiring: exp reads x1, add reads (x1, x2), mul reads (exp, sin)
-    assert program.steps[0].arg_slots == (0,)
-    assert program.steps[1].arg_slots == (0, 1)
-    assert program.steps[2].arg_slots == (3,)
-    assert program.steps[3].arg_slots == (2, 4)
-    assert program.steps[4].arg_slots == (1,)
+    assert [slots for _, slots, _ in steps] == [(0,), (0, 1), (3,), (2, 4), (1,)]
 
 
 def test_compile_identity_and_reverse_example():
     program = compile_program(parse("f(x) = x"))
     assert program.mu == 1
-    assert program.steps[0].fn.name == "copy"
+    assert decode(program)[0][0].name == "copy"
 
     program = compile_program(parse(REVERSE_EXAMPLE))
     assert program.mu == 4
     assert program.dim == 5
-    assert [s.fn.name for s in program.steps] == ["exp", "sin", "copy", "mul"]
+    assert [fn.name for fn, _, _ in decode(program)] == ["exp", "sin", "copy", "mul"]
     assert program.output_slots == (3, 4)
 
 
@@ -71,7 +68,7 @@ def test_forward_trace_state_sequence():
 
 def test_forward_trace_zero_step_program():
     program = StateProgram(n=2, m=1, ops=(), output_slots=(0,))
-    assert (program.steps, program.mu) == ((), 0)
+    assert (decode(program), program.mu) == ([], 0)
     record = forward_trace(program, [4.0, 5.0])
     assert record.states == [[4.0, 5.0]]
 
@@ -154,16 +151,16 @@ def test_trace_pair_slots_match_local_rule_exactly():
         program = compile_program(fdef)
         xdot = [rng.uniform(-2, 2) for _ in range(program.n)]
         record = forward_derivative_trace(program, point, xdot)
-        for i, step in enumerate(program.steps):
+        for i, (fn, slots, out) in enumerate(decode(program)):
             prev_v = record.states[i]
             prev_d = record.derivative_states[i]
-            args = [prev_v[s] for s in step.arg_slots]
-            value = step.fn.value(args)
+            args = [prev_v[s] for s in slots]
+            value = fn if not slots else fn.value(args)  # a constant's fn is its value
             deriv = 0.0
-            for partial, s in zip(step.fn.partials(args), step.arg_slots):
+            for partial, s in zip(fn.partials(args) if slots else [], slots):
                 deriv += partial * prev_d[s]
-            assert record.states[i + 1][step.out_slot] == value
-            assert record.derivative_states[i + 1][step.out_slot] == deriv
+            assert record.states[i + 1][out] == value
+            assert record.derivative_states[i + 1][out] == deriv
 
 
 def test_overwrite_safety():
@@ -172,10 +169,10 @@ def test_overwrite_safety():
         fdef, point = random_program(rng, max_ops=12)
         program = compile_program(fdef)
         record = forward_trace(program, point)
-        for i, step in enumerate(program.steps):
+        for i, (_, _, out) in enumerate(decode(program)):
             before, after = record.states[i], record.states[i + 1]
             for s in range(program.dim):
-                if s != step.out_slot:
+                if s != out:
                     assert before[s] == after[s]
 
 
@@ -200,7 +197,7 @@ def test_step_jacobian_shape():
     mat = step_jacobian(program, 0, record.states[0])
     assert len(mat) == program.dim
     assert all(len(row) == program.dim for row in mat)
-    out = program.steps[0].out_slot
+    out = decode(program)[0][2]
     assert mat[out][out] == 0.0  # gradient row, zero diagonal
     assert mat[out][0] == 4.0 and mat[out][1] == 3.0
     for s in range(program.dim):
