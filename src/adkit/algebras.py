@@ -6,19 +6,17 @@ with or without operation counts charged to a counter, one directional
 derivative, all partials to order N, or a whole derivative tower).  The
 lifted algebras (dual numbers, jets, towers) share one `apply`: arithmetic
 through `catalog.OPERATORS` and their scalars' operators, every other
-function through the algebra's own `lift(fn, args)`.
+function through the algebra's own `lift(fn, args)`.  The jet and tower
+algebras live beside their scalars, as `jets.JetAlgebra` and
+`towers.TowerAlgebra`, so that plain and first-order evaluation load
+neither module.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from . import jets, towers
 from .catalog import OPERATORS, ElementaryFn
 from .counting import EvalCounter
 from .dual import Dual
-from .jets import STANDARD, Jet, JetShape, jet_constant
-from .towers import Tower, tower_const
 
 
 class RealAlgebra:
@@ -82,28 +80,3 @@ class DualAlgebra(_LiftedAlgebra):
             tangent += p * a.tangent
         return Dual(value, tangent)
 
-
-class JetAlgebra(_LiftedAlgebra):
-    """Higher-order forward mode over truncated polynomials."""
-
-    def __init__(self, shape: JetShape, basis: str = STANDARD):
-        self.shape = shape
-        self.basis = basis
-
-    def constant(self, c: float) -> Jet:
-        return jet_constant(self.shape, c, self.basis)
-
-    lift = staticmethod(jets.lift)
-
-
-class TowerAlgebra(_LiftedAlgebra):
-    """Univariate derivative towers of unbounded order; `resolve` replaces
-    the table that looks up the lifts a rule names."""
-
-    def __init__(self, resolve: Optional[Callable[[str], ElementaryFn]] = None):
-        self.resolve = resolve
-
-    constant = staticmethod(tower_const)
-
-    def lift(self, fn: ElementaryFn, args: list[Tower]) -> Tower:
-        return towers.lift(fn, args[0], self.resolve)

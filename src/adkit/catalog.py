@@ -12,13 +12,15 @@ rule.  Additional primitives can be registered by constructing
 Lifted scalars (dual numbers, jets, towers) are :class:`Lifted`: they carry
 the Python operators, and `OPERATORS` maps each arithmetic function's name
 to its operator, so one table applies arithmetic in every lifted mode.
+
+`Record` is the small `__slots__` record class that `ElementaryFn` and the
+package's other records build on.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
@@ -45,8 +47,50 @@ class UnsupportedOrderError(ValueError):
 _RESERVED = frozenset("add sub neg mul div copy const exp ln sqrt sin cos tan".split())
 
 
-@dataclass(frozen=True)
-class ElementaryFn:
+class Record:
+    """An immutable record whose `_fields`, in constructor order, are its
+    `__slots__`.  `__init__` sets them once through `_set`; equality and the
+    hash compare the class and the fields named in `_compared`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle set the fields as __init__ does
+        return _rebuild, (type(self), tuple(getattr(self, name) for name in self._fields))
+
+
+def _rebuild(cls: type, values: tuple) -> Record:
+    record = cls.__new__(cls)
+    record._set(*values)
+    return record
+
+
+class ElementaryFn(Record):
     """A differentiable primitive.
 
     `value` and `partials` map an argument vector to the function value and
@@ -68,24 +112,29 @@ class ElementaryFn:
     The modes dispatch on a function's name, so the names of the catalogue's
     own functions (``add sub neg mul div copy``, ``pow<k>`` and the CATALOG
     names) are reserved for those functions and for copies of them made by
-    ``dataclasses.replace`` (as `counting.counted_variant` makes), and so is
+    their own class (as `counting.counted_variant` makes), and so is
     ``const``, the op table's kind for a constant.  Constructing any other
     function under such a name raises ValueError.
 
     Instances are immutable and safe to share between threads.
     """
 
-    name: str
-    arity: int
-    value: Callable[[Sequence[float]], float]
-    partials: Callable[[Sequence[float]], list[float]]
-    domain: Callable[[Sequence[float]], bool]
-    unit_cost: int = 1
-    derivative: Optional[Callable[..., Any]] = None
+    __slots__ = _fields = _compared = (
+        "name", "arity", "value", "partials", "domain", "unit_cost", "derivative")
 
-    def __post_init__(self) -> None:
-        if (self.name in _RESERVED or is_pow(self.name)) and not isinstance(self, _Builtin):
-            raise ValueError(f"the name {self.name!r} is reserved for the catalogue's own function")
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        value: Callable[[Sequence[float]], float],
+        partials: Callable[[Sequence[float]], list[float]],
+        domain: Callable[[Sequence[float]], bool],
+        unit_cost: int = 1,
+        derivative: Optional[Callable[..., Any]] = None,
+    ) -> None:
+        if (name in _RESERVED or is_pow(name)) and not isinstance(self, _Builtin):
+            raise ValueError(f"the name {name!r} is reserved for the catalogue's own function")
+        self._set(name, arity, value, partials, domain, unit_cost, derivative)
 
     def check_arity(self, args: Sequence) -> None:
         if len(args) != self.arity:
@@ -98,13 +147,15 @@ class ElementaryFn:
         if not self.domain(args):
             raise DomainError(self.name, args)
 
-    def __repr__(self) -> str:  # dataclass default would dump the callables
+    def __repr__(self) -> str:  # the Record default would dump the callables
         return f"ElementaryFn({self.name!r}, arity={self.arity})"
 
 
 class _Builtin(ElementaryFn):
-    """The class of the catalogue's own functions.  ``dataclasses.replace``
-    keeps it, so copies of them may carry their reserved names too."""
+    """The class of the catalogue's own functions.  A copy made in this
+    class (`counting.counted_variant`) may carry a reserved name too."""
+
+    __slots__ = ()
 
 
 def _always(args: Sequence[float]) -> bool:

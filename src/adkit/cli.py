@@ -5,30 +5,31 @@
     adkit bench --scenario chain --max-n 10 --csv counts.csv
 
 Exit codes: 0 success, 1 expression parse error, 2 domain error, 3 flag
-misuse.  Diagnostics go to stderr; all numbers print with their shortest
-round-trip decimal representation.
+misuse, 4 the output could not be written (a closed pipe, a full disk).
+Diagnostics go to stderr; all numbers print with their shortest round-trip
+decimal representation.
+
+A command loads only the modules it runs: jets, towers, the dense trace and
+`csv` are imported in the branches that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
-from .algebras import JetAlgebra, TowerAlgebra
 from .catalog import DomainError
 from .engine import SCENARIOS, SeedSpec, cost_compare, forward_directional, jacobian, record, backprop
 from .expr import ParseError, eval_generic, parse, to_dot
-from .jets import BERZ, MAX_ORDER, jet_shape, jet_variable
-from .towers import MAX_TOWER_ORDER, tower_take, tower_var
-from .trace import compile_program, forward_derivative_trace
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_DOMAIN = 2
 EXIT_FLAGS = 3
+EXIT_OUTPUT = 4
 
 MODES = ("forward", "reverse", "jet", "tower", "jacobian")
 
@@ -39,6 +40,24 @@ MAX_BENCH_N = 200
 
 class FlagError(Exception):
     pass
+
+
+# The layer functions of modules that only some commands load, imported on
+# first call.  `main` reaches every layer function through a name of this
+# module, so a caller can wrap it there.
+def tower_take(a, k: int) -> list[float]:
+    from .towers import tower_take
+    return tower_take(a, k)
+
+
+def compile_program(fdef):
+    from .trace import compile_program
+    return compile_program(fdef)
+
+
+def forward_derivative_trace(program, point, direction):
+    from .trace import forward_derivative_trace
+    return forward_derivative_trace(program, point, direction)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -161,6 +180,8 @@ def _cmd_diff(args) -> int:
             print(f"gradient: {_fmt_vector(gradient)}")
 
     elif mode == "jet":
+        from .jets import BERZ, MAX_ORDER, JetAlgebra, jet_shape, jet_variable
+
         if args.order is None:
             raise FlagError("--mode jet requires --order")
         if fdef.m != 1:
@@ -189,6 +210,8 @@ def _cmd_diff(args) -> int:
                 print(f"d[{k}]: {row['value']!r}")
 
     elif mode == "tower":
+        from .towers import MAX_TOWER_ORDER, TowerAlgebra, tower_var
+
         if args.order is None:
             raise FlagError("--mode tower requires --order")
         if fdef.n != 1 or fdef.m != 1:
@@ -255,6 +278,8 @@ def _cmd_bench(args) -> int:
     if args.csv_path:
         # written before any output, so a path that cannot be written ends
         # as flag misuse with nothing printed
+        import csv
+
         try:
             with open(args.csv_path, "w", newline="") as handle:
                 writer = csv.writer(handle)
@@ -279,11 +304,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = parser.parse_args(_attach_vector_values(argv))
-        if args.command == "diff":
-            return _cmd_diff(args)
-        if args.command == "graph":
-            return _cmd_graph(args)
-        return _cmd_bench(args)
+        command = {"diff": _cmd_diff, "graph": _cmd_graph}.get(args.command, _cmd_bench)
+        code = command(args)
+        sys.stdout.flush()
+        return code
     except FlagError as err:
         print(f"adkit: {err}", file=sys.stderr)
         return EXIT_FLAGS
@@ -293,6 +317,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as err:
         print(f"adkit: domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as err:  # writing stdout: a CSV that fails is a FlagError
+        return _output_failed(err)
+
+
+def _output_failed(err: OSError) -> int:
+    """Report a failed write to stdout on stderr, if stderr still takes it,
+    and point stdout's descriptor at os.devnull, so that the interpreter's
+    closing flush of what stdout still holds cannot fail again."""
+    try:
+        print(f"adkit: cannot write output: {err.strerror or err}", file=sys.stderr)
+    except OSError:
+        pass
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # a stdout without a descriptor of its own
+        pass
+    return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ run or be incremented under a lock.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .catalog import ElementaryFn
 
 
@@ -33,7 +31,9 @@ def counted_variant(fn: ElementaryFn, counter: EvalCounter) -> ElementaryFn:
     """A clone of fn whose plain value/partials calls tick the counter.
 
     Useful for instrumenting code paths that consume ElementaryFn directly
-    (for instance, to observe how far a lazy structure was forced).
+    (for instance, to observe how far a lazy structure was forced).  The
+    clone is of fn's own class, so a catalogue function's clone keeps its
+    reserved name.
     """
 
     def value(a):
@@ -44,4 +44,4 @@ def counted_variant(fn: ElementaryFn, counter: EvalCounter) -> ElementaryFn:
         counter.add(fn.unit_cost)
         return fn.partials(a)
 
-    return replace(fn, value=value, partials=partials)
+    return type(fn)(fn.name, fn.arity, value, partials, fn.domain, fn.unit_cost, fn.derivative)

@@ -32,19 +32,17 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebras import CountingAlgebra
-from .catalog import ADD, MUL, DomainError, ElementaryFn
+from .catalog import ADD, MUL, DomainError, ElementaryFn, Record
 from .counting import EvalCounter, counted_variant
 from .expr import (
     Apply, Expr, FunctionDef, StateProgram, Variable, _path_of, arg_slots, eval_generic,
 )
 
 
-@dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(NamedTuple):
     """A point plus one seed: a direction (forward) or a covector (reverse)."""
 
     point: tuple[float, ...]
@@ -60,16 +58,14 @@ class SeedSpec:
         return SeedSpec(tuple(point), covector=tuple(covector))
 
 
-@dataclass(frozen=True)
-class TapeEntry:
+class TapeEntry(NamedTuple):
     fn: Optional[ElementaryFn]  # None for a constant, as in the op table
     arg_refs: tuple[int, ...]  # slot indices: 0..n-1 inputs, then entries
     primal: float
     local_partials: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Tape:
+class Tape(NamedTuple):
     """A program linearized at one point, ready for any number of tangent
     and adjoint sweeps.
 
@@ -258,17 +254,19 @@ def jacobian(fdef: FunctionDef, c: Sequence[float], mode: str = "forward"):
 # --- operation-count comparisons ---
 
 
-@dataclass(frozen=True)
-class CostReport:
-    """Exact integer counts for one scenario size, with the closed forms."""
+class CostReport(Record):
+    """Exact integer counts for one scenario size, with the closed forms;
+    equality ignores `details`."""
 
-    scenario: str
-    n: int
-    symbolic: int
-    ad: int
-    closed_form_symbolic: int
-    closed_form_ad: int
-    details: dict = field(default_factory=dict, compare=False)
+    __slots__ = _fields = ("scenario", "n", "symbolic", "ad", "closed_form_symbolic",
+                           "closed_form_ad", "details")
+    _compared = _fields[:-1]
+
+    def __init__(self, scenario: str, n: int, symbolic: int, ad: int,
+                 closed_form_symbolic: int, closed_form_ad: int,
+                 details: Optional[dict] = None) -> None:
+        self._set(scenario, n, symbolic, ad, closed_form_symbolic, closed_form_ad,
+                  {} if details is None else details)
 
 
 def _phi(i: int) -> ElementaryFn:

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, filterfalse, islice
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .catalog import (
     ADD,
@@ -53,6 +52,7 @@ from .catalog import (
     SUB,
     DomainError,
     ElementaryFn,
+    Record,
     is_pow,
     pow_exponent,
     pow_fn,
@@ -102,18 +102,22 @@ class Apply(Expr):
         return f"Apply({self.fn.name}, {list(self.args)!r})"
 
 
-@dataclass(frozen=True)
-class FunctionDef:
-    """A named function: m expression roots over shared nodes in n variables."""
+class FunctionDef(Record):
+    """A named function: m expression roots over shared nodes in n variables.
 
-    name: str
-    params: tuple[str, ...]
-    outputs: tuple[Expr, ...]
-    #: The memo of `engine.record`: the last (point key, tape) pair it
-    #: built from this definition's program.  It is replaced whole, never
-    #: changed.  The tape refers to the program, which refers to nothing
-    #: here, so the memo makes no reference cycle.
-    last_tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    `last_tape` is the memo of `engine.record`: the last (point key, tape)
+    pair it built from this definition's program, None before.  It is
+    replaced whole, never changed, and equality ignores it.  The tape refers
+    to the program, which refers to nothing here, so the memo makes no
+    reference cycle.
+    """
+
+    _fields = ("name", "params", "outputs", "last_tape")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached `program`
+    _compared = _fields[:-1]
+
+    def __init__(self, name: str, params: tuple[str, ...], outputs: tuple[Expr, ...]) -> None:
+        self._set(name, params, outputs, None)
 
     @property
     def n(self) -> int:
@@ -347,8 +351,7 @@ def parse(source: str) -> FunctionDef:
 # --- the compiled program ---
 
 
-@dataclass(frozen=True)
-class StateProgram:
+class StateProgram(NamedTuple):
     """A straight-line program over the state space R^(n+mu).
 
     Slots 0..n-1 hold the inputs.  Steps fill the following slots in order:

@@ -9,7 +9,7 @@ rule: with E = sum_i X_i d/dX_i the Euler operator, the chain rule
 E f(u) = f'(u) E u fixes the degree-d part of f(u) from f'(u) truncated at
 degree d - 1 (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Evaluating f on the jets (x1 + X1, ..., xn + Xn) then
 packs every partial derivative of f at x up to order N into one coefficient
-vector.
+vector; `JetAlgebra` is that evaluation's algebra.
 
 Two coefficient conventions are supported: in the ``standard`` basis the slot
 for multi-index k holds the coefficient of X^k (the order-k partial is
@@ -26,6 +26,7 @@ import operator
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from .algebras import _LiftedAlgebra
 from .catalog import DomainError, ElementaryFn, Lifted, derivative_rule, lookup
 
 #: Largest supported truncation order: 12! is the last factorial exactly
@@ -321,3 +322,16 @@ def jet_convert_basis(j: Jet, target: str) -> Jet:
     else:
         coeffs = [c / f for c, f in zip(j.coeffs, j.shape.factorials)]
     return Jet(j.shape, coeffs, target)
+
+
+class JetAlgebra(_LiftedAlgebra):
+    """Higher-order forward mode over truncated polynomials."""
+
+    def __init__(self, shape: JetShape, basis: str = STANDARD):
+        self.shape = shape
+        self.basis = basis
+
+    def constant(self, c: float) -> Jet:
+        return jet_constant(self.shape, c, self.basis)
+
+    lift = staticmethod(lift)

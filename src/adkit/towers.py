@@ -13,6 +13,7 @@ Walther, *Evaluating Derivatives*, ch. 13): towers and jets share one lift.
 g reads the lift and its family (cos for sin) through views of their entry
 lists, so towers hold no reference cycles.  A leaf `Tower(head, tail_fn)` is
 read through its tails.  Forcing holds one lock, so threads agree on entries.
+`TowerAlgebra` evaluates a definition over towers.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from functools import partial
 from itertools import count
 from typing import Callable, Optional
 
+from .algebras import _LiftedAlgebra
 from .catalog import DomainError, ElementaryFn, Lifted, derivative_rule, lookup
 
 
@@ -260,3 +262,16 @@ def _chain(node: _Node, d: int, order: list) -> None:
     for r in range(1, d + 1):
         total += row[r] * u[r] * v[d - r]
     node.entries.append(total / d)
+
+
+class TowerAlgebra(_LiftedAlgebra):
+    """Univariate derivative towers of unbounded order; `resolve` replaces
+    the table that looks up the lifts a rule names."""
+
+    def __init__(self, resolve: Optional[Callable[[str], ElementaryFn]] = None):
+        self.resolve = resolve
+
+    constant = staticmethod(tower_const)
+
+    def lift(self, fn: ElementaryFn, args: list[Tower]) -> Tower:
+        return lift(fn, args[0], self.resolve)

@@ -19,14 +19,12 @@ A matrix is a list of rows of Python floats, and its transpose is
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .catalog import DomainError
+from .catalog import DomainError, Record
 from .expr import FunctionDef, StateProgram, arg_slots
 
 #: Dense matrices only exist for validation; refuse absurd state spaces.
@@ -36,22 +34,28 @@ FORWARD = "forward"
 REVERSE = "reverse"
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(Record):
     """The mu+1 state vectors of a run, optionally paired with forward
     derivative states or reverse adjoint states.
 
     `derivative_states[i]` is the derivative state after i steps (forward)
     or the adjoint state with mu-i reverse steps applied (reverse), so both
-    sequences align index-for-index with `states`.
+    sequences align index-for-index with `states`.  Unlike other records,
+    its fields can be assigned, so it has no hash.
     """
 
-    states: list[list[float]]
-    derivative_states: Optional[list[list[float]]] = None
-    kind: Optional[str] = None
+    __slots__ = _fields = _compared = ("states", "derivative_states", "kind")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, states: list[list[float]],
+                 derivative_states: Optional[list[list[float]]] = None,
+                 kind: Optional[str] = None) -> None:
+        self._set(states, derivative_states, kind)
 
     def to_csv(self) -> str:
         """One row per state vector; exact shortest round-trip decimals."""
+        import csv  # here, so that `graph --annotate` does not load it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         dim = len(self.states[0])

@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from adkit.algebras import DualAlgebra, JetAlgebra, RealAlgebra, TowerAlgebra
+from adkit.algebras import DualAlgebra, RealAlgebra
 from adkit.catalog import ADD, CATALOG, DIV, MUL, SUB, DomainError, pow_fn
 from adkit.dual import Dual
 from adkit.engine import (
@@ -24,11 +24,12 @@ from adkit.jets import (
     BERZ,
     STANDARD,
     Jet,
+    JetAlgebra,
     jet_convert_basis,
     jet_shape,
     jet_variable,
 )
-from adkit.towers import Tower, tower_df, tower_take, tower_var
+from adkit.towers import Tower, TowerAlgebra, tower_df, tower_take, tower_var
 from adkit.trace import compile_program, forward_derivative, reverse_derivative
 from adkit.trace import forward_derivative_trace
 

@@ -1,6 +1,7 @@
 """Command-line surface: modes, exit codes, JSON/CSV reports."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -12,15 +13,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adkit.algebras import DualAlgebra, RealAlgebra, TowerAlgebra
+from adkit.algebras import DualAlgebra, RealAlgebra
 from adkit import cli
 from adkit.cli import main
 from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, jacobian, record
 from adkit.expr import eval_generic, parse, unparse
-from adkit.towers import tower_take, tower_var
+from adkit.towers import TowerAlgebra, tower_take, tower_var
 
-from conftest import random_program
+from conftest import perfbench_module, random_program
 from test_expr import assert_valid_dot
 
 DUAL_EXAMPLE = "f(x1,x2)=x2*cos(x1*x1+3)"
@@ -131,9 +132,8 @@ def test_jet_mode(capsys):
         assert math.isclose(rows[(k,)], 1.0, rel_tol=1e-12)
 
     # bit-for-bit with the library jet evaluation
-    from adkit.algebras import JetAlgebra
     from adkit.expr import eval_generic
-    from adkit.jets import BERZ, jet_shape, jet_variable
+    from adkit.jets import BERZ, JetAlgebra, jet_shape, jet_variable
 
     shape = jet_shape(1, 3)
     lib = eval_generic(
@@ -338,6 +338,116 @@ def test_graph_annotates_non_finite_row_sums(source, annotation, output):
     value, tangent = output  # the output node's labels, as text mode prints them
     assert f'<FONT COLOR="blue">{value}</FONT>' in proc.stdout
     assert f'<FONT COLOR="red">{tangent}</FONT>' in proc.stdout
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+JET8 = ["diff", "f(a,b,c,d)=exp(a*b)/(1+c^2)+sin(d*a)", "--at", "1,2,3,4",
+        "--mode", "jet", "--order", "8"]
+FORWARD_SIN = ["diff", "f(x)=sin(x)", "--at", "1", "--mode", "forward", "--dir", "1"]
+
+
+def run_process(argv, stdout, unbuffered):
+    """`python -m adkit.cli argv` writing its stdout to `stdout`, unbuffered
+    (each write fails at once) or block-buffered (a flush fails)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "adkit.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@BUFFERING
+@pytest.mark.parametrize("argv", [FORWARD_SIN, JET8], ids=["forward", "jet-order-8"])
+def test_a_closed_pipe_on_stdout_exits_4(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: every write fails
+    try:
+        proc = run_process(argv, write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    # nothing after the message: the closing flush goes to os.devnull
+    assert (proc.returncode, proc.stderr) == (
+        4, f"adkit: cannot write output: {os.strerror(errno.EPIPE)}\n")
+
+
+@BUFFERING
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_device_on_stdout_exits_4(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = run_process(FORWARD_SIN, full, unbuffered)
+    assert (proc.returncode, proc.stderr) == (
+        4, f"adkit: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose write or flush raises `error`; it has no descriptor."""
+
+    def __init__(self, error: OSError, on: str):
+        super().__init__()
+        self.error, self.on = error, on
+
+    def write(self, text):
+        if self.on == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                   OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["broken-pipe", "no-space"])
+@pytest.mark.parametrize("argv", [FORWARD_SIN, ["graph", "f(x)=sin(x)"],
+                                  ["bench", "--scenario", "chain", "--max-n", "2"]],
+                         ids=["diff", "graph", "bench"])
+def test_a_failed_write_to_stdout_exits_4_in_process(monkeypatch, capsys, argv, error, on):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error, on))
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (
+        cli.EXIT_OUTPUT, f"adkit: cannot write output: {error.strerror}\n")
+
+
+def test_every_layer_the_cli_probe_wraps_is_called_through_the_cli_module(
+    monkeypatch, capsys, tmp_path
+):
+    # perfbench/cli_probe.py times the traced `cli` workload by replacing
+    # these names on adkit.cli, and names eval_generic's span by algebra.
+    perfbench_module("spans")
+    probe = perfbench_module("cli_probe")
+    calls = dict.fromkeys([*probe.LAYERS, "eval_generic"], 0)
+    algebras = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "eval_generic":
+                algebras.add(type(args[2]).__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    commands = [
+        FORWARD_SIN,
+        ["diff", "f(x)=(x, sin(x))", "--at", "1", "--mode", "reverse", "--cov", "1,1"],
+        ["diff", "f(x,y)=(x*y, x/y)", "--at", "1,2", "--mode", "jacobian"],
+        ["diff", "f(x,y)=x*exp(y)", "--at", "1,2", "--mode", "jet", "--order", "2"],
+        ["diff", "f(x)=exp(sin(x))", "--at", "0.5", "--mode", "tower", "--order", "4"],
+        ["graph", "f(x)=sin(x)", "--annotate", "at=1,dir=1"],
+        ["bench", "--scenario", "chain", "--max-n", "2", "--csv", str(tmp_path / "c.csv")],
+    ]
+    assert [main(argv) for argv in commands] == [0] * len(commands)
+    capsys.readouterr()
+    assert [name for name, count in calls.items() if count == 0] == []
+    assert set(probe.EVAL_SPANS) == {"JetAlgebra", "TowerAlgebra"} <= algebras
 
 
 def test_bench_table_and_csv(tmp_path, capsys):

@@ -1,21 +1,25 @@
 """The package's import surface: no module loads numpy, every command and
-the dense trace oracle run with it blocked, and `adkit` exports exactly a
-written list of names.
+the dense trace oracle run with it blocked, `adkit` exports exactly a
+written list of names, each loaded on first use, and each command loads
+only the modules it runs.
 
 Each numpy case runs in a fresh interpreter, since this test process may
 already have imported numpy.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 
 import pytest
 
+import adkit
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-#: Every name `adkit/__init__.py` imports, sorted.  A new export edits this.
+#: Every name `adkit/__init__.py` exports, sorted.  A new export edits this.
 EXPORTS = """
 Apply BERZ CATALOG Constant CostReport CountingAlgebra
 DomainError Dual DualAlgebra ElementaryFn EvalCounter Expr FunctionDef Jet
@@ -131,13 +135,65 @@ def test_no_module_imports_numpy():
 
 
 def test_exports_are_the_written_list():
-    with open(os.path.join(SRC, "adkit", "__init__.py")) as handle:
-        tree = ast.parse(handle.read())
-    names = sorted(
-        alias.asname or alias.name
-        for node in tree.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    )
     assert EXPORTS == sorted(EXPORTS)
-    assert names == EXPORTS
-    assert len(names) == 55
+    assert sorted(adkit._HOME) == EXPORTS
+    assert adkit.__all__ == EXPORTS
+    assert len(EXPORTS) == 55
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    for name in EXPORTS:
+        module = importlib.import_module(f"adkit.{adkit._HOME[name]}")
+        assert getattr(adkit, name) is getattr(module, name), name
+        defined_in = getattr(getattr(module, name), "__module__", module.__name__)
+        assert defined_in == module.__name__, name
+    assert set(EXPORTS) <= set(dir(adkit))
+    namespace: dict = {}
+    exec("from adkit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+    with pytest.raises(AttributeError, match="no attribute 'jet_lift'"):
+        adkit.jet_lift
+
+
+def test_importing_adkit_loads_no_module_of_it():
+    body = "import adkit, sys\nresult = sorted(m for m in sys.modules if m.startswith('adkit.'))"
+    assert run_child(body) == ("[]", False)
+
+
+#: Run in the child: each command's output is discarded, and the result is,
+#: per command, its exit code and the modules loaded since the child started.
+SURFACE = """
+import contextlib, io, json
+before = set(sys.modules)
+from adkit.cli import main
+result = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    result.append((code, sorted(set(sys.modules) - before)))
+"""
+
+#: Modules that no first-order command, graph or error exit loads.
+HEAVY = {"adkit.jets", "adkit.towers", "adkit.trace", "dataclasses", "inspect", "csv"}
+
+
+def surface(argvs: list[list[str]]) -> list[tuple[int, set[str]]]:
+    result, _ = run_child(SURFACE.format(argvs=argvs))
+    return [(code, set(loaded)) for code, loaded in ast.literal_eval(result)]
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    light = [NON_TRACE["forward"], NON_TRACE["reverse"], NON_TRACE["jacobian"],
+             NON_TRACE["graph"], ["diff", "f(x)=x+", "--at", "1"]]
+    bench = ["bench", "--scenario", "chain", "--max-n", "3", "--csv", str(tmp_path / "c.csv")]
+    runs = surface([*light, NON_TRACE["jet"], ANNOTATE, bench])
+    assert [code for code, _ in runs] == [0, 0, 0, 0, 1, 0, 0, 0]
+    for _, loaded in runs[:5]:
+        assert "adkit.engine" in loaded and loaded & HEAVY == set()
+    jet, annotate, bench = (loaded for _, loaded in runs[5:])
+    assert "adkit.jets" in jet and jet & {"adkit.towers", "adkit.trace"} == set()
+    assert "adkit.trace" in annotate and "csv" not in annotate
+    assert "csv" in bench and bench & {"adkit.towers", "dataclasses", "inspect"} == set()
+    [(code, tower)] = surface([NON_TRACE["tower"]])
+    assert code == 0 and "adkit.towers" in tower
+    assert tower & {"adkit.jets", "adkit.trace", "dataclasses", "inspect", "csv"} == set()

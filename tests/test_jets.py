@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adkit.algebras import DualAlgebra, JetAlgebra, TowerAlgebra
+from adkit.algebras import DualAlgebra
 from adkit.catalog import CATALOG, MUL, DomainError, UnsupportedOrderError, ElementaryFn
 from adkit.cli import main
 from adkit.counting import EvalCounter, counted_variant
@@ -20,6 +20,7 @@ from adkit.jets import (
     MAX_SIZE,
     STANDARD,
     Jet,
+    JetAlgebra,
     JetShape,
     jet_constant,
     jet_convert_basis,
@@ -28,7 +29,7 @@ from adkit.jets import (
     jet_variable,
 )
 
-from adkit.towers import tower_take, tower_var
+from adkit.towers import TowerAlgebra, tower_take, tower_var
 
 from conftest import random_program
 from oracles import (
@@ -237,8 +238,8 @@ def test_catalogue_names_are_reserved():
     assert a_sin_b("mul_sin").name == "mul_sin"
     assert a_sin_b("power").name == "power"
 
-    # counted_variant copies a catalogue function with dataclasses.replace,
-    # so its copies keep their names and every mode dispatches them alike.
+    # counted_variant copies a catalogue function in its own class, so its
+    # copies keep their names and every mode dispatches them alike.
     counter = EvalCounter()
     mul, sin = counted_variant(MUL, counter), counted_variant(CATALOG["sin"], counter)
     assert (mul.name, sin.name) == ("mul", "sin")

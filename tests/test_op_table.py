@@ -9,14 +9,14 @@ import math
 import random
 import struct
 
-from adkit.algebras import CountingAlgebra, DualAlgebra, JetAlgebra, RealAlgebra, TowerAlgebra
+from adkit.algebras import CountingAlgebra, DualAlgebra, RealAlgebra
 from adkit.catalog import ADD, COPY, EXP, MUL, DomainError, ElementaryFn
 from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual
 from adkit.engine import _tangents, backprop, record
 from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
-from adkit.jets import BERZ, STANDARD, jet_shape, jet_variable
-from adkit.towers import tower_take, tower_var
+from adkit.jets import BERZ, STANDARD, JetAlgebra, jet_shape, jet_variable
+from adkit.towers import TowerAlgebra, tower_take, tower_var
 
 from conftest import PERFBENCH, perfbench_module, random_program
 from oracles import step_backprop, step_eval, step_record, step_tangents

@@ -10,17 +10,17 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adkit.algebras import DualAlgebra, TowerAlgebra
+from adkit.algebras import DualAlgebra
 from adkit.catalog import CATALOG, COPY, DomainError, lookup
 from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual
 from adkit.expr import eval_generic, parse
-from adkit.jets import BERZ, jet_shape, jet_variable
-from adkit.algebras import JetAlgebra
+from adkit.jets import BERZ, JetAlgebra, jet_shape, jet_variable
 from adkit import towers
 from adkit.towers import (
     MAX_TOWER_ORDER,
     Tower,
+    TowerAlgebra,
     tower_const,
     tower_df,
     tower_take,
