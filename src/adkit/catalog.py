@@ -103,11 +103,11 @@ class ElementaryFn(Record):
     as ``derivative(a, f, lift)`` it returns f'(a) in catalogue terms, where
     `a` is the lifted argument, `f` the lifted result and `lift(name)` the
     lift of another catalogue function on the same argument.  It is written
-    with the operators of lifted scalars, where a float stands for a lifted
-    constant, and it may return a float: sigmoid's is ``f * (1.0 - f)`` and
-    ``pow0``'s is ``0.0``.  Jets take degree 1 from `partials`, as dual
-    numbers do, and the rule from degree 2 up; towers take every entry after
-    the head from the rule.
+    with the operators of lifted scalars (a float is a lifted constant), and
+    it may return a float: ``pow0``'s is ``0.0``.  Jets take degree 1 from
+    `partials`, as dual numbers do, and degree d >= 2 from the rule on jets
+    over `shape.truncated(d - 1)`, which do not mix with jets built on
+    `jet_shape(n, d - 1)`; towers take every entry after the head from it.
 
     The modes dispatch on a function's name, so the names of the catalogue's
     own functions (``add sub neg mul div copy``, ``pow<k>`` and the CATALOG

@@ -5,9 +5,9 @@
     adkit bench --scenario chain --max-n 10 --csv counts.csv
 
 Exit codes: 0 success, 1 expression parse error, 2 domain error, 3 flag
-misuse, 4 the output could not be written (a closed pipe, a full disk).
-Diagnostics go to stderr; all numbers print with their shortest round-trip
-decimal representation.
+misuse, 4 the output (help text included) could not be written (a closed
+pipe, a full disk).  Diagnostics go to stderr; all numbers print with their
+shortest round-trip decimal representation.
 
 A command loads only the modules it runs: jets, towers, the dense trace and
 `csv` are imported in the branches that use them.
@@ -65,6 +65,12 @@ class _ArgumentParser(argparse.ArgumentParser):
     # FlagError so flag misuse maps to exit code 3.
     def error(self, message):
         raise FlagError(message)
+
+    # argparse drops a failed write of its help, then exits before `main`
+    # flushes stdout: write and flush here, so that a failure ends in exit 4.
+    def _print_message(self, message, file=None):
+        file.write(message)
+        file.flush()
 
 
 #: Options whose value is a comma-separated vector.

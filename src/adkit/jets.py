@@ -47,11 +47,11 @@ class JetShape:
     Monomial multi-indices are laid out in graded lexicographic order, so
     position 0 is the constant term and the table has C(n+N, N) entries.
     Each degree is enumerated on its own, by stars and bars.  Obtain
-    instances through :func:`jet_shape` (they are cached and compared by
-    identity).
+    instances through :func:`jet_shape` (cached, compared by identity); a
+    lift's rule sees jets over the prefix `truncated(d - 1)` of this shape.
     """
 
-    __slots__ = ("n", "order", "monomials", "position", "_pair_table", "factorials", "degrees")
+    __slots__ = ("n", "order", "monomials", "position", "_pair_table", "factorials", "degrees", "_views")
 
     def __init__(self, n: int, order: int):
         if n < 1:
@@ -74,6 +74,7 @@ class JetShape:
         )
         self.degrees: tuple[int, ...] = tuple(map(sum, monos))
         self._pair_table = None
+        self._views: dict[int, JetShape] = {}
 
     @property
     def size(self) -> int:
@@ -98,6 +99,22 @@ class JetShape:
                     table[t].append((r, s, fact[t] / (fr * fact[s])))
             self._pair_table = table
         return self._pair_table
+
+    def truncated(self, d: int) -> JetShape:
+        """The shape of order d <= N, built once per d (truncated(N) is self):
+        this layout's first C(n + d, d) positions, sharing their monomials,
+        factorials, degrees and index-table rows, and the position map."""
+        if not 1 <= d <= self.order:
+            raise ValueError(f"truncation order must be in 1..{self.order}")
+        view = self if d == self.order else self._views.get(d)
+        if view is None:
+            view, size = object.__new__(JetShape), math.comb(self.n + d, d)
+            view.n, view.order, view.position, view._views = self.n, d, self.position, {}
+            self.pair_table()
+            for name in ("monomials", "factorials", "degrees", "_pair_table"):
+                setattr(view, name, getattr(self, name)[:size])
+            view = self._views.setdefault(d, view)
+        return view
 
     def __repr__(self) -> str:
         return f"JetShape(n={self.n}, order={self.order})"
@@ -233,13 +250,12 @@ def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
 
     w = f(u) has the constant term f(u_0), and its degree-d coefficients are
     w_t = sum |r| u_r v_s / d over the splits t = r + s, where v = f'(u) is
-    the rule evaluated at truncation d - 1, or at d = 1 the first partial
-    f'(u_0) from `partials` (in the berz basis each term carries the split's
-    multinomial weight).  The lifts f' needs on the same argument (cos for
-    sin, pow{k-1} for pow{k}) form one family: each is built once and filled
-    alongside.
+    the rule evaluated on jets over the prefix `shape.truncated(d - 1)`, or
+    at d = 1 the first partial f'(u_0) from `partials` (in the berz basis
+    each term carries the split's multinomial weight).  The lifts f' needs
+    on the same argument (cos for sin, pow{k-1} for pow{k}) form one
+    family: each is built once and filled alongside.
     """
-    derivative_rule(fn)
     arg = args[0]
     return Jet(arg.shape, _Family(arg).fill(fn, arg.shape.order), arg.basis)
 
@@ -280,7 +296,7 @@ class _Family:
             v = fn.partials([arg.coeffs[0]])
         else:
             # The graded layout of order d - 1 is a prefix of the full one.
-            low = jet_shape(n, d - 1)
+            low = arg.shape.truncated(d - 1)
 
             def view(coeffs: list[float]) -> Jet:
                 return Jet(low, coeffs[:low.size], basis)
@@ -304,7 +320,7 @@ def jet_extract_partial(j: Jet, k: tuple[int, ...]) -> float:
     standard-basis coefficient, or the berz coefficient directly."""
     k = tuple(int(x) for x in k)
     pos = j.shape.position.get(k)
-    if pos is None:
+    if pos is None or pos >= j.shape.size:  # a truncated shape shares the map
         raise IndexError(f"multi-index {k} out of range for {j.shape!r}")
     if j.basis == BERZ:
         return j.coeffs[pos]

@@ -220,26 +220,24 @@ def _quotient(node: _Node, d: int, order: list) -> None:
     q.append((x[d] - total) / y[0])
 
 
-def lift(
-    fn: ElementaryFn, a: Tower, resolve: Optional[Callable[[str], ElementaryFn]] = None
-) -> Tower:
+def lift(fn: ElementaryFn, args: list[Tower]) -> Tower:
     """Lift a unary catalogue function with a rule (else UnsupportedOrderError)
-    onto a tower; `resolve` replaces the table that looks up its rule's lifts."""
-    return _lift(fn, (_node(a), resolve if resolve is not None else lookup, {}))
+    onto the tower args[0]."""
+    return _lift(fn, (_node(args[0]), {}))
 
 
 def _member(family: tuple, name: str) -> _Node:
     """The family's lift of `name`: a view if it is built, else a new lift."""
-    return family[2].get(name) or _lift(family[1](name), family)
+    return family[1].get(name) or _lift(lookup(name), family)
 
 
 def _lift(fn: ElementaryFn, family: tuple) -> _Node:
-    """fn lifted on family[0]; a family is (argument, function table, views)."""
+    """fn lifted on family[0]; a family is (argument, views)."""
     rule = derivative_rule(fn)
     a = family[0]
     fn.check_domain([a.head])
     entries = [float(fn.value([a.head]))]
-    family[2][fn.name] = view = _Node(entries, (), None)
+    family[1][fn.name] = view = _Node(entries, (), None)
     return _Node(entries, (a,), _chain, (rule, family, view))
 
 
@@ -265,13 +263,7 @@ def _chain(node: _Node, d: int, order: list) -> None:
 
 
 class TowerAlgebra(_LiftedAlgebra):
-    """Univariate derivative towers of unbounded order; `resolve` replaces
-    the table that looks up the lifts a rule names."""
-
-    def __init__(self, resolve: Optional[Callable[[str], ElementaryFn]] = None):
-        self.resolve = resolve
+    """Univariate derivative towers of unbounded order."""
 
     constant = staticmethod(tower_const)
-
-    def lift(self, fn: ElementaryFn, args: list[Tower]) -> Tower:
-        return lift(fn, args[0], self.resolve)
+    lift = staticmethod(lift)

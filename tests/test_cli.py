@@ -361,7 +361,8 @@ BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered"
 
 
 @BUFFERING
-@pytest.mark.parametrize("argv", [FORWARD_SIN, JET8], ids=["forward", "jet-order-8"])
+@pytest.mark.parametrize("argv", [FORWARD_SIN, JET8, ["--help"], ["diff", "--help"]],
+                         ids=["forward", "jet-order-8", "help", "diff-help"])
 def test_a_closed_pipe_on_stdout_exits_4(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child starts: every write fails
@@ -377,10 +378,11 @@ def test_a_closed_pipe_on_stdout_exits_4(argv, unbuffered):
 @BUFFERING
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 def test_a_full_device_on_stdout_exits_4(unbuffered):
-    with open("/dev/full", "w") as full:
-        proc = run_process(FORWARD_SIN, full, unbuffered)
-    assert (proc.returncode, proc.stderr) == (
-        4, f"adkit: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+    for argv in (FORWARD_SIN, ["--help"], ["diff", "--help"]):
+        with open("/dev/full", "w") as full:
+            proc = run_process(argv, full, unbuffered)
+        assert (proc.returncode, proc.stderr) == (
+            4, f"adkit: cannot write output: {os.strerror(errno.ENOSPC)}\n"), argv
 
 
 class FailingStdout(io.StringIO):

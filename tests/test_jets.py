@@ -471,6 +471,29 @@ def test_pair_table_equals_the_pair_scan():
         assert shape.pair_table() == scanned_pair_table(shape), (n, order)
 
 
+def test_a_lift_reads_prefixes_of_its_own_shape():
+    # A cold (5, 7) evaluation lifts exp, sin and cos through degree 7, yet
+    # adds only its own shape to the cache: every lower order is a view.
+    before = jet_shape.cache_info().currsize
+    shape = jet_shape(5, 7)
+    fdef = parse("f(a,b,c,d,e) = exp(a*b)/(1+c^2)+sin(d*e)")
+    seeds = [jet_variable(shape, i + 1, 0.25 * (i + 1), BERZ) for i in range(5)]
+    out = eval_generic(fdef, seeds, JetAlgebra(shape, BERZ))[0]
+    assert jet_shape.cache_info().currsize == before + 1
+    assert out.coeffs[0] == math.exp(0.125) / (1 + 0.75**2) + math.sin(1.25)
+    assert shape.truncated(7) is shape
+    for d in range(1, 8):
+        view, fresh = shape.truncated(d), JetShape(5, d)
+        assert shape.truncated(d) is view and view.order == d, d
+        assert (view.monomials, view.factorials, view.degrees, view.pair_table()) == (
+            fresh.monomials, fresh.factorials, fresh.degrees, fresh.pair_table()), d
+    with pytest.raises(IndexError):  # the shared position map knows (0, 0, 0, 0, 2)
+        jet_extract_partial(jet_constant(shape.truncated(1), 1.0), (0, 0, 0, 0, 2))
+    for d in (0, 8):
+        with pytest.raises(ValueError):
+            shape.truncated(d)
+
+
 def _max_variables(order):
     """The most variables a jet of this order may have under MAX_SIZE."""
     n = 1

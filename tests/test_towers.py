@@ -334,7 +334,7 @@ def test_binomial_rows_are_exact_and_an_order_1020_tower_forces_promptly():
     assert all(math.isclose(e, math.exp(0.5), rel_tol=1e-12) for e in entries)
 
 
-def test_laziness_forces_only_requested_depth():
+def test_laziness_forces_only_requested_depth(monkeypatch):
     counter = EvalCounter()
     wrapped = {
         name: counted_variant(CATALOG[name], counter) for name in ("sin", "cos")
@@ -343,7 +343,8 @@ def test_laziness_forces_only_requested_depth():
     def resolve(name):
         return wrapped[name]
 
-    t = TowerAlgebra(resolve).apply(wrapped["sin"], [tower_var(0.3)])
+    monkeypatch.setattr(towers, "lookup", resolve)  # the lifts a rule names
+    t = TowerAlgebra().apply(wrapped["sin"], [tower_var(0.3)])
     assert counter.count == 1  # building the head is one value evaluation
     counts = []
     for k in range(1, 5):
@@ -357,7 +358,7 @@ def test_laziness_forces_only_requested_depth():
     assert counter.count == 2
 
 
-def test_lift_family_evaluates_each_function_once():
+def test_lift_family_evaluates_each_function_once(monkeypatch):
     counter = EvalCounter()
     wrapped = {
         name: counted_variant(CATALOG[name], counter)
@@ -369,12 +370,14 @@ def test_lift_family_evaluates_each_function_once():
         per_name[name] = per_name.get(name, 0) + 1
         return wrapped[name]
 
-    inner = TowerAlgebra(resolve).apply(wrapped["sin"], [tower_var(0.3)])
-    t = TowerAlgebra(resolve).apply(wrapped["exp"], [inner])
+    monkeypatch.setattr(towers, "lookup", resolve)  # the lifts a rule names
+    inner = TowerAlgebra().apply(wrapped["sin"], [tower_var(0.3)])
+    t = TowerAlgebra().apply(wrapped["exp"], [inner])
     prefix = tower_take(t, 25)
     # exp and sin for the heads, cos once for sin's whole tail
     assert counter.count == 3
     assert per_name == {"cos": 1}
+    monkeypatch.undo()
     plain = TowerAlgebra().apply(
         CATALOG["exp"], [TowerAlgebra().apply(CATALOG["sin"], [tower_var(0.3)])]
     )
