@@ -287,13 +287,24 @@ TAN = _Builtin(
 )
 
 
-@lru_cache(maxsize=None)
+#: The largest exponent `^` accepts.  A power is that many multiplications
+#: (`ipow`), so one evaluation of x^1000 costs about as much as a
+#: thousand-step program.
+MAX_EXPONENT = 1000
+
+
 def pow_fn(k: int) -> ElementaryFn:
     """The unary power x -> x**k for a fixed integer exponent k >= 0.
 
     Values use repeated multiplication, so powers are free in the cost model
     (they are nothing but multiplications of an already-computed value).
+    The powers the parser accepts (k <= MAX_EXPONENT) are built once each;
+    a larger, hand-built exponent gets a new function on every call.
     """
+    return _cached_power(k) if k <= MAX_EXPONENT else _power(k)
+
+
+def _power(k: int) -> ElementaryFn:
     if k < 0:
         raise ValueError("integer power exponent must be >= 0")
 
@@ -312,6 +323,9 @@ def pow_fn(k: int) -> ElementaryFn:
 
     return _Builtin(f"pow{k}", 1, value, partials, _always, unit_cost=0,
                         derivative=derivative)
+
+
+_cached_power = lru_cache(maxsize=None)(_power)
 
 
 #: Functions callable by name from the expression language.

@@ -47,6 +47,7 @@ from .catalog import (
     CATALOG,
     COPY,
     DIV,
+    MAX_EXPONENT,
     MUL,
     NEG,
     SUB,
@@ -174,11 +175,6 @@ def _error(source: str, index: int, message: str) -> ParseError:
 
 
 _PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 1, 2, 3, 4, 5
-
-#: The largest exponent `^` accepts.  A power is that many multiplications
-#: (`catalog.ipow`), so one evaluation of x^1000 costs about as much as a
-#: thousand-step program.
-MAX_EXPONENT = 1000
 
 #: Binary operators by symbol: precedence and function.
 CATALOG_BIN = {"+": (_PREC_SUM, ADD), "-": (_PREC_SUM, SUB),

@@ -51,7 +51,8 @@ class JetShape:
     lift's rule sees jets over the prefix `truncated(d - 1)` of this shape.
     """
 
-    __slots__ = ("n", "order", "monomials", "position", "_pair_table", "factorials", "degrees", "_views")
+    __slots__ = ("n", "order", "size", "monomials", "position", "_pair_table", "factorials",
+                 "degrees", "_views")
 
     def __init__(self, n: int, order: int):
         if n < 1:
@@ -64,6 +65,7 @@ class JetShape:
                              f"{size} coefficients, more than {MAX_SIZE}")
         self.n = n
         self.order = order
+        self.size = size
         monos = [k for d in range(order + 1) for k in _degree(n, d)]
         self.monomials: tuple[tuple[int, ...], ...] = tuple(monos)
         self.position: dict[tuple[int, ...], int] = {
@@ -76,27 +78,31 @@ class JetShape:
         self._pair_table = None
         self._views: dict[int, JetShape] = {}
 
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
-
     def pair_table(self):
-        """For each position t: list of (r, s, multinomial weight) with
-        monomials r + s = t and r != 0, in ascending r.
+        """For each position t: list of (r, s, w, e) with monomials
+        r + s = t and r != 0, in ascending r, where w = t! / (r! s!) is the
+        multinomial weight and e = |r| w the berz lift's weight.
 
         The partners s of r are the first C(n + N - deg r, n) positions of
         the graded layout, so visiting r in ascending order lists each
         target's splits in ascending r.  The weight t! / (r! s!) is exact,
-        since every factorial involved is at most 12!.
+        since every factorial involved is at most 12!.  Equal weights are
+        one float object and each position one int object, so an entry
+        costs little beyond its tuple.
         """
         if self._pair_table is None:
             monos, position, fact = self.monomials, self.position, self.factorials
             table = [[] for _ in monos]
-            for r in range(1, self.size):
-                kr, fr = monos[r], fact[r]
-                for s in range(math.comb(self.n + self.order - self.degrees[r], self.n)):
+            interned: dict[float, float] = {}
+            index = list(range(self.size))
+            for r in index[1:]:
+                kr, fr, dr = monos[r], fact[r], self.degrees[r]
+                for s in index[:math.comb(self.n + self.order - dr, self.n)]:
                     t = position[tuple(map(operator.add, kr, monos[s]))]
-                    table[t].append((r, s, fact[t] / (fr * fact[s])))
+                    w = fact[t] / (fr * fact[s])
+                    w = interned.setdefault(w, w)
+                    e = dr * w
+                    table[t].append((r, s, w, interned.setdefault(e, e)))
             self._pair_table = table
         return self._pair_table
 
@@ -109,7 +115,8 @@ class JetShape:
         view = self if d == self.order else self._views.get(d)
         if view is None:
             view, size = object.__new__(JetShape), math.comb(self.n + d, d)
-            view.n, view.order, view.position, view._views = self.n, d, self.position, {}
+            view.n, view.order, view.size = self.n, d, size
+            view.position, view._views = self.position, {}
             self.pair_table()
             for name in ("monomials", "factorials", "degrees", "_pair_table"):
                 setattr(view, name, getattr(self, name)[:size])
@@ -133,18 +140,28 @@ def jet_shape(n: int, order: int) -> JetShape:
     return JetShape(n, order)
 
 
+def _check_basis(basis: str) -> None:
+    if basis not in (STANDARD, BERZ):
+        raise ValueError(f"unknown basis {basis!r}")
+
+
 class Jet(Lifted):
     """Dense coefficient vector over a JetShape, in one of the two bases.
     Its operators take jets of the same shape and basis, and floats (a float
-    c is the constant jet c)."""
+    c is the constant jet c).
+
+    ``Jet(shape, coeffs, basis)`` checks the length and the basis and takes
+    a float of every coefficient.  The jets this module computes itself
+    (sums, products, quotients, lifts, the views a rule sees) are built by
+    `_jet`, which trusts them and skips those checks.
+    """
 
     __slots__ = ("shape", "coeffs", "basis")
 
     def __init__(self, shape: JetShape, coeffs: list[float], basis: str = STANDARD):
         if len(coeffs) != shape.size:
             raise ValueError("coefficient vector does not match shape")
-        if basis not in (STANDARD, BERZ):
-            raise ValueError(f"unknown basis {basis!r}")
+        _check_basis(basis)
         self.shape = shape
         self.coeffs = [float(c) for c in coeffs]
         self.basis = basis
@@ -176,13 +193,13 @@ class Jet(Lifted):
         return NotImplemented
 
     def _add(self, b: Jet) -> Jet:
-        return Jet(self.shape, [x + y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
+        return _jet(self.shape, [x + y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
 
     def _sub(self, b: Jet) -> Jet:
-        return Jet(self.shape, [x - y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
+        return _jet(self.shape, [x - y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
 
     def __neg__(self) -> Jet:
-        return Jet(self.shape, [-x for x in self.coeffs], self.basis)
+        return _jet(self.shape, [-x for x in self.coeffs], self.basis)
 
     def _mul(self, b: Jet) -> Jet:
         """Coefficient convolution, discarding all terms of total degree > N.
@@ -192,16 +209,22 @@ class Jet(Lifted):
         multinomial t!/(r! s!) forced by multiplying factorial-scaled
         monomials (1 for r = 0).
         """
-        berz = self.basis == BERZ
         ac, bc = self.coeffs, b.coeffs
         a0 = ac[0]
         out = []
-        for t, row in enumerate(self.shape.pair_table()):
-            acc = 0.0 + a0 * bc[t]
-            for r, s, w in row:
-                acc += (w * ac[r] if berz else ac[r]) * bc[s]
-            out.append(acc)
-        return Jet(self.shape, out, self.basis)
+        if self.basis == BERZ:
+            for t, row in enumerate(self.shape.pair_table()):
+                acc = 0.0 + a0 * bc[t]
+                for r, s, w, _ in row:
+                    acc += w * ac[r] * bc[s]
+                out.append(acc)
+        else:
+            for t, row in enumerate(self.shape.pair_table()):
+                acc = 0.0 + a0 * bc[t]
+                for r, s, _, _ in row:
+                    acc += ac[r] * bc[s]
+                out.append(acc)
+        return _jet(self.shape, out, self.basis)
 
     def _div(self, b: Jet) -> Jet:
         """Long division: solve q * b = self coefficient by coefficient in
@@ -214,20 +237,35 @@ class Jet(Lifted):
         q = [0.0] * shape.size
         q[0] = ac[0] / b0
         splits = shape.pair_table()
-        berz = self.basis == BERZ
         # every split t = r + s with r != 0; s is then strictly lower degree
-        for t in range(1, shape.size):
-            acc = 0.0
-            for r, s, w in splits[t]:
-                acc += (w * bc[r] if berz else bc[r]) * q[s]
-            q[t] = (ac[t] - acc) / b0
-        return Jet(shape, q, self.basis)
+        if self.basis == BERZ:
+            for t in range(1, shape.size):
+                acc = 0.0
+                for r, s, w, _ in splits[t]:
+                    acc += w * bc[r] * q[s]
+                q[t] = (ac[t] - acc) / b0
+        else:
+            for t in range(1, shape.size):
+                acc = 0.0
+                for r, s, _, _ in splits[t]:
+                    acc += bc[r] * q[s]
+                q[t] = (ac[t] - acc) / b0
+        return _jet(shape, q, self.basis)
+
+
+def _jet(shape: JetShape, coeffs: list[float], basis: str) -> Jet:
+    """The jet of coefficients this module computed: a list of floats of
+    the shape's size, in a known basis.  Jet's checks are skipped."""
+    j = object.__new__(Jet)
+    j.shape, j.coeffs, j.basis = shape, coeffs, basis
+    return j
 
 
 def jet_constant(shape: JetShape, c: float, basis: str = STANDARD) -> Jet:
+    _check_basis(basis)
     coeffs = [0.0] * shape.size
     coeffs[0] = float(c)
-    return Jet(shape, coeffs, basis)
+    return _jet(shape, coeffs, basis)
 
 
 def jet_variable(shape: JetShape, i: int, c: float, basis: str = STANDARD) -> Jet:
@@ -237,11 +275,12 @@ def jet_variable(shape: JetShape, i: int, c: float, basis: str = STANDARD) -> Je
     """
     if not 1 <= i <= shape.n:
         raise IndexError(f"variable index {i} out of range 1..{shape.n}")
+    _check_basis(basis)
     coeffs = [0.0] * shape.size
     coeffs[0] = float(c)
     unit = tuple(1 if j == i - 1 else 0 for j in range(shape.n))
     coeffs[shape.position[unit]] = 1.0
-    return Jet(shape, coeffs, basis)
+    return _jet(shape, coeffs, basis)
 
 
 def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
@@ -252,12 +291,14 @@ def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
     w_t = sum |r| u_r v_s / d over the splits t = r + s, where v = f'(u) is
     the rule evaluated on jets over the prefix `shape.truncated(d - 1)`, or
     at d = 1 the first partial f'(u_0) from `partials` (in the berz basis
-    each term carries the split's multinomial weight).  The lifts f' needs
-    on the same argument (cos for sin, pow{k-1} for pow{k}) form one
-    family: each is built once and filled alongside.
+    each term carries the split's weight e = |r| t!/(r! s!) from the index
+    table).  The lifts f' needs on the same argument (cos for sin, pow{k-1}
+    for pow{k}) form one family: each is built once and filled alongside.
+    What the function returns enters as floats: its value, its first
+    partial, and a float the rule returns (as a constant jet).
     """
     arg = args[0]
-    return Jet(arg.shape, _Family(arg).fill(fn, arg.shape.order), arg.basis)
+    return _jet(arg.shape, _Family(arg).fill(fn, arg.shape.order), arg.basis)
 
 
 class _Family:
@@ -281,7 +322,7 @@ class _Family:
             x0 = self.arg.coeffs[0]
             fn.check_domain([x0])
             coeffs = [0.0] * self.arg.shape.size
-            coeffs[0] = fn.value([x0])
+            coeffs[0] = float(fn.value([x0]))
             lift = self.lifts[fn.name] = [coeffs, 0]
         for d in range(lift[1] + 1, degree + 1):
             self._fill_degree(fn, lift[0], d)
@@ -293,13 +334,13 @@ class _Family:
         n, basis = arg.shape.n, arg.basis
         if d == 1:
             # The first partial, as dual numbers take it.
-            v = fn.partials([arg.coeffs[0]])
+            v = [float(p) for p in fn.partials([arg.coeffs[0]])]
         else:
             # The graded layout of order d - 1 is a prefix of the full one.
             low = arg.shape.truncated(d - 1)
 
             def view(coeffs: list[float]) -> Jet:
-                return Jet(low, coeffs[:low.size], basis)
+                return _jet(low, coeffs[:low.size], basis)
 
             a = view(arg.coeffs)
             v = a._promote(fn.derivative(
@@ -307,12 +348,19 @@ class _Family:
             )).coeffs
         u, shape = arg.coeffs, arg.shape
         splits, degrees = shape.pair_table(), shape.degrees
-        berz = basis == BERZ
-        for t in range(math.comb(n + d - 1, n), math.comb(n + d, n)):
-            acc = 0.0
-            for r, s, wt in splits[t]:
-                acc += degrees[r] * (wt if berz else 1.0) * u[r] * v[s]
-            w[t] = acc / d
+        targets = range(math.comb(n + d - 1, n), math.comb(n + d, n))
+        if basis == BERZ:
+            for t in targets:
+                acc = 0.0
+                for r, s, _, e in splits[t]:
+                    acc += e * u[r] * v[s]
+                w[t] = acc / d
+        else:
+            for t in targets:
+                acc = 0.0
+                for r, s, _, _ in splits[t]:
+                    acc += degrees[r] * u[r] * v[s]
+                w[t] = acc / d
 
 
 def jet_extract_partial(j: Jet, k: tuple[int, ...]) -> float:
@@ -329,15 +377,14 @@ def jet_extract_partial(j: Jet, k: tuple[int, ...]) -> float:
 
 def jet_convert_basis(j: Jet, target: str) -> Jet:
     """Rescale slot k by k! (standard -> berz) or 1/k! (berz -> standard)."""
-    if target not in (STANDARD, BERZ):
-        raise ValueError(f"unknown basis {target!r}")
+    _check_basis(target)
     if j.basis == target:
-        return Jet(j.shape, list(j.coeffs), j.basis)
+        return _jet(j.shape, list(j.coeffs), j.basis)
     if target == BERZ:
         coeffs = [c * f for c, f in zip(j.coeffs, j.shape.factorials)]
     else:
         coeffs = [c / f for c, f in zip(j.coeffs, j.shape.factorials)]
-    return Jet(j.shape, coeffs, target)
+    return _jet(j.shape, coeffs, target)
 
 
 class JetAlgebra(_LiftedAlgebra):

@@ -5,7 +5,9 @@ nested-dual evaluator differentiates by recursive (value, derivative) pairs,
 polynomial products are dict-based convolution, and the stencil module is
 plain central finite differences.  The jet section keeps the exhaustive
 scans that built the monomial layout and the pair table, as references
-that the graded build must equal.  `decode` turns a program's op table
+that the graded build must equal, and `LoopJetAlgebra`, the jet kernels
+that tested the basis inside every split, as a bit-for-bit reference for
+the per-basis loops.  `decode` turns a program's op table
 into one (fn, arg_slots, out_slot) step per op.  `step_eval` and the tape
 section sweep those steps, decoding every step on every pass, as
 references that `eval_generic` and the sweeps over the op table must match
@@ -17,11 +19,12 @@ compile must match.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 
-from adkit.catalog import COPY, DomainError
+from adkit.catalog import COPY, OPERATORS, DomainError, Lifted, derivative_rule, lookup
 from adkit.expr import (
     Apply,
     Constant,
@@ -221,9 +224,10 @@ def scanned_monomials(n: int, order: int) -> tuple:
 
 
 def scanned_pair_table(shape) -> list:
-    """For each position t, the (r, s, weight) with monomials r + s = t and
-    r != 0 in ascending r: every pair of the shape's monomials is tested,
-    weighted by the exact product of binomials, and regrouped by target."""
+    """For each position t, the (r, s, weight, |r| weight) with monomials
+    r + s = t and r != 0 in ascending r: every pair of the shape's monomials
+    is tested, weighted by the exact product of binomials, and regrouped by
+    target."""
     position = {k: i for i, k in enumerate(shape.monomials)}
     table = [[] for _ in shape.monomials]
     for r, kr in enumerate(shape.monomials[1:], 1):
@@ -232,7 +236,7 @@ def scanned_pair_table(shape) -> list:
             if sum(k) > shape.order:
                 continue
             w = float(math.prod(math.comb(a + b, a) for a, b in zip(kr, ks)))
-            table[position[k]].append((r, s, w))
+            table[position[k]].append((r, s, w, sum(kr) * w))
     return table
 
 
@@ -268,6 +272,153 @@ def jet_long_division(a, b) -> list[float]:
                 acc += b.coeffs[r_pos] * q[pos[s]]
         q[t] = (a.coeffs[t] - acc) / b0
     return q
+
+
+# --- the jet kernels that tested the basis in every split ---
+
+
+class LoopJet(Lifted):
+    """A jet whose product, quotient and lift are the loops that tested the
+    basis inside every split and formed each lift term's weight
+    |r| (w or 1.0) there, and whose lift evaluates the rule on jets over a
+    separate JetShape(n, d - 1), not on a prefix view.  Kept, with
+    `LoopJetAlgebra`, as a bit-for-bit reference for `adkit.jets`."""
+
+    __slots__ = ("shape", "coeffs", "basis")
+
+    def __init__(self, shape, coeffs: list[float], basis: str):
+        self.shape, self.coeffs, self.basis = shape, coeffs, basis
+
+    def _promote(self, b):
+        if isinstance(b, LoopJet):
+            if b.shape is not self.shape or b.basis != self.basis:
+                raise ValueError("jet shape or basis mismatch")
+            return b
+        if isinstance(b, (int, float)):
+            return loop_jet_constant(self.shape, b, self.basis)
+        return NotImplemented
+
+    def _add(self, b):
+        return LoopJet(self.shape, [x + y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
+
+    def _sub(self, b):
+        return LoopJet(self.shape, [x - y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
+
+    def __neg__(self):
+        return LoopJet(self.shape, [-x for x in self.coeffs], self.basis)
+
+    def _mul(self, b):
+        berz = self.basis == "berz"
+        ac, bc = self.coeffs, b.coeffs
+        a0 = ac[0]
+        out = []
+        for t, row in enumerate(self.shape.pair_table()):
+            acc = 0.0 + a0 * bc[t]
+            for r, s, w, _ in row:
+                acc += (w * ac[r] if berz else ac[r]) * bc[s]
+            out.append(acc)
+        return LoopJet(self.shape, out, self.basis)
+
+    def _div(self, b):
+        b0 = b.coeffs[0]
+        if b0 == 0.0:
+            raise DomainError("div", (self.coeffs[0], b0))
+        shape = self.shape
+        ac, bc = self.coeffs, b.coeffs
+        q = [0.0] * shape.size
+        q[0] = ac[0] / b0
+        splits = shape.pair_table()
+        berz = self.basis == "berz"
+        for t in range(1, shape.size):
+            acc = 0.0
+            for r, s, w, _ in splits[t]:
+                acc += (w * bc[r] if berz else bc[r]) * q[s]
+            q[t] = (ac[t] - acc) / b0
+        return LoopJet(shape, q, self.basis)
+
+
+def loop_jet_constant(shape, c: float, basis: str) -> LoopJet:
+    coeffs = [0.0] * shape.size
+    coeffs[0] = float(c)
+    return LoopJet(shape, coeffs, basis)
+
+
+@functools.lru_cache(maxsize=None)
+def separate_shape(n: int, order: int):
+    """A JetShape(n, order) of the oracle's own, never a view of a larger
+    shape nor the object `jet_shape` caches."""
+    from adkit.jets import JetShape
+
+    return JetShape(n, order)
+
+
+def loop_lift(fn, args) -> LoopJet:
+    """fn lifted degree by degree onto the LoopJet args[0]."""
+    arg = args[0]
+    return LoopJet(arg.shape, _LoopFamily(arg).fill(fn, arg.shape.order), arg.basis)
+
+
+class _LoopFamily:
+    """The lifts of catalogue functions on one LoopJet argument, each built
+    once and stored by name as [coefficients, degree filled]."""
+
+    def __init__(self, arg: LoopJet):
+        self.arg = arg
+        self.lifts: dict = {}
+
+    def fill(self, fn, degree: int) -> list[float]:
+        lift = self.lifts.get(fn.name)
+        if lift is None:
+            derivative_rule(fn)
+            x0 = self.arg.coeffs[0]
+            fn.check_domain([x0])
+            coeffs = [0.0] * self.arg.shape.size
+            coeffs[0] = fn.value([x0])
+            lift = self.lifts[fn.name] = [coeffs, 0]
+        for d in range(lift[1] + 1, degree + 1):
+            self._fill_degree(fn, lift[0], d)
+            lift[1] = d
+        return lift[0]
+
+    def _fill_degree(self, fn, w: list[float], d: int) -> None:
+        arg = self.arg
+        n, basis = arg.shape.n, arg.basis
+        if d == 1:
+            v = fn.partials([arg.coeffs[0]])
+        else:
+            low = separate_shape(n, d - 1)
+
+            def view(coeffs):
+                return LoopJet(low, coeffs[:low.size], basis)
+
+            a = view(arg.coeffs)
+            v = a._promote(fn.derivative(
+                a, view(w), lambda name: view(self.fill(lookup(name), d - 1)),
+            )).coeffs
+        u, shape = arg.coeffs, arg.shape
+        splits, degrees = shape.pair_table(), shape.degrees
+        berz = basis == "berz"
+        for t in range(math.comb(n + d - 1, n), math.comb(n + d, n)):
+            acc = 0.0
+            for r, s, wt, _ in splits[t]:
+                acc += degrees[r] * (wt if berz else 1.0) * u[r] * v[s]
+            w[t] = acc / d
+
+
+class LoopJetAlgebra:
+    """`JetAlgebra` over LoopJets: arithmetic by the operators, any other
+    function by `loop_lift`."""
+
+    def __init__(self, shape, basis: str):
+        self.shape, self.basis = shape, basis
+
+    def constant(self, c: float) -> LoopJet:
+        return loop_jet_constant(self.shape, c, self.basis)
+
+    def apply(self, fn, args):
+        fn.check_arity(args)
+        op = OPERATORS.get(fn.name)
+        return loop_lift(fn, args) if op is None else op(*args)
 
 
 # --- central finite differences ---

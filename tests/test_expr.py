@@ -1,13 +1,15 @@
 """Expression front-end: parsing, evaluation, scheduling, DOT export."""
 
+import gc
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from adkit.algebras import CountingAlgebra, DualAlgebra, RealAlgebra
-from adkit.catalog import DomainError
+from adkit.catalog import MAX_EXPONENT, DomainError, pow_fn
 from adkit.counting import EvalCounter
 from adkit.dual import Dual
 from adkit.expr import (
@@ -87,6 +89,28 @@ def test_parse_errors_carry_position():
             parse(source)
         assert str(err.value) == f"{message} (line {line}, column {column})", source
         assert (err.value.line, err.value.column) == (line, column), source
+
+
+def test_only_the_parsers_powers_are_kept():
+    # Every exponent `^` accepts is one function for the life of the process;
+    # a larger, hand-built exponent is built afresh and freed with its last use.
+    assert all(pow_fn(k) is pow_fn(k) for k in range(MAX_EXPONENT + 1))
+    assert parse("f(x) = x^1000").outputs[0].fn is pow_fn(1000)
+    assert pow_fn(MAX_EXPONENT + 1) is not pow_fn(MAX_EXPONENT + 1)
+    assert pow_fn(20000).name == "pow20000"
+    with pytest.raises(ValueError):
+        pow_fn(-1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(20000, 22000):
+            pow_fn(k)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 50_000  # a cached power holds about 850 bytes
 
 
 def test_precedence_and_unary_minus():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 import time
 
 import pytest
@@ -13,7 +14,7 @@ from adkit.cli import main
 from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual
 from adkit.engine import SeedSpec, backprop, forward_directional, record
-from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
+from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse, unparse
 from adkit.jets import (
     BERZ,
     MAX_ORDER,
@@ -33,6 +34,8 @@ from adkit.towers import TowerAlgebra, tower_take, tower_var
 
 from conftest import random_program
 from oracles import (
+    LoopJet,
+    LoopJetAlgebra,
     central_diff_order,
     jet_long_division,
     mp_taylor,
@@ -40,6 +43,7 @@ from oracles import (
     poly_mul_truncated,
     scanned_monomials,
     scanned_pair_table,
+    step_eval,
 )
 
 
@@ -468,7 +472,13 @@ def test_pair_table_equals_the_pair_scan():
         shape = jet_shape(n, order)
         if (order + 1) ** n <= 10**5:
             assert shape.monomials == scanned_monomials(n, order), (n, order)
-        assert shape.pair_table() == scanned_pair_table(shape), (n, order)
+        table = shape.pair_table()
+        assert table == scanned_pair_table(shape), (n, order)
+        # equal weights are one float object and each position one int object,
+        # so an entry costs little beyond its tuple
+        for part in (slice(0, 2), slice(2, 4)):
+            values = [x for row in table for entry in row for x in entry[part]]
+            assert len(set(map(id, values))) == len(set(values)), (n, order, part)
 
 
 def test_a_lift_reads_prefixes_of_its_own_shape():
@@ -492,6 +502,59 @@ def test_a_lift_reads_prefixes_of_its_own_shape():
     for d in (0, 8):
         with pytest.raises(ValueError):
             shape.truncated(d)
+
+
+def _packed(run):
+    """The struct-packed coefficients of every output of `run()`, or the
+    type, text and path of the DomainError it raises."""
+    try:
+        outputs = run()
+    except DomainError as err:
+        return ("DomainError", str(err), err.path)
+    return [struct.pack(f"{len(j.coeffs)}d", *j.coeffs) for j in outputs]
+
+
+def test_jets_match_the_loops_that_tested_the_basis_in_every_split():
+    # The per-basis loops, the trusted constructor and the lift weight e = |r| w
+    # read from the index table change no bit: products, quotients and lifts
+    # equal the former loops, whose lift rules ran on separate JetShape(n, d - 1)
+    # objects, at each program's point and at that point times -3, where some
+    # lifts leave their domain.
+    rng = random.Random(2525)
+    errors = 0
+    for order in range(1, 7):
+        for _ in range(25):
+            fdef, point = random_program(rng, max_vars=4)
+            shape = jet_shape(fdef.n, order)
+            for basis in (STANDARD, BERZ):
+                for x in (point, [-3.0 * c for c in point]):
+                    jets = [jet_variable(shape, i + 1, c, basis) for i, c in enumerate(x)]
+                    loops = [LoopJet(shape, list(j.coeffs), basis) for j in jets]
+                    got = _packed(lambda: eval_generic(fdef, jets, JetAlgebra(shape, basis)))
+                    want = _packed(lambda: step_eval(fdef, loops, LoopJetAlgebra(shape, basis)))
+                    assert got == want, (unparse(fdef), order, basis, x)
+                    errors += got[0] == "DomainError"
+    assert 0 < errors < 25 * 6 * 2
+
+
+def test_values_from_registered_functions_enter_as_floats():
+    # A registered function whose value, partials and rule give ints: every
+    # coefficient of its lift is a float all the same, in both bases and in
+    # towers, as Jet(...) makes it of every coefficient it is given.
+    twice = ElementaryFn("twice", 1, lambda a: 2 * int(a[0]), lambda a: [2],
+                         lambda a: True, derivative=lambda a, f, lift: 2)
+    for basis in (STANDARD, BERZ):
+        for n, order in ((1, 1), (1, 2), (2, 3)):
+            shape = jet_shape(n, order)
+            seed = jet_variable(shape, 1, 3.0, basis)
+            out = JetAlgebra(shape, basis).apply(twice, [seed])
+            assert all(type(c) is float for c in out.coeffs), (basis, n, order, out)
+            assert jet_extract_partial(out, (0,) * n) == 6.0
+            assert jet_extract_partial(out, (1,) + (0,) * (n - 1)) == 2.0
+    assert all(type(c) is float for c in Jet(jet_shape(1, 2), [6, 2, 0]).coeffs)
+    tower = tower_take(TowerAlgebra().apply(twice, [tower_var(3.0)]), 6)
+    assert tower == [6.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+    assert all(type(c) is float for c in tower)
 
 
 def _max_variables(order):
