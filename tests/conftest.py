@@ -1,6 +1,6 @@
-"""Shared test helpers: a domain-safe random program generator,
-structural comparison of expression DAGs, and the benchmark's modules
-loaded by path."""
+"""Shared test helpers: a domain-safe random program generator, edge
+points to run its programs at, structural comparison of expression DAGs,
+and the benchmark's modules loaded by path."""
 
 from __future__ import annotations
 
@@ -15,6 +15,12 @@ from adkit.expr import Apply, Constant, Expr, FunctionDef, Variable
 
 UNARY_FNS = [CATALOG[name] for name in ("exp", "ln", "sqrt", "sin", "cos", "tan")]
 BINARY_FNS = [ADD, SUB, MUL, DIV]
+
+#: Arguments at the edges of the catalogue's domains and of the float range:
+#: signed zeros and subnormals, exp's domain bound (709.78...), overflowing
+#: magnitudes, infinities, NaN, and points where ln and sqrt are undefined.
+EDGE_POINTS = (0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 709.0, 710.0,
+               1e300, -1e300, math.inf, -math.inf, math.nan, -1.5, -0.5, 2.5)
 
 
 def random_program(

@@ -7,7 +7,9 @@ plain central finite differences.  The jet section keeps the exhaustive
 scans that built the monomial layout and the pair table, as references
 that the graded build must equal, and `LoopJetAlgebra`, the jet kernels
 that tested the basis inside every split, as a bit-for-bit reference for
-the per-basis loops.  `decode` turns a program's op table
+the per-basis loops.  `LoopTowerAlgebra` evaluates the tower formulas
+eagerly to a fixed order, re-running each lift's rule at every degree, as a
+bit-for-bit reference for the lazy towers.  `decode` turns a program's op table
 into one (fn, arg_slots, out_slot) step per op.  `step_eval` and the tape
 section sweep those steps, decoding every step on every pass, as
 references that `eval_generic` and the sweeps over the op table must match
@@ -419,6 +421,123 @@ class LoopJetAlgebra:
         fn.check_arity(args)
         op = OPERATORS.get(fn.name)
         return loop_lift(fn, args) if op is None else op(*args)
+
+
+# --- the tower formulas, evaluated eagerly to a fixed order ---
+
+
+class LoopTower(Lifted):
+    """The first K + 1 entries of a univariate derivative tower, computed
+    eagerly by the tower formulas: heads x0 y0 and x0 / y0, the Leibniz and
+    quotient sums from 0.0 over rows of binomials, and a lift w = f(u) with
+    entry 1 g0 u1 and entry d >= 2 the Euler form
+    (sum_{r=1..d} r binom(d, r) u_r g_{d-r}) / d, where g = f'(u) is the rule
+    run again at every degree d on towers cut to their first d entries.
+    Kept, with `LoopTowerAlgebra`, as a bit-for-bit reference for
+    `adkit.towers`."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[float]):
+        self.entries = entries
+
+    def _promote(self, b):
+        if isinstance(b, LoopTower):
+            return b
+        if isinstance(b, (int, float)):
+            return LoopTower([float(b)] + [0.0] * (len(self.entries) - 1))
+        return NotImplemented
+
+    def _add(self, b):
+        return LoopTower([x + y for x, y in zip(self.entries, b.entries)])
+
+    def _sub(self, b):
+        return LoopTower([x - y for x, y in zip(self.entries, b.entries)])
+
+    def __neg__(self):
+        return LoopTower([-x for x in self.entries])
+
+    def _mul(self, b):
+        x, y = self.entries, b.entries
+        out = [x[0] * y[0]]
+        for d in range(1, len(x)):
+            total = 0.0
+            for i, c in enumerate(binomial_row(d)):
+                total += c * x[i] * y[d - i]
+            out.append(total)
+        return LoopTower(out)
+
+    def _div(self, b):
+        x, y = self.entries, b.entries
+        if y[0] == 0.0:
+            raise DomainError("div", (x[0], y[0]))
+        q = [x[0] / y[0]]
+        for d in range(1, len(x)):
+            row = binomial_row(d)
+            total = 0.0
+            for i in range(1, d + 1):
+                total += row[i] * y[i] * q[d - i]
+            q.append((x[d] - total) / y[0])
+        return LoopTower(q)
+
+
+def binomial_row(d: int) -> list[float]:
+    """binom(d, r) for r = 0..d, each rounded to a float once."""
+    return [float(math.comb(d, r)) for r in range(d + 1)]
+
+
+def loop_tower_lift(fn, args) -> LoopTower:
+    """fn lifted entry by entry onto the LoopTower args[0]."""
+    u = args[0].entries
+    return LoopTower(_LoopTowerFamily(u).fill(fn, len(u) - 1))
+
+
+class _LoopTowerFamily:
+    """The lifts of catalogue functions on one argument's entries, each built
+    once and stored by name as its entries filled so far."""
+
+    def __init__(self, u: list[float]):
+        self.u = u
+        self.lifts: dict = {}
+
+    def fill(self, fn, order: int) -> list[float]:
+        u, w = self.u, self.lifts.get(fn.name)
+        if w is None:
+            derivative_rule(fn)
+            fn.check_domain([u[0]])
+            w = self.lifts[fn.name] = [float(fn.value([u[0]]))]
+        for d in range(len(w), order + 1):
+            a, f = LoopTower(u[:d]), LoopTower(w[:d])
+            v = a._promote(fn.derivative(
+                a, f, lambda name: LoopTower(self.fill(lookup(name), d - 1)[:d]),
+            )).entries
+            if d == 1:
+                w.append(v[0] * u[1])
+                continue
+            total = 0.0
+            for r, c in enumerate(binomial_row(d)[1:], 1):
+                total += r * c * u[r] * v[d - r]
+            w.append(total / d)
+        return w
+
+
+class LoopTowerAlgebra:
+    """`TowerAlgebra` over LoopTowers of `order + 1` entries: arithmetic by
+    the operators, any other function by `loop_tower_lift`."""
+
+    def __init__(self, order: int):
+        self.order = order
+
+    def constant(self, c: float) -> LoopTower:
+        return LoopTower([float(c)] + [0.0] * self.order)
+
+    def variable(self, c: float) -> LoopTower:
+        return LoopTower([float(c), 1.0] + [0.0] * (self.order - 1))
+
+    def apply(self, fn, args):
+        fn.check_arity(args)
+        op = OPERATORS.get(fn.name)
+        return loop_tower_lift(fn, args) if op is None else op(*args)
 
 
 # --- central finite differences ---

@@ -32,7 +32,7 @@ from adkit.jets import (
 
 from adkit.towers import TowerAlgebra, tower_take, tower_var
 
-from conftest import random_program
+from conftest import EDGE_POINTS, random_program
 from oracles import (
     LoopJet,
     LoopJetAlgebra,
@@ -517,24 +517,27 @@ def _packed(run):
 def test_jets_match_the_loops_that_tested_the_basis_in_every_split():
     # The per-basis loops, the trusted constructor and the lift weight e = |r| w
     # read from the index table change no bit: products, quotients and lifts
-    # equal the former loops, whose lift rules ran on separate JetShape(n, d - 1)
-    # objects, at each program's point and at that point times -3, where some
-    # lifts leave their domain.
+    # equal the former loops, whose lift rules ran again at every degree on
+    # separate JetShape(n, d - 1) objects, at each program's point, at that
+    # point times -3, where some lifts leave their domain, and at edge points
+    # (each program takes the next ones in turn, one per variable).
     rng = random.Random(2525)
-    errors = 0
+    errors = cases = 0
     for order in range(1, 7):
-        for _ in range(25):
+        for k in range(25):
             fdef, point = random_program(rng, max_vars=4)
             shape = jet_shape(fdef.n, order)
+            edges = [EDGE_POINTS[(k + i) % len(EDGE_POINTS)] for i in range(fdef.n)]
             for basis in (STANDARD, BERZ):
-                for x in (point, [-3.0 * c for c in point]):
+                for x in (point, [-3.0 * c for c in point], edges):
                     jets = [jet_variable(shape, i + 1, c, basis) for i, c in enumerate(x)]
                     loops = [LoopJet(shape, list(j.coeffs), basis) for j in jets]
                     got = _packed(lambda: eval_generic(fdef, jets, JetAlgebra(shape, basis)))
                     want = _packed(lambda: step_eval(fdef, loops, LoopJetAlgebra(shape, basis)))
                     assert got == want, (unparse(fdef), order, basis, x)
                     errors += got[0] == "DomainError"
-    assert 0 < errors < 25 * 6 * 2
+                    cases += 1
+    assert 0 < errors < cases
 
 
 def test_values_from_registered_functions_enter_as_floats():

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import struct
 import sys
 import threading
 import time
@@ -14,7 +15,7 @@ from adkit.algebras import DualAlgebra
 from adkit.catalog import CATALOG, COPY, DomainError, lookup
 from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual
-from adkit.expr import eval_generic, parse
+from adkit.expr import eval_generic, parse, unparse
 from adkit.jets import BERZ, JetAlgebra, jet_shape, jet_variable
 from adkit import towers
 from adkit.towers import (
@@ -27,7 +28,8 @@ from adkit.towers import (
     tower_var,
 )
 
-from conftest import random_program
+from conftest import EDGE_POINTS, random_program
+from oracles import LoopTowerAlgebra, step_eval
 
 
 def tower_from(entries):
@@ -447,6 +449,37 @@ def test_towers_are_n1_berz_jets_to_order_12():
         checked += 1
     assert checked > 250
     assert {"div", "exp", "ln", "sqrt", "sin", "cos", "tan"} <= names
+
+
+def _packed(run):
+    """The struct-packed entries of every output of `run()`, or the text
+    and path of the DomainError it raises."""
+    try:
+        outputs = run()
+    except DomainError as err:
+        return ("DomainError", str(err), err.path)
+    return [struct.pack(f"{len(e)}d", *e) for e in outputs]
+
+
+def test_towers_match_the_formulas_evaluated_eagerly():
+    # Byte for byte, so signed zeros and NaN payloads count, which `==`
+    # does not see: every entry to order 24 equals the tower formulas
+    # evaluated eagerly, with each lift's rule run again at every degree, at
+    # each program's point and at the edge points, DomainErrors included.
+    rng = random.Random(2626)
+    order, loops = 24, LoopTowerAlgebra(24)
+    errors = cases = 0
+    for _ in range(40):
+        fdef, point = random_program(rng, max_vars=1, max_ops=12)
+        for c in (point[0], *EDGE_POINTS):
+            got = _packed(lambda: [tower_take(t, order + 1) for t in eval_generic(
+                fdef, [tower_var(c)], TowerAlgebra())])
+            want = _packed(lambda: [t.entries for t in step_eval(
+                fdef, [loops.variable(c)], loops)])
+            assert got == want, (unparse(fdef), c)
+            errors += got[0] == "DomainError"
+            cases += 1
+    assert 0 < errors < cases
 
 
 def test_entries_0_and_1_are_the_dual_value_and_tangent():
