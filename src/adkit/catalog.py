@@ -105,9 +105,8 @@ class ElementaryFn(Record):
     lift of another catalogue function on the same argument.  It is written
     with the operators of lifted scalars (a float is a lifted constant), and
     it may return a float: ``pow0``'s is ``0.0``.  Jets take degree 1 from
-    `partials`, as dual numbers do, and degree d >= 2 from the rule on jets
-    over `shape.truncated(d - 1)`, which do not mix with jets built on
-    `jet_shape(n, d - 1)`; towers take every entry after the head from it.
+    `partials`, as dual numbers do, and towers entry 1 from the rule; the
+    Taylor engine (`adkit.taylor`) runs the rule once per lift for the rest.
 
     The modes dispatch on a function's name, so the names of the catalogue's
     own functions (``add sub neg mul div copy``, ``pow<k>`` and the CATALOG

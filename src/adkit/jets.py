@@ -3,20 +3,17 @@
 A jet over n variables truncated at total degree N is a dense coefficient
 vector over all monomials X1^k1 ... Xn^kn with k1 + ... + kn <= N.  Jets
 carry the operators ``+ - * /`` and unary ``-``, with each other and with
-floats, and products simply drop every term of total degree above N.  A
-unary catalogue function is lifted degree by degree from its first-order
-rule: with E = sum_i X_i d/dX_i the Euler operator, the chain rule
-E f(u) = f'(u) E u fixes the degree-d part of f(u) from f'(u) truncated at
-degree d - 1 (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Evaluating f on the jets (x1 + X1, ..., xn + Xn) then
-packs every partial derivative of f at x up to order N into one coefficient
-vector; `JetAlgebra` is that evaluation's algebra.
+floats, and products drop every term of total degree above N.  A unary
+catalogue function is lifted on the Taylor engine (`adkit.taylor`): with
+E = sum_i X_i d/dX_i, the chain rule E f(u) = f'(u) E u fixes the degree-d
+part of f(u) from f'(u) through degree d - 1.  Evaluating f on the jets
+(x1 + X1, ..., xn + Xn) packs every partial derivative of f at x up to
+order N into one vector; `JetAlgebra` is that evaluation's algebra.
 
-Two coefficient conventions are supported: in the ``standard`` basis the slot
-for multi-index k holds the coefficient of X^k (the order-k partial is
-k1!...kn! times it); in the ``berz`` basis the monomials are X^k/k1!...kn!, so
-slots hold partial derivatives directly.
-
-Jets are immutable values; every operation is pure.
+In the ``standard`` basis the slot for multi-index k holds the coefficient
+of X^k (the order-k partial is k1!...kn! times it); in the ``berz`` basis
+the monomials are X^k/k1!...kn!, so slots hold partial derivatives.  Jets
+are immutable values; every operation is pure.
 """
 
 from __future__ import annotations
@@ -26,8 +23,9 @@ import operator
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from . import taylor
 from .algebras import _LiftedAlgebra
-from .catalog import DomainError, ElementaryFn, Lifted, derivative_rule, lookup
+from .catalog import DomainError, ElementaryFn, Lifted
 
 #: Largest supported truncation order: 12! is the last factorial exactly
 #: representable alongside its multinomial weights without drift.
@@ -46,13 +44,13 @@ class JetShape:
 
     Monomial multi-indices are laid out in graded lexicographic order, so
     position 0 is the constant term and the table has C(n+N, N) entries.
-    Each degree is enumerated on its own, by stars and bars.  Obtain
-    instances through :func:`jet_shape` (cached, compared by identity); a
-    lift's rule sees jets over the prefix `truncated(d - 1)` of this shape.
+    Each degree is enumerated on its own, by stars and bars, and `ends[d]`
+    is the number of monomials of degree at most d.  Obtain instances
+    through :func:`jet_shape` (cached, compared by identity).
     """
 
-    __slots__ = ("n", "order", "size", "monomials", "position", "_pair_table", "factorials",
-                 "degrees", "_views")
+    __slots__ = ("n", "order", "size", "ends", "monomials", "position", "_pair_table",
+                 "factorials", "degrees")
 
     def __init__(self, n: int, order: int):
         if n < 1:
@@ -66,6 +64,7 @@ class JetShape:
         self.n = n
         self.order = order
         self.size = size
+        self.ends = tuple(math.comb(n + d, n) for d in range(order + 1))
         monos = [k for d in range(order + 1) for k in _degree(n, d)]
         self.monomials: tuple[tuple[int, ...], ...] = tuple(monos)
         self.position: dict[tuple[int, ...], int] = {
@@ -76,7 +75,6 @@ class JetShape:
         )
         self.degrees: tuple[int, ...] = tuple(map(sum, monos))
         self._pair_table = None
-        self._views: dict[int, JetShape] = {}
 
     def pair_table(self):
         """For each position t: list of (r, s, w, e) with monomials
@@ -105,23 +103,6 @@ class JetShape:
                     table[t].append((r, s, w, interned.setdefault(e, e)))
             self._pair_table = table
         return self._pair_table
-
-    def truncated(self, d: int) -> JetShape:
-        """The shape of order d <= N, built once per d (truncated(N) is self):
-        this layout's first C(n + d, d) positions, sharing their monomials,
-        factorials, degrees and index-table rows, and the position map."""
-        if not 1 <= d <= self.order:
-            raise ValueError(f"truncation order must be in 1..{self.order}")
-        view = self if d == self.order else self._views.get(d)
-        if view is None:
-            view, size = object.__new__(JetShape), math.comb(self.n + d, d)
-            view.n, view.order, view.size = self.n, d, size
-            view.position, view._views = self.position, {}
-            self.pair_table()
-            for name in ("monomials", "factorials", "degrees", "_pair_table"):
-                setattr(view, name, getattr(self, name)[:size])
-            view = self._views.setdefault(d, view)
-        return view
 
     def __repr__(self) -> str:
         return f"JetShape(n={self.n}, order={self.order})"
@@ -152,8 +133,8 @@ class Jet(Lifted):
 
     ``Jet(shape, coeffs, basis)`` checks the length and the basis and takes
     a float of every coefficient.  The jets this module computes itself
-    (sums, products, quotients, lifts, the views a rule sees) are built by
-    `_jet`, which trusts them and skips those checks.
+    (sums, products, quotients, lifts) are built by `_jet`, which trusts
+    them and skips those checks.
     """
 
     __slots__ = ("shape", "coeffs", "basis")
@@ -202,28 +183,10 @@ class Jet(Lifted):
         return _jet(self.shape, [-x for x in self.coeffs], self.basis)
 
     def _mul(self, b: Jet) -> Jet:
-        """Coefficient convolution, discarding all terms of total degree > N.
-
-        Target t sums a_0 b_t and then its splits t = r + s in ascending r,
-        from +0.0.  In the berz basis each split is weighted by the
-        multinomial t!/(r! s!) forced by multiplying factorial-scaled
-        monomials (1 for r = 0).
-        """
-        ac, bc = self.coeffs, b.coeffs
-        a0 = ac[0]
-        out = []
-        if self.basis == BERZ:
-            for t, row in enumerate(self.shape.pair_table()):
-                acc = 0.0 + a0 * bc[t]
-                for r, s, w, _ in row:
-                    acc += w * ac[r] * bc[s]
-                out.append(acc)
-        else:
-            for t, row in enumerate(self.shape.pair_table()):
-                acc = 0.0 + a0 * bc[t]
-                for r, s, _, _ in row:
-                    acc += ac[r] * bc[s]
-                out.append(acc)
+        """Coefficient convolution, discarding all terms of total degree > N."""
+        out: list[float] = []
+        _product(out, self.coeffs, b.coeffs, self.shape.pair_table(), range(self.shape.size),
+                  self.basis == BERZ)
         return _jet(self.shape, out, self.basis)
 
     def _div(self, b: Jet) -> Jet:
@@ -232,25 +195,47 @@ class Jet(Lifted):
         b0 = b.coeffs[0]
         if b0 == 0.0:
             raise DomainError("div", (self.coeffs[0], b0))
-        shape = self.shape
-        ac, bc = self.coeffs, b.coeffs
-        q = [0.0] * shape.size
-        q[0] = ac[0] / b0
-        splits = shape.pair_table()
-        # every split t = r + s with r != 0; s is then strictly lower degree
-        if self.basis == BERZ:
-            for t in range(1, shape.size):
-                acc = 0.0
-                for r, s, w, _ in splits[t]:
-                    acc += w * bc[r] * q[s]
-                q[t] = (ac[t] - acc) / b0
-        else:
-            for t in range(1, shape.size):
-                acc = 0.0
-                for r, s, _, _ in splits[t]:
-                    acc += bc[r] * q[s]
-                q[t] = (ac[t] - acc) / b0
-        return _jet(shape, q, self.basis)
+        q = [self.coeffs[0] / b0]
+        _quotient(q, self.coeffs, b.coeffs, self.shape.pair_table(), range(1, self.shape.size),
+                  self.basis == BERZ)
+        return _jet(self.shape, q, self.basis)
+
+
+def _product(out: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
+    """Append a * b at each target t: a_0 b_t, then its splits t = r + s in
+    ascending r, from +0.0, weighted in the berz basis by the multinomial
+    t!/(r! s!) that multiplying factorial-scaled monomials forces."""
+    a0 = ac[0]
+    if berz:
+        for t in targets:
+            acc = 0.0 + a0 * bc[t]
+            for r, s, w, _ in table[t]:
+                acc += w * ac[r] * bc[s]
+            out.append(acc)
+    else:
+        for t in targets:
+            acc = 0.0 + a0 * bc[t]
+            for r, s, _, _ in table[t]:
+                acc += ac[r] * bc[s]
+            out.append(acc)
+
+
+def _quotient(q: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
+    """Append a / b at each target t > 0, solving q * b = a for q_t: its
+    splits t = r + s have r != 0, so they read lower-degree q_s."""
+    b0 = bc[0]
+    if berz:
+        for t in targets:
+            acc = 0.0
+            for r, s, w, _ in table[t]:
+                acc += w * bc[r] * q[s]
+            q.append((ac[t] - acc) / b0)
+    else:
+        for t in targets:
+            acc = 0.0
+            for r, s, _, _ in table[t]:
+                acc += bc[r] * q[s]
+            q.append((ac[t] - acc) / b0)
 
 
 def _jet(shape: JetShape, coeffs: list[float], basis: str) -> Jet:
@@ -283,84 +268,90 @@ def jet_variable(shape: JetShape, i: int, c: float, basis: str = STANDARD) -> Je
     return _jet(shape, coeffs, basis)
 
 
+def _each(node: _Node, d: int, levels: list, j: int) -> None:
+    """Degree d of `extra` (add, sub or neg) applied to the inputs."""
+    lo, hi = node.ends[d - 1], node.ends[d]
+    node.entries += map(node.extra, *[x.entries[lo:hi] for x in node.inputs])
+
+
+def _split(node: _Node, d: int, levels: list, j: int) -> None:
+    """Degree d of a product or quotient (`extra`: `_product`, `_quotient`)."""
+    x, y = node.inputs
+    node.extra(node.entries, x.entries, y.entries, node.shape.pair_table(),
+               range(node.ends[d - 1], node.ends[d]), node.basis == BERZ)
+
+
+def _chain(node: _Node, d: int, levels: list, j: int) -> None:
+    """Degree d of a lift w = f(u): w_t = sum |r| u_r v_s / d over the
+    splits t = r + s from +0.0, with v the first partial f'(u_0) at d = 1,
+    as dual numbers take it, and g = f'(u) after (see `taylor.grow`).  In
+    the berz basis each term carries the index table's e = |r| t!/(r! s!)."""
+    u, w = node.inputs[0].entries, node.entries
+    if d == 1:
+        v = [float(p) for p in node.extra[0].partials([u[0]])]
+        if j + 1 < len(levels):  # w is filled beyond degree 1
+            taylor.grow(node, levels, j)
+    else:
+        v = node.inputs[1].entries
+    table, targets = node.shape.pair_table(), range(node.ends[d - 1], node.ends[d])
+    if node.basis == BERZ:
+        for t in targets:
+            acc = 0.0
+            for r, s, _, e in table[t]:
+                acc += e * u[r] * v[s]
+            w.append(acc / d)
+    else:
+        degrees = node.shape.degrees
+        for t in targets:
+            acc = 0.0
+            for r, s, _, _ in table[t]:
+                acc += degrees[r] * u[r] * v[s]
+            w.append(acc / d)
+
+
+class _Node(Lifted):
+    """A jet in a lift: a Taylor engine node, built by a rule's operators on
+    the shape and basis of `like`, a jet or node."""
+
+    __slots__ = ("entries", "inputs", "fill", "extra", "serial", "shape", "basis", "ends")
+    chain = staticmethod(_chain)
+
+    def __init__(self, entries: list[float], inputs: tuple, fill, extra, like):
+        self.entries, self.inputs, self.fill, self.extra = entries, inputs, fill, extra
+        self.shape, self.basis, self.ends = like.shape, like.basis, like.shape.ends
+        self.serial = next(taylor.serial)
+
+    def _promote(self, b):
+        if isinstance(b, (int, float)):
+            return _Node(jet_constant(self.shape, b).coeffs, (), None, None, self)
+        return b if isinstance(b, _Node) else NotImplemented
+
+    def _add(self, b: _Node) -> _Node:
+        return _Node([self.entries[0] + b.entries[0]], (self, b), _each, operator.add, self)
+
+    def _sub(self, b: _Node) -> _Node:
+        return _Node([self.entries[0] - b.entries[0]], (self, b), _each, operator.sub, self)
+
+    def __neg__(self) -> _Node:
+        return _Node([-self.entries[0]], (self,), _each, operator.neg, self)
+
+    def _mul(self, b: _Node) -> _Node:
+        return _Node([0.0 + self.entries[0] * b.entries[0]], (self, b), _split, _product, self)
+
+    def _div(self, b: _Node) -> _Node:
+        x0, y0 = self.entries[0], b.entries[0]
+        if y0 == 0.0:
+            raise DomainError("div", (x0, y0))
+        return _Node([x0 / y0], (self, b), _split, _quotient, self)
+
+
 def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
     """A unary catalogue function with a first-order rule (else
-    UnsupportedOrderError), lifted degree by degree onto the jet args[0].
-
-    w = f(u) has the constant term f(u_0), and its degree-d coefficients are
-    w_t = sum |r| u_r v_s / d over the splits t = r + s, where v = f'(u) is
-    the rule evaluated on jets over the prefix `shape.truncated(d - 1)`, or
-    at d = 1 the first partial f'(u_0) from `partials` (in the berz basis
-    each term carries the split's weight e = |r| t!/(r! s!) from the index
-    table).  The lifts f' needs on the same argument (cos for sin, pow{k-1}
-    for pow{k}) form one family: each is built once and filled alongside.
-    What the function returns enters as floats: its value, its first
-    partial, and a float the rule returns (as a constant jet).
-    """
+    UnsupportedOrderError) lifted onto the jet args[0] (see `_chain`).  Its
+    value, first partial and a float its rule returns enter as floats."""
     arg = args[0]
-    return _jet(arg.shape, _Family(arg).fill(fn, arg.shape.order), arg.basis)
-
-
-class _Family:
-    """The lifts of catalogue functions on one jet argument, each built once.
-
-    A lift is stored by name as [coefficients, degree filled]; its
-    coefficients above that degree are still zero.
-    """
-
-    __slots__ = ("arg", "lifts")
-
-    def __init__(self, arg: Jet):
-        self.arg = arg
-        self.lifts: dict[str, list] = {}
-
-    def fill(self, fn: ElementaryFn, degree: int) -> list[float]:
-        """The coefficients of fn(arg), filled through total degree `degree`."""
-        lift = self.lifts.get(fn.name)
-        if lift is None:
-            derivative_rule(fn)
-            x0 = self.arg.coeffs[0]
-            fn.check_domain([x0])
-            coeffs = [0.0] * self.arg.shape.size
-            coeffs[0] = float(fn.value([x0]))
-            lift = self.lifts[fn.name] = [coeffs, 0]
-        for d in range(lift[1] + 1, degree + 1):
-            self._fill_degree(fn, lift[0], d)
-            lift[1] = d
-        return lift[0]
-
-    def _fill_degree(self, fn: ElementaryFn, w: list[float], d: int) -> None:
-        arg = self.arg
-        n, basis = arg.shape.n, arg.basis
-        if d == 1:
-            # The first partial, as dual numbers take it.
-            v = [float(p) for p in fn.partials([arg.coeffs[0]])]
-        else:
-            # The graded layout of order d - 1 is a prefix of the full one.
-            low = arg.shape.truncated(d - 1)
-
-            def view(coeffs: list[float]) -> Jet:
-                return _jet(low, coeffs[:low.size], basis)
-
-            a = view(arg.coeffs)
-            v = a._promote(fn.derivative(
-                a, view(w), lambda name: view(self.fill(lookup(name), d - 1)),
-            )).coeffs
-        u, shape = arg.coeffs, arg.shape
-        splits, degrees = shape.pair_table(), shape.degrees
-        targets = range(math.comb(n + d - 1, n), math.comb(n + d, n))
-        if basis == BERZ:
-            for t in targets:
-                acc = 0.0
-                for r, s, _, e in splits[t]:
-                    acc += e * u[r] * v[s]
-                w[t] = acc / d
-        else:
-            for t in targets:
-                acc = 0.0
-                for r, s, _, _ in splits[t]:
-                    acc += degrees[r] * u[r] * v[s]
-                w[t] = acc / d
+    w = taylor.lift(fn, (_Node(arg.coeffs, (), None, None, arg), {}))
+    return _jet(arg.shape, taylor.force(w, arg.shape.order + 1), arg.basis)
 
 
 def jet_extract_partial(j: Jet, k: tuple[int, ...]) -> float:
@@ -368,7 +359,7 @@ def jet_extract_partial(j: Jet, k: tuple[int, ...]) -> float:
     standard-basis coefficient, or the berz coefficient directly."""
     k = tuple(int(x) for x in k)
     pos = j.shape.position.get(k)
-    if pos is None or pos >= j.shape.size:  # a truncated shape shares the map
+    if pos is None:
         raise IndexError(f"multi-index {k} out of range for {j.shape!r}")
     if j.basis == BERZ:
         return j.coeffs[pos]

@@ -1,0 +1,74 @@
+"""One Taylor engine for towers and jets (Griewank & Walther, *Evaluating
+Derivatives*, ch. 13): lazy nodes filled one degree block at a time.
+
+A node keeps its inputs, its coefficients so far in graded order, and the
+kernel `fill(node, d, levels, j)` that appends its degree-d block, unless
+it is complete or a view sharing a lift's list; it is filled through degree
+d - 1 when it holds `ends[d - 1]` coefficients.  `force` fills degree d of
+the nodes it needs for d = 1, 2, ... in creation order, which is
+topological, so nothing recurses.  A lift w = f(u) builds g = f'(u) once,
+from f's rule, when its degree 1 is filled; g reads w and the lifts its
+rule names on u (cos for sin) through views, so the graph has no cycles.
+"""
+
+from __future__ import annotations
+
+from itertools import count
+
+from .catalog import ElementaryFn, derivative_rule, lookup
+
+#: Creation numbers of nodes.
+serial = count()
+
+
+def force(t, k: int) -> list[float]:
+    """t's coefficients, filled through at least degree k - 1."""
+    if len(t.entries) < t.ends[k - 1]:
+        # levels[j] holds the nodes to fill through degree k - 1 - j.
+        levels = [_unfilled(t, k)] + [None] * (k - 2)
+        for d in range(1, k):
+            end = t.ends[d - 1]
+            for j in range(k - d):
+                if not levels[j]:
+                    break
+                for node in levels[j]:  # grows: a lift's g joins the next level
+                    if len(node.entries) == end:
+                        node.fill(node, d, levels, j)
+    return t.entries
+
+
+def _unfilled(t, k: int) -> list:
+    """t and its ancestors not filled through degree k - 1, in creation order."""
+    end, seen, stack = t.ends[k - 1], {}, [t]
+    while stack:
+        node = stack.pop()
+        if node.fill is None or len(node.entries) >= end or node in seen:
+            continue
+        seen[node] = node.serial
+        stack.extend(node.inputs)
+    return sorted(seen, key=seen.get)
+
+
+def lift(fn: ElementaryFn, family: tuple):
+    """fn lifted on a node a, in the family (a, views of its lifts by name),
+    as nodes `type(a)(entries, inputs, fill, extra, a)` with kernel a.chain."""
+    derivative_rule(fn)
+    a, views = family
+    fn.check_domain([a.entries[0]])
+    entries = [float(fn.value([a.entries[0]]))]
+    views[fn.name] = view = type(a)(entries, (), None, None, a)
+    return type(a)(entries, (a,), a.chain, (fn, family, view), a)
+
+
+def grow(node, levels: list, j: int):
+    """The lift node's g = f'(u), built from its rule as its second input.
+    Its degree d reads g below d, so g's new nodes (not filled at degree 1,
+    unlike u; none if g is complete or a view) join the level below."""
+    fn, family, view = node.extra
+    a, views = family
+    g = a._promote(fn.derivative(
+        a, view, lambda name: views.get(name) or lift(lookup(name), family)))
+    node.inputs, node.extra = (a, g), None
+    if j + 1 < len(levels) and g.fill:
+        levels[j + 1] = (levels[j + 1] or []) + _unfilled(g, 2)
+    return g

@@ -1,31 +1,21 @@
-"""Lazy univariate derivative towers, filled degree by degree.
-
-A tower is the sequence (f, f', f'', ...) of derivatives at a point.  An
-operation node keeps its inputs and its entries filled so far.
-`tower_take(t, k)` orders t's ancestors with fewer than k entries by creation
-(a topological order) and fills entry d of each for d = 1 ... k-1 in loops:
-nothing recurses, and no entry is computed ahead of the one requested.
-The operators ``+ - * /`` build nodes: products take the Leibniz sum, and
-division solves it for the quotient.  A lift w = f(u) has entry 1 g_0 u_1, with g = f'(u) built from fn's rule when
-that entry is first filled, and from entry 2 up the n = 1 Berz jet's form,
-w_d = (sum_{r=1..d} r binom(d, r) u_r g_{d-r}) / d in ascending r (Griewank &
-Walther, *Evaluating Derivatives*, ch. 13): towers and jets share one lift.
-g reads the lift and its family (cos for sin) through views of their entry
-lists, so towers hold no reference cycles.  A leaf `Tower(head, tail_fn)` is
-read through its tails.  Forcing holds one lock, so threads agree on entries.
-`TowerAlgebra` evaluates a definition over towers.
+"""Lazy univariate derivative towers (f, f', f'', ...) at a point, one entry
+per degree on the Taylor engine (`adkit.taylor`).  The operators ``+ - * /``
+build nodes: products take the Leibniz sum, and division solves it for the
+quotient.  A lift w = f(u) has entry 1 g_0 u_1, and from entry 2 the n = 1
+Berz jet's form w_d = (sum_{r=1..d} r binom(d, r) u_r g_{d-r}) / d in
+ascending r, so towers and jets share one lift.  A leaf `Tower(head,
+tail_fn)` is read through its tails.  `TowerAlgebra` evaluates over towers.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-from functools import partial
-from itertools import count
 from typing import Callable, Optional
 
+from . import taylor
 from .algebras import _LiftedAlgebra
-from .catalog import DomainError, ElementaryFn, Lifted, derivative_rule, lookup
+from .catalog import DomainError, ElementaryFn, Lifted
 
 
 class Tower(Lifted):
@@ -61,7 +51,7 @@ class Tower(Lifted):
     @staticmethod
     def _promote(b):
         if isinstance(b, Tower):
-            return b
+            return _node(b)
         if isinstance(b, (int, float)):
             return tower_const(b)
         return NotImplemented
@@ -87,57 +77,11 @@ class Tower(Lifted):
         return _Node([self.head / b.head], (self, b), _quotient)
 
 
-_serial = count()
-_LOCK = threading.RLock()
-
 #: The highest entry a tower fills: from order 1021 the lift's weight
 #: r * binom(d, r) overflows a float, and from 1030 binom(d, r) does.
 MAX_TOWER_ORDER = 1020
 
-
-class _Node(Tower):
-    """An operation: `fill(node, d, order)` appends entry d from the inputs and
-    `extra` (an operator, a leaf's next tail, a lift's rule).  Views have none."""
-
-    __slots__ = ("entries", "inputs", "fill", "extra", "serial")
-
-    def __init__(self, entries: list[float], inputs: tuple, fill, extra=None):
-        self.head = entries[0]
-        self.entries = entries
-        self.inputs = tuple(map(_node, inputs))
-        self.fill = fill
-        self.extra = extra
-        self.serial = next(_serial)
-
-    def tail(self, k: int = 1) -> Tower:
-        """The entries from entry k on, as a leaf."""
-        return Tower(_force(self, k + 1)[k], lambda: self.tail(k + 1))
-
-
-def _force(t: _Node, k: int) -> list[float]:
-    """t's entry list, filled through at least entry k - 1."""
-    if k > MAX_TOWER_ORDER + 1:
-        raise ValueError(f"tower order {k - 1} exceeds {MAX_TOWER_ORDER}")
-    if len(t.entries) < k:
-        with _LOCK:
-            order = _unfilled(t, k)
-            for d in range(1, k):
-                for node in order:  # grows: a lift's entry 1 appends g's nodes
-                    if len(node.entries) == d:
-                        node.fill(node, d, order)
-    return t.entries
-
-
-def _unfilled(t: _Node, k: int) -> list[_Node]:
-    """t and its ancestors with fewer than k entries, in creation order."""
-    seen, stack = set(), [t]
-    while stack:
-        node = stack.pop()
-        if node.fill is None or len(node.entries) >= k or node in seen:
-            continue
-        seen.add(node)
-        stack.extend(node.inputs)
-    return sorted(seen, key=lambda node: node.serial)
+_LOCK = threading.RLock()  # held while forcing, so threads agree on entries
 
 
 def _node(a: Tower) -> _Node:
@@ -147,12 +91,12 @@ def _node(a: Tower) -> _Node:
     return _Node([a.head], (), _read_tail, a)
 
 
-def _read_tail(node: _Node, d: int, order: list) -> None:
+def _read_tail(node: _Node, d: int, levels: list, j: int) -> None:
     node.extra = tail = node.extra.tail()
     node.entries.append(tail.head)
 
 
-def _zero(node: _Node, d: int, order: list) -> None:
+def _zero(node: _Node, d: int, levels: list, j: int) -> None:
     node.entries.append(0.0)
 
 
@@ -170,7 +114,10 @@ def tower_take(a: Tower, k: int) -> list[float]:
     """The first k entries; computes none beyond them."""
     if k < 1:
         raise ValueError("need k >= 1")
-    return _force(_node(a), k)[:k]
+    if k > MAX_TOWER_ORDER + 1:
+        raise ValueError(f"tower order {k - 1} exceeds {MAX_TOWER_ORDER}")
+    with _LOCK:
+        return taylor.force(_node(a), k)[:k]
 
 
 def tower_df(a: Tower) -> Tower:
@@ -178,12 +125,12 @@ def tower_df(a: Tower) -> Tower:
     return a.tail()
 
 
-def _binary(node: _Node, d: int, order: list) -> None:
+def _binary(node: _Node, d: int, levels: list, j: int) -> None:
     a, b = node.inputs
     node.entries.append(node.extra(a.entries[d], b.entries[d]))
 
 
-def _neg(node: _Node, d: int, order: list) -> None:
+def _neg(node: _Node, d: int, levels: list, j: int) -> None:
     node.entries.append(-node.inputs[0].entries[d])
 
 
@@ -203,7 +150,7 @@ def _rows(d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _ROWS[d]
 
 
-def _leibniz(node: _Node, d: int, order: list) -> None:
+def _leibniz(node: _Node, d: int, levels: list, j: int) -> None:
     x, y = node.inputs[0].entries, node.inputs[1].entries
     total = 0.0
     for i, c in enumerate(_rows(d)[0]):
@@ -211,7 +158,7 @@ def _leibniz(node: _Node, d: int, order: list) -> None:
     node.entries.append(total)
 
 
-def _quotient(node: _Node, d: int, order: list) -> None:
+def _quotient(node: _Node, d: int, levels: list, j: int) -> None:
     x, y, q = node.inputs[0].entries, node.inputs[1].entries, node.entries
     row = _rows(d)[0]
     total = 0.0
@@ -220,46 +167,44 @@ def _quotient(node: _Node, d: int, order: list) -> None:
     q.append((x[d] - total) / y[0])
 
 
-def lift(fn: ElementaryFn, args: list[Tower]) -> Tower:
-    """Lift a unary catalogue function with a rule (else UnsupportedOrderError)
-    onto the tower args[0]."""
-    return _lift(fn, (_node(args[0]), {}))
-
-
-def _member(family: tuple, name: str) -> _Node:
-    """The family's lift of `name`: a view if it is built, else a new lift."""
-    return family[1].get(name) or _lift(lookup(name), family)
-
-
-def _lift(fn: ElementaryFn, family: tuple) -> _Node:
-    """fn lifted on family[0]; a family is (argument, views)."""
-    rule = derivative_rule(fn)
-    a = family[0]
-    fn.check_domain([a.head])
-    entries = [float(fn.value([a.head]))]
-    family[1][fn.name] = view = _Node(entries, (), None)
-    return _Node(entries, (a,), _chain, (rule, family, view))
-
-
-def _chain(node: _Node, d: int, order: list) -> None:
+def _chain(node: _Node, d: int, levels: list, j: int) -> None:
     """Entry d of a lift: g_0 u_1 at d = 1, the Euler form from d = 2."""
     u = node.inputs[0].entries
-    if d == 1:  # build g; its new nodes are filled after the lift
-        rule, family, view = node.extra
-        a = node.inputs[0]
-        g = _node(a._promote(rule(a, view, partial(_member, family))))
-        node.inputs, node.extra = (node.inputs[0], g), None
-        order += _unfilled(g, 2)
-        node.entries.append(g.entries[0] * u[1])
+    if d == 1:
+        node.entries.append(taylor.grow(node, levels, j).entries[0] * u[1])
         return
     v = node.inputs[1].entries
-    if len(v) < d:  # g was built by a nested forcing, outside this order
-        v = _force(node.inputs[1], d)
+    if len(v) < d:  # g was built by a nested forcing, outside this one
+        v = taylor.force(node.inputs[1], d)
     row = _rows(d)[1]
     total = 0.0
     for r in range(1, d + 1):
         total += row[r] * u[r] * v[d - r]
     node.entries.append(total / d)
+
+
+class _Node(Tower):
+    """An operation, whose kernel appends entry d from `inputs` and `extra`."""
+
+    __slots__ = ("entries", "inputs", "fill", "extra", "serial")
+    ends = range(1, MAX_TOWER_ORDER + 2)
+    chain = staticmethod(_chain)
+
+    # `like` is the node `taylor.lift` builds from; towers are of one kind.
+    def __init__(self, entries: list[float], inputs: tuple, fill, extra=None, like=None):
+        self.head, self.entries, self.fill, self.extra = entries[0], entries, fill, extra
+        self.inputs = tuple(map(_node, inputs))
+        self.serial = next(taylor.serial)
+
+    def tail(self, k: int = 1) -> Tower:
+        """The entries from entry k on, as a leaf."""
+        return Tower(tower_take(self, k + 1)[k], lambda: self.tail(k + 1))
+
+
+def lift(fn: ElementaryFn, args: list[Tower]) -> Tower:
+    """Lift a unary catalogue function with a rule (else UnsupportedOrderError)
+    onto the tower args[0]."""
+    return taylor.lift(fn, (_node(args[0]), {}))
 
 
 class TowerAlgebra(_LiftedAlgebra):

@@ -174,7 +174,8 @@ for argv in {argvs!r}:
 """
 
 #: Modules that no first-order command, graph or error exit loads.
-HEAVY = {"adkit.jets", "adkit.towers", "adkit.trace", "dataclasses", "inspect", "csv"}
+HEAVY = {"adkit.jets", "adkit.taylor", "adkit.towers", "adkit.trace", "dataclasses", "inspect",
+         "csv"}
 
 
 def surface(argvs: list[list[str]]) -> list[tuple[int, set[str]]]:
@@ -191,9 +192,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     for _, loaded in runs[:5]:
         assert "adkit.engine" in loaded and loaded & HEAVY == set()
     jet, annotate, bench = (loaded for _, loaded in runs[5:])
-    assert "adkit.jets" in jet and jet & {"adkit.towers", "adkit.trace"} == set()
+    assert {"adkit.jets", "adkit.taylor"} <= jet and jet & {"adkit.towers", "adkit.trace"} == set()
     assert "adkit.trace" in annotate and "csv" not in annotate
     assert "csv" in bench and bench & {"adkit.towers", "dataclasses", "inspect"} == set()
     [(code, tower)] = surface([NON_TRACE["tower"]])
-    assert code == 0 and "adkit.towers" in tower
+    assert code == 0 and {"adkit.towers", "adkit.taylor"} <= tower
     assert tower & {"adkit.jets", "adkit.trace", "dataclasses", "inspect", "csv"} == set()

@@ -17,7 +17,7 @@ from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual
 from adkit.expr import eval_generic, parse, unparse
 from adkit.jets import BERZ, JetAlgebra, jet_shape, jet_variable
-from adkit import towers
+from adkit import taylor, towers
 from adkit.towers import (
     MAX_TOWER_ORDER,
     Tower,
@@ -345,7 +345,7 @@ def test_laziness_forces_only_requested_depth(monkeypatch):
     def resolve(name):
         return wrapped[name]
 
-    monkeypatch.setattr(towers, "lookup", resolve)  # the lifts a rule names
+    monkeypatch.setattr(taylor, "lookup", resolve)  # the lifts a rule names
     t = TowerAlgebra().apply(wrapped["sin"], [tower_var(0.3)])
     assert counter.count == 1  # building the head is one value evaluation
     counts = []
@@ -372,7 +372,7 @@ def test_lift_family_evaluates_each_function_once(monkeypatch):
         per_name[name] = per_name.get(name, 0) + 1
         return wrapped[name]
 
-    monkeypatch.setattr(towers, "lookup", resolve)  # the lifts a rule names
+    monkeypatch.setattr(taylor, "lookup", resolve)  # the lifts a rule names
     inner = TowerAlgebra().apply(wrapped["sin"], [tower_var(0.3)])
     t = TowerAlgebra().apply(wrapped["exp"], [inner])
     prefix = tower_take(t, 25)
@@ -384,6 +384,27 @@ def test_lift_family_evaluates_each_function_once(monkeypatch):
         CATALOG["exp"], [TowerAlgebra().apply(CATALOG["sin"], [tower_var(0.3)])]
     )
     assert prefix == tower_take(plain, 25)
+
+    # Jets build g once too: a jet lift runs its rule once at N = 6, where
+    # re-running it per degree took 5 runs, and not at all at N = 1, and
+    # sin's lift evaluates cos's value once.
+    sin, cos = CATALOG["sin"], CATALOG["cos"]
+    rules, cos_values = [], []
+    wrapped = {
+        "sin": type(sin)("sin", 1, sin.value, sin.partials, sin.domain, derivative=(
+            lambda a, f, lift: rules.append(f) or sin.derivative(a, f, lift))),
+        "cos": type(cos)("cos", 1, lambda a: cos_values.append(a) or cos.value(a),
+                         cos.partials, cos.domain, derivative=cos.derivative),
+    }
+    monkeypatch.setattr(taylor, "lookup", wrapped.__getitem__)
+    for order, runs in ((6, 1), (1, 0)):
+        rules.clear()
+        cos_values.clear()
+        shape = jet_shape(2, order)
+        seed = jet_variable(shape, 1, 0.3, BERZ) * jet_variable(shape, 2, 0.5, BERZ)
+        jet = JetAlgebra(shape, BERZ).apply(wrapped["sin"], [seed])
+        assert (len(rules), len(cos_values)) == (runs, runs), order
+        assert jet == JetAlgebra(shape, BERZ).apply(sin, [seed])
 
 
 def test_tail_returns_the_tail_a_racing_caller_just_forced():
