@@ -14,6 +14,12 @@ In the ``standard`` basis the slot for multi-index k holds the coefficient
 of X^k (the order-k partial is k1!...kn! times it); in the ``berz`` basis
 the monomials are X^k/k1!...kn!, so slots hold partial derivatives.  Jets
 are immutable values; every operation is pure.
+
+A constant is flat (a finite head, then signed zeros).  A product with a
+flat factor costs a multiply per coefficient, a quotient by one a divide
+(in blocks of `_FEW` or more), and from order 3 its lift only its rule's
+heads: while the coefficients read are finite, every other term of the
+general sum is a signed zero, and 0.0 + p, bit for bit, is the sum.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 from . import taylor
 from .algebras import _LiftedAlgebra
@@ -185,8 +191,8 @@ class Jet(Lifted):
     def _mul(self, b: Jet) -> Jet:
         """Coefficient convolution, discarding all terms of total degree > N."""
         out: list[float] = []
-        _product(out, self.coeffs, b.coeffs, self.shape.pair_table(), range(self.shape.size),
-                  self.basis == BERZ)
+        _times(out, self.coeffs, b.coeffs, self.shape.pair_table(), range(self.shape.size),
+               self.basis == BERZ)
         return _jet(self.shape, out, self.basis)
 
     def _div(self, b: Jet) -> Jet:
@@ -196,9 +202,51 @@ class Jet(Lifted):
         if b0 == 0.0:
             raise DomainError("div", (self.coeffs[0], b0))
         q = [self.coeffs[0] / b0]
-        _quotient(q, self.coeffs, b.coeffs, self.shape.pair_table(), range(1, self.shape.size),
-                  self.basis == BERZ)
+        _divides(q, self.coeffs, b.coeffs, self.shape.pair_table(), range(1, self.shape.size),
+                 self.basis == BERZ)
         return _jet(self.shape, q, self.basis)
+
+
+#: Bounds every berz weight t!/(r! s!) = prod binom(t_i, r_i) <= 2^|t|.
+_BIG = 2.0 ** MAX_ORDER
+
+
+#: Below this many targets the general kernels cost less than the checks.
+_FEW = 8
+
+
+def _flat(coeffs: list, stop: int) -> bool:
+    """Whether coeffs[:stop] are a finite head, then signed zeros."""
+    return math.isfinite(coeffs[0]) and not any(islice(coeffs, 1, stop))
+
+
+def _times(out: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
+    """`_product`, or 0.0 + c_0 v_t with c flat through the targets while no
+    weight times a v_t overflows (`_BIG` times the sum of |v_t| shows it)."""
+    stop = targets.stop
+    if len(targets) < _FEW:
+        return _product(out, ac, bc, table, targets, berz)
+    if not ac[1] and _flat(ac, stop):
+        c, v = ac, bc
+    elif not bc[1] and _flat(bc, stop):
+        c, v = bc, ac
+    else:
+        return _product(out, ac, bc, table, targets, berz)
+    if math.isfinite(_BIG * sum(map(abs, islice(v, stop)))):
+        out += [0.0 + c[0] * y for y in v[targets.start:stop]]
+    else:
+        _product(out, ac, bc, table, targets, berz)
+
+
+def _divides(q: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
+    """`_quotient`, or a_t / b_0 with b flat through the targets while
+    q_0 .. q_{t-1} are finite."""
+    if len(targets) >= _FEW and not bc[1] and _flat(bc, targets.stop):
+        block = [a / bc[0] for a in ac[targets.start:targets.stop]]
+        if math.isfinite(sum(map(abs, q)) + sum(map(abs, block[:-1]))):
+            q += block
+            return
+    _quotient(q, ac, bc, table, targets, berz)
 
 
 def _product(out: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
@@ -275,7 +323,7 @@ def _each(node: _Node, d: int, levels: list, j: int) -> None:
 
 
 def _split(node: _Node, d: int, levels: list, j: int) -> None:
-    """Degree d of a product or quotient (`extra`: `_product`, `_quotient`)."""
+    """Degree d of a product or quotient (`extra`: `_times`, `_divides`)."""
     x, y = node.inputs
     node.extra(node.entries, x.entries, y.entries, node.shape.pair_table(),
                range(node.ends[d - 1], node.ends[d]), node.basis == BERZ)
@@ -287,12 +335,8 @@ def _chain(node: _Node, d: int, levels: list, j: int) -> None:
     as dual numbers take it, and g = f'(u) after (see `taylor.grow`).  In
     the berz basis each term carries the index table's e = |r| t!/(r! s!)."""
     u, w = node.inputs[0].entries, node.entries
-    if d == 1:
-        v = [float(p) for p in node.extra[0].partials([u[0]])]
-        if j + 1 < len(levels):  # w is filled beyond degree 1
-            taylor.grow(node, levels, j)
-    else:
-        v = node.inputs[1].entries
+    v = ([float(p) for p in node.extra[0].partials([u[0]])] if d == 1
+         else node.inputs[1].entries)
     table, targets = node.shape.pair_table(), range(node.ends[d - 1], node.ends[d])
     if node.basis == BERZ:
         for t in targets:
@@ -307,6 +351,12 @@ def _chain(node: _Node, d: int, levels: list, j: int) -> None:
             for r, s, _, _ in table[t]:
                 acc += degrees[r] * u[r] * v[s]
             w.append(acc / d)
+    if d == 1 and j + 1 < len(levels):  # w is filled beyond degree 1
+        taylor.grow(node, levels, j)
+
+
+def _zero(node: _Node, d: int, levels: list, j: int) -> None:
+    node.entries += [node.extra] * (node.ends[d] - node.ends[d - 1])
 
 
 class _Node(Lifted):
@@ -314,7 +364,7 @@ class _Node(Lifted):
     the shape and basis of `like`, a jet or node."""
 
     __slots__ = ("entries", "inputs", "fill", "extra", "serial", "shape", "basis", "ends")
-    chain = staticmethod(_chain)
+    chain, zero = staticmethod(_chain), staticmethod(_zero)
 
     def __init__(self, entries: list[float], inputs: tuple, fill, extra, like):
         self.entries, self.inputs, self.fill, self.extra = entries, inputs, fill, extra
@@ -336,13 +386,13 @@ class _Node(Lifted):
         return _Node([-self.entries[0]], (self,), _each, operator.neg, self)
 
     def _mul(self, b: _Node) -> _Node:
-        return _Node([0.0 + self.entries[0] * b.entries[0]], (self, b), _split, _product, self)
+        return _Node([0.0 + self.entries[0] * b.entries[0]], (self, b), _split, _times, self)
 
     def _div(self, b: _Node) -> _Node:
         x0, y0 = self.entries[0], b.entries[0]
         if y0 == 0.0:
             raise DomainError("div", (x0, y0))
-        return _Node([x0 / y0], (self, b), _split, _quotient, self)
+        return _Node([x0 / y0], (self, b), _split, _divides, self)
 
 
 def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
@@ -350,7 +400,7 @@ def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
     UnsupportedOrderError) lifted onto the jet args[0] (see `_chain`).  Its
     value, first partial and a float its rule returns enter as floats."""
     arg = args[0]
-    w = taylor.lift(fn, (_Node(arg.coeffs, (), None, None, arg), {}))
+    w = taylor.lift(fn, (_Node(arg.coeffs, (), _zero, 0.0, arg), {}))
     return _jet(arg.shape, taylor.force(w, arg.shape.order + 1), arg.basis)
 
 

@@ -9,11 +9,14 @@ the nodes it needs for d = 1, 2, ... in creation order, which is
 topological, so nothing recurses.  A lift w = f(u) builds g = f'(u) once,
 from f's rule, when its degree 1 is filled; g reads w and the lifts its
 rule names on u (cos for sin) through views, so the graph has no cycles.
+A lift of a flat u settles (`grow`): its class's `zero` kernel fills the
+rest with +0.0, and g is never filled.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, islice
+from math import isfinite
 
 from .catalog import ElementaryFn, derivative_rule, lookup
 
@@ -51,7 +54,8 @@ def _unfilled(t, k: int) -> list:
 
 def lift(fn: ElementaryFn, family: tuple):
     """fn lifted on a node a, in the family (a, views of its lifts by name),
-    as nodes `type(a)(entries, inputs, fill, extra, a)` with kernel a.chain."""
+    as nodes `type(a)(entries, inputs, fill, extra, a)` with kernel a.chain
+    (or a.zero, once settled)."""
     derivative_rule(fn)
     a, views = family
     fn.check_domain([a.entries[0]])
@@ -61,14 +65,60 @@ def lift(fn: ElementaryFn, family: tuple):
 
 
 def grow(node, levels: list, j: int):
-    """The lift node's g = f'(u), built from its rule as its second input.
-    Its degree d reads g below d, so g's new nodes (not filled at degree 1,
-    unlike u; none if g is complete or a view) join the level below."""
+    """The lift node's g = f'(u), built once from its rule as its second
+    input.  If u and g's graph are flat, the lift settles to +0.0 and g is
+    never filled, unless its kind ends at degree 2 (jets of order 2), where
+    the walk costs what it saves.  Else its degree d reads g below d, so g's new nodes (not filled
+    at degree 1, unlike u; none if g is complete or a view) join the level
+    below."""
+    if len(node.inputs) == 1:
+        _build(node)
+    u, g = node.inputs
+    if len(node.ends) > 3 and flat(u) and _flat_graph(node):
+        settle(node)
+    elif j + 1 < len(levels) and g.fill:
+        levels[j + 1] = (levels[j + 1] or []) + _unfilled(g, 2)
+    return g
+
+
+def flat(node) -> bool:
+    """Whether node is filled by its class's `zero` kernel past a finite head
+    and holds only signed zeros there so far."""
+    return (node.fill is node.zero and not node.entries[1] and isfinite(node.entries[0])
+            and not any(islice(node.entries, 2, None)))
+
+
+def settle(node, zero: float = 0.0) -> None:
+    """From its next degree on, node is `zero` in every coefficient."""
+    node.fill, node.inputs, node.extra = node.zero, (), zero
+
+
+def _build(node) -> None:
     fn, family, view = node.extra
     a, views = family
     g = a._promote(fn.derivative(
         a, view, lambda name: views.get(name) or lift(lookup(name), family)))
-    node.inputs, node.extra = (a, g), None
-    if j + 1 < len(levels) and g.fill:
-        levels[j + 1] = (levels[j + 1] or []) + _unfilled(g, 2)
-    return g
+    node.inputs = (a, g)
+
+
+def _flat_graph(w) -> bool:
+    """Whether w's entries so far and the heads of g's graph are finite.  A
+    rule builds g from u, w, lifts on u and floats; arithmetic keeps signed
+    zeros past finite heads, and a lift read past its head does if its own
+    g graph does, so that is built and walked too, read one degree lower (a
+    jet lift's degree 1, its first partial, is its g's head for the
+    catalogue's functions).  `need` maps a node to the degrees read."""
+    if not all(map(isfinite, w.entries)):
+        return False
+    need, stack = {}, [(w.inputs[1], len(w.ends) - 2)]
+    while stack:
+        node, m = stack.pop()
+        if need.get(node, -1) < m:
+            need[node] = m
+            if not isfinite(node.entries[0]):
+                return False
+            lifted = node.fill is node.chain
+            if lifted and m and len(node.inputs) == 1:
+                _build(node)
+            stack += [(x, m - lifted) for x in node.inputs]
+    return True

@@ -5,12 +5,19 @@ quotient.  A lift w = f(u) has entry 1 g_0 u_1, and from entry 2 the n = 1
 Berz jet's form w_d = (sum_{r=1..d} r binom(d, r) u_r g_{d-r}) / d in
 ascending r, so towers and jets share one lift.  A leaf `Tower(head,
 tail_fn)` is read through its tails.  `TowerAlgebra` evaluates over towers.
+
+A constant is flat (a finite head, then signed zeros), as are products,
+quotients and lifts of flat towers.  An entry of a product with one costs
+a multiply, of a quotient by one a divide, and its lift only its rule's
+heads: while the entries read are finite, every other term of the general
+sum is a signed zero, and 0.0 + p, bit for bit, is the sum.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
+from math import isfinite
 from typing import Callable, Optional
 
 from . import taylor
@@ -67,14 +74,14 @@ class Tower(Lifted):
 
     def _mul(self, b: Tower) -> Tower:
         """Entry n is the Leibniz sum: sum_i binom(n, i) a_i b_{n-i}."""
-        return _Node([self.head * b.head], (self, b), _leibniz)
+        return _Node([self.head * b.head], (self, b), _times)
 
     def _div(self, b: Tower) -> Tower:
         """The q with q * b = self, from the Leibniz sum solved for its last
         term: q_n = (a_n - sum_{i>=1} binom(n, i) b_i q_{n-i}) / b_0."""
         if b.head == 0.0:
             raise DomainError("div", (self.head, b.head))
-        return _Node([self.head / b.head], (self, b), _quotient)
+        return _Node([self.head / b.head], (self, b), _divide)
 
 
 #: The highest entry a tower fills: from order 1021 the lift's weight
@@ -97,17 +104,17 @@ def _read_tail(node: _Node, d: int, levels: list, j: int) -> None:
 
 
 def _zero(node: _Node, d: int, levels: list, j: int) -> None:
-    node.entries.append(0.0)
+    node.entries.append(node.extra)
 
 
 def tower_const(c: float) -> Tower:
     """(c, 0, 0, ...)"""
-    return _Node([float(c)], (), _zero)
+    return _Node([float(c)], (), _zero, 0.0)
 
 
 def tower_var(c: float) -> Tower:
     """The identity's tower at c: (c, 1, 0, 0, ...)"""
-    return _Node([float(c), 1.0], (), _zero)
+    return _Node([float(c), 1.0], (), _zero, 0.0)
 
 
 def tower_take(a: Tower, k: int) -> list[float]:
@@ -150,6 +157,31 @@ def _rows(d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _ROWS[d]
 
 
+def _times(node: _Node, d: int, levels: list, j: int) -> None:
+    """Entry d of x * y, by a kernel chosen at d = 1, once lifts settled."""
+    x, y = node.inputs
+    c, v = (x, y) if taylor.flat(x) else (y, x)
+    if not taylor.flat(c):
+        node.fill = _leibniz
+    elif taylor.flat(v):
+        taylor.settle(node)
+    else:
+        node.fill, node.extra = _scaled, (c.head, v.entries, 0.0)
+    node.fill(node, d, levels, j)
+
+
+def _scaled(node: _Node, d: int, levels: list, j: int) -> None:
+    """Entry d of c * v or v * c, c flat: 0.0 + c_0 v_d while no binom(d, i)
+    v_i overflows (2^d times the sum of |v_i| over i < d is finite)."""
+    c, v, total = node.extra
+    node.extra = c, v, total + abs(v[d - 1])
+    if isfinite(node.extra[2] * 2.0 ** d):
+        node.entries.append(0.0 + c * v[d])
+    else:
+        node.fill = _leibniz
+        _leibniz(node, d, levels, j)
+
+
 def _leibniz(node: _Node, d: int, levels: list, j: int) -> None:
     x, y = node.inputs[0].entries, node.inputs[1].entries
     total = 0.0
@@ -165,6 +197,29 @@ def _quotient(node: _Node, d: int, levels: list, j: int) -> None:
     for i in range(1, d + 1):
         total += row[i] * y[i] * q[d - i]
     q.append((x[d] - total) / y[0])
+
+
+def _divide(node: _Node, d: int, levels: list, j: int) -> None:
+    """Entry d of x / y, by a kernel chosen at d = 1: y flat, x_d / y_0 while
+    q's entries so far are finite (`_over`), and q flat if x is."""
+    x, y = node.inputs
+    if not taylor.flat(y):
+        node.fill = _quotient
+    elif taylor.flat(x) and isfinite(node.head):
+        node.entries.append(x.entries[1] / y.head)
+        return taylor.settle(node, x.extra / y.head)
+    else:
+        node.fill = _over
+    node.fill(node, d, levels, j)
+
+
+def _over(node: _Node, d: int, levels: list, j: int) -> None:
+    q = node.entries
+    if isfinite(q[d - 1]):
+        q.append(node.inputs[0].entries[d] / node.inputs[1].head)
+    else:
+        node.fill = _quotient
+        _quotient(node, d, levels, j)
 
 
 def _chain(node: _Node, d: int, levels: list, j: int) -> None:
@@ -188,7 +243,7 @@ class _Node(Tower):
 
     __slots__ = ("entries", "inputs", "fill", "extra", "serial")
     ends = range(1, MAX_TOWER_ORDER + 2)
-    chain = staticmethod(_chain)
+    chain, zero = staticmethod(_chain), staticmethod(_zero)
 
     # `like` is the node `taylor.lift` builds from; towers are of one kind.
     def __init__(self, entries: list[float], inputs: tuple, fill, extra=None, like=None):

@@ -9,7 +9,8 @@ that the graded build must equal, and `LoopJetAlgebra`, the jet kernels
 that tested the basis inside every split, as a bit-for-bit reference for
 the per-basis loops.  `LoopTowerAlgebra` evaluates the tower formulas
 eagerly to a fixed order, re-running each lift's rule at every degree, as a
-bit-for-bit reference for the lazy towers.  `decode` turns a program's op table
+bit-for-bit reference for the lazy towers.  `packed` packs their results for a
+byte-for-byte comparison.  `decode` turns a program's op table
 into one (fn, arg_slots, out_slot) step per op.  `step_eval` and the tape
 section sweep those steps, decoding every step on every pass, as
 references that `eval_generic` and the sweeps over the op table must match
@@ -25,6 +26,7 @@ import functools
 import itertools
 import math
 import re
+import struct
 
 from adkit.catalog import COPY, OPERATORS, DomainError, Lifted, derivative_rule, lookup
 from adkit.expr import (
@@ -657,6 +659,17 @@ def mp_taylor(fdef: FunctionDef, x: float, order: int, digits: int = 60):
 
 
 # --- the program as one (fn, arg_slots, out_slot) step per op ---
+
+
+def packed(run) -> list | tuple:
+    """The struct-packed coefficients of every output of `run()` (each a
+    list of floats), so that signed zeros and NaN payloads count, which
+    `==` does not see; or the text and path of the DomainError it raises."""
+    try:
+        outputs = run()
+    except DomainError as err:
+        return ("DomainError", str(err), err.path)
+    return [struct.pack(f"{len(c)}d", *c) for c in outputs]
 
 
 def decode(program: StateProgram) -> list[tuple]:

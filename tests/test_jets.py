@@ -2,7 +2,6 @@
 
 import math
 import random
-import struct
 import time
 
 import pytest
@@ -40,6 +39,7 @@ from oracles import (
     jet_long_division,
     mp_taylor,
     nested_partial,
+    packed,
     poly_mul_truncated,
     scanned_monomials,
     scanned_pair_table,
@@ -494,16 +494,6 @@ def test_a_lift_reads_prefixes_of_its_own_shape():
     assert out.coeffs[0] == math.exp(0.125) / (1 + 0.75**2) + math.sin(1.25)
 
 
-def _packed(run):
-    """The struct-packed coefficients of every output of `run()`, or the
-    type, text and path of the DomainError it raises."""
-    try:
-        outputs = run()
-    except DomainError as err:
-        return ("DomainError", str(err), err.path)
-    return [struct.pack(f"{len(j.coeffs)}d", *j.coeffs) for j in outputs]
-
-
 def test_jets_match_the_loops_that_tested_the_basis_in_every_split():
     # The per-basis loops, the trusted constructor and the lift weight e = |r| w
     # read from the index table change no bit: products, quotients and lifts
@@ -522,8 +512,10 @@ def test_jets_match_the_loops_that_tested_the_basis_in_every_split():
                 for x in (point, [-3.0 * c for c in point], edges):
                     jets = [jet_variable(shape, i + 1, c, basis) for i, c in enumerate(x)]
                     loops = [LoopJet(shape, list(j.coeffs), basis) for j in jets]
-                    got = _packed(lambda: eval_generic(fdef, jets, JetAlgebra(shape, basis)))
-                    want = _packed(lambda: step_eval(fdef, loops, LoopJetAlgebra(shape, basis)))
+                    got = packed(lambda: [j.coeffs for j in eval_generic(
+                        fdef, jets, JetAlgebra(shape, basis))])
+                    want = packed(lambda: [j.coeffs for j in step_eval(
+                        fdef, loops, LoopJetAlgebra(shape, basis))])
                     assert got == want, (unparse(fdef), order, basis, x)
                     errors += got[0] == "DomainError"
                     cases += 1

@@ -3,7 +3,6 @@
 import gc
 import math
 import random
-import struct
 import sys
 import threading
 import time
@@ -29,7 +28,7 @@ from adkit.towers import (
 )
 
 from conftest import EDGE_POINTS, random_program
-from oracles import LoopTowerAlgebra, step_eval
+from oracles import LoopTowerAlgebra, packed, step_eval
 
 
 def tower_from(entries):
@@ -472,16 +471,6 @@ def test_towers_are_n1_berz_jets_to_order_12():
     assert {"div", "exp", "ln", "sqrt", "sin", "cos", "tan"} <= names
 
 
-def _packed(run):
-    """The struct-packed entries of every output of `run()`, or the text
-    and path of the DomainError it raises."""
-    try:
-        outputs = run()
-    except DomainError as err:
-        return ("DomainError", str(err), err.path)
-    return [struct.pack(f"{len(e)}d", *e) for e in outputs]
-
-
 def test_towers_match_the_formulas_evaluated_eagerly():
     # Byte for byte, so signed zeros and NaN payloads count, which `==`
     # does not see: every entry to order 24 equals the tower formulas
@@ -493,9 +482,9 @@ def test_towers_match_the_formulas_evaluated_eagerly():
     for _ in range(40):
         fdef, point = random_program(rng, max_vars=1, max_ops=12)
         for c in (point[0], *EDGE_POINTS):
-            got = _packed(lambda: [tower_take(t, order + 1) for t in eval_generic(
+            got = packed(lambda: [tower_take(t, order + 1) for t in eval_generic(
                 fdef, [tower_var(c)], TowerAlgebra())])
-            want = _packed(lambda: [t.entries for t in step_eval(
+            want = packed(lambda: [t.entries for t in step_eval(
                 fdef, [loops.variable(c)], loops)])
             assert got == want, (unparse(fdef), c)
             errors += got[0] == "DomainError"
