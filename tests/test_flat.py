@@ -47,7 +47,7 @@ def constant_rich_program(rng: random.Random):
         if roll < 0.5:
             return f"{rng.choice(_FUNCTIONS)}({term(depth - 1)})"
         if roll < 0.6:
-            return f"{term(depth - 1)}^{rng.randint(0, 4)}"
+            return f"({term(depth - 1)})^{rng.randint(0, 4)}"
         return f"({term(depth - 1)} {rng.choice('+-**//')} {term(depth - 1)})"
 
     source = f"f({', '.join(names)}) = {' * '.join(term(3) for _ in range(2))}"
