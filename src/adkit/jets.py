@@ -16,8 +16,7 @@ the monomials are X^k/k1!...kn!, so slots hold partial derivatives.  Jets
 are immutable values; every operation is pure.
 
 A constant is flat (a finite head, then signed zeros).  A product with a
-flat factor costs a multiply per coefficient, a quotient by one a divide
-(in blocks of `_FEW` or more), and from order 3 its lift only its rule's
+flat factor costs a multiply per coefficient, and its lift only its rule's
 heads: while the coefficients read are finite, every other term of the
 general sum is a signed zero, and 0.0 + p, bit for bit, is the sum.
 """
@@ -202,17 +201,13 @@ class Jet(Lifted):
         if b0 == 0.0:
             raise DomainError("div", (self.coeffs[0], b0))
         q = [self.coeffs[0] / b0]
-        _divides(q, self.coeffs, b.coeffs, self.shape.pair_table(), range(1, self.shape.size),
-                 self.basis == BERZ)
+        _quotient(q, self.coeffs, b.coeffs, self.shape.pair_table(), range(1, self.shape.size),
+                  self.basis == BERZ)
         return _jet(self.shape, q, self.basis)
 
 
 #: Bounds every berz weight t!/(r! s!) = prod binom(t_i, r_i) <= 2^|t|.
 _BIG = 2.0 ** MAX_ORDER
-
-
-#: Below this many targets the general kernels cost less than the checks.
-_FEW = 8
 
 
 def _flat(coeffs: list, stop: int) -> bool:
@@ -224,8 +219,6 @@ def _times(out: list, ac: list, bc: list, table: list, targets: range, berz: boo
     """`_product`, or 0.0 + c_0 v_t with c flat through the targets while no
     weight times a v_t overflows (`_BIG` times the sum of |v_t| shows it)."""
     stop = targets.stop
-    if len(targets) < _FEW:
-        return _product(out, ac, bc, table, targets, berz)
     if not ac[1] and _flat(ac, stop):
         c, v = ac, bc
     elif not bc[1] and _flat(bc, stop):
@@ -236,17 +229,6 @@ def _times(out: list, ac: list, bc: list, table: list, targets: range, berz: boo
         out += [0.0 + c[0] * y for y in v[targets.start:stop]]
     else:
         _product(out, ac, bc, table, targets, berz)
-
-
-def _divides(q: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
-    """`_quotient`, or a_t / b_0 with b flat through the targets while
-    q_0 .. q_{t-1} are finite."""
-    if len(targets) >= _FEW and not bc[1] and _flat(bc, targets.stop):
-        block = [a / bc[0] for a in ac[targets.start:targets.stop]]
-        if math.isfinite(sum(map(abs, q)) + sum(map(abs, block[:-1]))):
-            q += block
-            return
-    _quotient(q, ac, bc, table, targets, berz)
 
 
 def _product(out: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
@@ -323,7 +305,7 @@ def _each(node: _Node, d: int, levels: list, j: int) -> None:
 
 
 def _split(node: _Node, d: int, levels: list, j: int) -> None:
-    """Degree d of a product or quotient (`extra`: `_times`, `_divides`)."""
+    """Degree d of a product or quotient (`extra`: `_times`, `_quotient`)."""
     x, y = node.inputs
     node.extra(node.entries, x.entries, y.entries, node.shape.pair_table(),
                range(node.ends[d - 1], node.ends[d]), node.basis == BERZ)
@@ -356,7 +338,7 @@ def _chain(node: _Node, d: int, levels: list, j: int) -> None:
 
 
 def _zero(node: _Node, d: int, levels: list, j: int) -> None:
-    node.entries += [node.extra] * (node.ends[d] - node.ends[d - 1])
+    node.entries += [0.0] * (node.ends[d] - node.ends[d - 1])
 
 
 class _Node(Lifted):
@@ -392,7 +374,7 @@ class _Node(Lifted):
         x0, y0 = self.entries[0], b.entries[0]
         if y0 == 0.0:
             raise DomainError("div", (x0, y0))
-        return _Node([x0 / y0], (self, b), _split, _divides, self)
+        return _Node([x0 / y0], (self, b), _split, _quotient, self)
 
 
 def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
@@ -400,7 +382,7 @@ def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
     UnsupportedOrderError) lifted onto the jet args[0] (see `_chain`).  Its
     value, first partial and a float its rule returns enter as floats."""
     arg = args[0]
-    w = taylor.lift(fn, (_Node(arg.coeffs, (), _zero, 0.0, arg), {}))
+    w = taylor.lift(fn, (_Node(arg.coeffs, (), _zero, None, arg), {}))
     return _jet(arg.shape, taylor.force(w, arg.shape.order + 1), arg.basis)
 
 

@@ -67,14 +67,13 @@ def lift(fn: ElementaryFn, family: tuple):
 def grow(node, levels: list, j: int):
     """The lift node's g = f'(u), built once from its rule as its second
     input.  If u and g's graph are flat, the lift settles to +0.0 and g is
-    never filled, unless its kind ends at degree 2 (jets of order 2), where
-    the walk costs what it saves.  Else its degree d reads g below d, so g's new nodes (not filled
-    at degree 1, unlike u; none if g is complete or a view) join the level
-    below."""
+    never filled.  Else its degree d reads g below d, so g's new nodes (not
+    filled at degree 1, unlike u; none if g is complete or a view) join the
+    level below."""
     if len(node.inputs) == 1:
         _build(node)
     u, g = node.inputs
-    if len(node.ends) > 3 and flat(u) and _flat_graph(node):
+    if flat(u) and _flat_graph(node):
         settle(node)
     elif j + 1 < len(levels) and g.fill:
         levels[j + 1] = (levels[j + 1] or []) + _unfilled(g, 2)
@@ -88,9 +87,9 @@ def flat(node) -> bool:
             and not any(islice(node.entries, 2, None)))
 
 
-def settle(node, zero: float = 0.0) -> None:
-    """From its next degree on, node is `zero` in every coefficient."""
-    node.fill, node.inputs, node.extra = node.zero, (), zero
+def settle(node) -> None:
+    """From its next degree on, node is +0.0 in every coefficient."""
+    node.fill, node.inputs, node.extra = node.zero, (), None
 
 
 def _build(node) -> None:

@@ -6,11 +6,11 @@ Berz jet's form w_d = (sum_{r=1..d} r binom(d, r) u_r g_{d-r}) / d in
 ascending r, so towers and jets share one lift.  A leaf `Tower(head,
 tail_fn)` is read through its tails.  `TowerAlgebra` evaluates over towers.
 
-A constant is flat (a finite head, then signed zeros), as are products,
-quotients and lifts of flat towers.  An entry of a product with one costs
-a multiply, of a quotient by one a divide, and its lift only its rule's
-heads: while the entries read are finite, every other term of the general
-sum is a signed zero, and 0.0 + p, bit for bit, is the sum.
+A constant is flat (a finite head, then signed zeros), as are products
+and lifts of flat towers.  An entry of a product with one costs a
+multiply, and its lift only its rule's heads: while the entries read are
+finite, every other term of the general sum is a signed zero, and 0.0 + p,
+bit for bit, is the sum.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ class Tower(Lifted):
 
     __slots__ = ("head", "_tail_fn", "_tail")
 
-    def __init__(self, head: float, tail_fn: Optional[Callable[[], "Tower"]]):
+    def __init__(self, head: float, tail_fn: Callable[[], "Tower"]):
+        if not callable(tail_fn):
+            raise TypeError(f"a tower's tail_fn must be callable, not {type(tail_fn).__name__}")
         self.head = float(head)
         self._tail_fn = tail_fn
         self._tail: Optional[Tower] = None
@@ -48,6 +50,8 @@ class Tower(Lifted):
             if tail_fn is None:
                 return self._tail
             tail = tail_fn()
+            if not isinstance(tail, Tower):
+                raise TypeError(f"a tower's tail_fn returned {type(tail).__name__}, not a Tower")
             self._tail = tail
             self._tail_fn = None
         return tail
@@ -81,7 +85,7 @@ class Tower(Lifted):
         term: q_n = (a_n - sum_{i>=1} binom(n, i) b_i q_{n-i}) / b_0."""
         if b.head == 0.0:
             raise DomainError("div", (self.head, b.head))
-        return _Node([self.head / b.head], (self, b), _divide)
+        return _Node([self.head / b.head], (self, b), _quotient)
 
 
 #: The highest entry a tower fills: from order 1021 the lift's weight
@@ -104,21 +108,23 @@ def _read_tail(node: _Node, d: int, levels: list, j: int) -> None:
 
 
 def _zero(node: _Node, d: int, levels: list, j: int) -> None:
-    node.entries.append(node.extra)
+    node.entries.append(0.0)
 
 
 def tower_const(c: float) -> Tower:
     """(c, 0, 0, ...)"""
-    return _Node([float(c)], (), _zero, 0.0)
+    return _Node([float(c)], (), _zero)
 
 
 def tower_var(c: float) -> Tower:
     """The identity's tower at c: (c, 1, 0, 0, ...)"""
-    return _Node([float(c), 1.0], (), _zero, 0.0)
+    return _Node([float(c), 1.0], (), _zero)
 
 
 def tower_take(a: Tower, k: int) -> list[float]:
     """The first k entries; computes none beyond them."""
+    if not isinstance(a, Tower):
+        raise TypeError(f"tower_take needs a Tower, not {type(a).__name__}")
     if k < 1:
         raise ValueError("need k >= 1")
     if k > MAX_TOWER_ORDER + 1:
@@ -197,29 +203,6 @@ def _quotient(node: _Node, d: int, levels: list, j: int) -> None:
     for i in range(1, d + 1):
         total += row[i] * y[i] * q[d - i]
     q.append((x[d] - total) / y[0])
-
-
-def _divide(node: _Node, d: int, levels: list, j: int) -> None:
-    """Entry d of x / y, by a kernel chosen at d = 1: y flat, x_d / y_0 while
-    q's entries so far are finite (`_over`), and q flat if x is."""
-    x, y = node.inputs
-    if not taylor.flat(y):
-        node.fill = _quotient
-    elif taylor.flat(x) and isfinite(node.head):
-        node.entries.append(x.entries[1] / y.head)
-        return taylor.settle(node, x.extra / y.head)
-    else:
-        node.fill = _over
-    node.fill(node, d, levels, j)
-
-
-def _over(node: _Node, d: int, levels: list, j: int) -> None:
-    q = node.entries
-    if isfinite(q[d - 1]):
-        q.append(node.inputs[0].entries[d] / node.inputs[1].head)
-    else:
-        node.fill = _quotient
-        _quotient(node, d, levels, j)
 
 
 def _chain(node: _Node, d: int, levels: list, j: int) -> None:

@@ -1,13 +1,13 @@
 """Flat constants in jets and towers: a product with a flat factor (a finite
-head, then signed zeros), a quotient by one and a lift of one skip the
-general kernels, and must give their bits exactly."""
+head, then signed zeros) and a lift of one skip the general kernels, and
+must give their bits exactly."""
 
 import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from adkit.catalog import CATALOG, ElementaryFn, pow_fn
+from adkit.catalog import CATALOG, ElementaryFn
 from adkit.expr import eval_generic, parse
 from adkit.jets import BERZ, STANDARD, Jet, JetAlgebra, jet_shape, jet_variable
 from adkit import taylor
@@ -106,24 +106,16 @@ _HEAD = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                   st.sampled_from([0.0, -0.0, 5e-324, 1.7e308, 3.0]))
 
 
-def _flat_tower(head: float, z1: float, z: float) -> Tower:
-    """The flat tower (head, z1, z, z, ...) for signed zeros z1 and z, built
-    by the operators: a quotient by -1 negates a flat tower, and pow1's lift
-    keeps entries 0 and 1 and sets +0.0 after them."""
-    def negated(c):
-        return c / -1.0
-
-    def lifted(c):
-        return TowerAlgebra().apply(pow_fn(1), [c])
-
-    signs = math.copysign(1.0, z1), math.copysign(1.0, z)
-    if signs == (1.0, 1.0):
+def _flat_tower(head: float, z1: float) -> Tower:
+    """The flat tower (head, z1, 0.0, 0.0, ...) for a signed zero z1, as the
+    operators build it: a constant, or for z1 = -0.0 the lift of one by a
+    rule of slope -1, whose entry 1 is g_0 u_1 = -1.0 * 0.0 and which then
+    settles to +0.0."""
+    if math.copysign(1.0, z1) == 1.0:
         return tower_const(head)
-    if signs == (1.0, -1.0):
-        return negated(lifted(negated(tower_const(head))))
-    if signs == (-1.0, -1.0):
-        return negated(tower_const(-head))
-    return lifted(negated(tower_const(-head)))
+    fn = ElementaryFn("slope_down", 1, lambda a: a[0], lambda a: [-1.0], lambda a: True,
+                      derivative=lambda a, f, lift: -1.0)
+    return TowerAlgebra().apply(fn, [tower_const(head)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,10 +138,9 @@ def test_flat_arithmetic_matches_the_loop_oracles(data):
             got = packed(lambda: [op(c, y).coeffs])
             assert got == packed(lambda: [op(lc, ly).coeffs]), (basis, shape)
 
-    z1, z = zeros[0], data.draw(st.sampled_from([0.0, -0.0]))
-    entries = [head, z1] + [z] * 11
+    entries = [head, zeros[0]] + [0.0] * 11
     ys = data.draw(st.lists(_ANY, min_size=13, max_size=13))
-    c = _flat_tower(head, z1, z)
+    c = _flat_tower(head, zeros[0])
     assert packed(lambda: [tower_take(c, 13)]) == packed(lambda: [entries])
     assert taylor.flat(c)
     y = Tower(ys[0], lambda: _leaf(ys, 1))
@@ -182,6 +173,12 @@ def test_a_flat_lift_runs_its_rule_inside_tower_take_once(monkeypatch):
     jet = JetAlgebra(shape, BERZ).apply(wrapped["sin"], [JetAlgebra(shape, BERZ).constant(2.0)])
     assert jet.coeffs == [math.sin(2.0)] + [0.0] * (shape.size - 1)
     assert rules == ["sin", "cos", "sin", "cos"]
+    # Order 2 settles too: g is built, never filled, and degree 2 is +0.0.
+    shape = jet_shape(2, 2)
+    jet = JetAlgebra(shape, BERZ).apply(wrapped["sin"], [JetAlgebra(shape, BERZ).constant(2.0)])
+    assert packed(lambda: [jet.coeffs]) == packed(
+        lambda: [[math.sin(2.0)] + [0.0] * (shape.size - 1)])
+    assert rules == ["sin", "cos"] * 3
 
 
 def test_a_flat_lift_settles_only_on_finite_partials_and_heads():

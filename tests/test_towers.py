@@ -321,6 +321,30 @@ def test_orders_past_the_bound_are_refused_before_any_forcing():
         tower_df(shifted)
 
 
+def test_a_leaf_without_a_callable_tail_is_refused():
+    for tail_fn in (None, 5.0, tower_const(1.0)):
+        with pytest.raises(TypeError, match="tail_fn must be callable"):
+            Tower(1.0, tail_fn)
+
+
+def test_a_tail_that_is_not_a_tower_is_refused_when_read():
+    for bad in (5.0, None, [2.0, 3.0]):
+        leaf = Tower(1.0, lambda bad=bad: bad)
+        with pytest.raises(TypeError, match="not a Tower"):
+            tower_take(leaf, 3)
+        with pytest.raises(TypeError, match="not a Tower"):
+            tower_df(leaf)
+        with pytest.raises(TypeError, match="not a Tower"):
+            tower_take(leaf * tower_var(2.0), 2)
+    assert tower_take(Tower(1.0, lambda: tower_var(3.0)), 3) == [1.0, 3.0, 1.0]
+
+
+def test_tower_take_refuses_what_is_not_a_tower():
+    for bad in (2.0, 3, None, [1.0, 0.0]):
+        with pytest.raises(TypeError, match="tower_take needs a Tower"):
+            tower_take(bad, 3)
+
+
 def test_binomial_rows_are_exact_and_an_order_1020_tower_forces_promptly():
     # Rows are built by Pascal's rule on integers and rounded once each.
     for d in (0, 1, 2, 57, 500, 1020):
