@@ -72,6 +72,9 @@ class DualAlgebra(_LiftedAlgebra):
 
     @staticmethod
     def lift(fn: ElementaryFn, args: list[Dual]) -> Dual:
+        for a in args:
+            if not isinstance(a, Dual):
+                raise TypeError(f"a dual lift needs Duals, not {type(a).__name__}")
         primals = [a.primal for a in args]
         fn.check_domain(primals)
         value = fn.value(primals)

@@ -31,8 +31,6 @@ EXIT_DOMAIN = 2
 EXIT_FLAGS = 3
 EXIT_OUTPUT = 4
 
-MODES = ("forward", "reverse", "jet", "tower", "jacobian")
-
 #: The largest `bench --max-n`.  The table re-runs every size from 1, and
 #: the product scenario's counts take cubic time: 1 s to n = 200, 12 s to 400.
 MAX_BENCH_N = 200
@@ -109,7 +107,7 @@ def _build_parser() -> _ArgumentParser:
     diff = sub.add_parser("diff", help="differentiate an expression at a point")
     diff.add_argument("expression")
     diff.add_argument("--at", required=True, help="evaluation point c1,...,cn")
-    diff.add_argument("--mode", choices=MODES, default="forward")
+    diff.add_argument("--mode", choices=_MODES, default="forward")
     diff.add_argument("--dir", dest="direction", help="forward seed x'1,...,x'n")
     diff.add_argument("--cov", dest="covector", help="reverse seed y'1,...,y'm")
     diff.add_argument("--order", type=int, help="truncation/derivative order")
@@ -152,97 +150,89 @@ def _print_json(report: dict) -> None:
     print(json.dumps(strict, allow_nan=False))
 
 
+def _seed(text: Optional[str], flag: str, mode: str, size: int) -> list[float]:
+    """The seed vector `flag`, which `--mode mode` requires, of `size` values."""
+    if text is None:
+        raise FlagError(f"--mode {mode} requires {flag}")
+    seed = _vector(text, flag)
+    if len(seed) != size:
+        raise FlagError(f"{flag} must supply {size} value(s)")
+    return seed
+
+
+# Each `diff` mode checks its own flags, runs its layers and returns (seed,
+# value, derivative, the lines text mode prints after the value).
+def _forward(args, fdef, point):
+    direction = _seed(args.direction, "--dir", "forward", fdef.n)
+    value, tangent = forward_directional(fdef, SeedSpec.forward(point, direction))
+    return direction, value, [tangent], [f"tangent: {_fmt_vector(tangent)}"]
+
+
+def _reverse(args, fdef, point):
+    covector = _seed(args.covector, "--cov", "reverse", fdef.m)
+    tape = record(fdef, point)
+    gradient = backprop(tape, covector)
+    value = [tape.values[r] for r in tape.output_refs]
+    return covector, value, [gradient], [f"gradient: {_fmt_vector(gradient)}"]
+
+
+def _jet(args, fdef, point):
+    from .jets import BERZ, MAX_ORDER, JetAlgebra, jet_shape, jet_variable
+
+    if args.order is None:
+        raise FlagError("--mode jet requires --order")
+    if fdef.m != 1:
+        raise FlagError("--mode jet supports single-output functions")
+    if not 1 <= args.order <= MAX_ORDER:
+        raise FlagError(f"--mode jet requires --order in 1..{MAX_ORDER}")
+    try:
+        shape = jet_shape(fdef.n, args.order)
+    except ValueError as err:  # too many coefficients
+        raise FlagError(f"--mode jet: {err}")
+    inputs = [jet_variable(shape, i + 1, c, BERZ) for i, c in enumerate(point)]
+    coeffs = eval_generic(fdef, inputs, JetAlgebra(shape, BERZ))[0].coeffs
+    terms = list(zip(shape.monomials, coeffs))
+    partials = [{"multi_index": list(k), "value": c} for k, c in terms]
+    lines = [f"d[{','.join(map(str, k))}]: {c!r}" for k, c in terms]
+    return [], coeffs[:1], partials, lines
+
+
+def _tower(args, fdef, point):
+    from .towers import MAX_TOWER_ORDER, TowerAlgebra, tower_var
+
+    if args.order is None:
+        raise FlagError("--mode tower requires --order")
+    if fdef.n != 1 or fdef.m != 1:
+        raise FlagError("--mode tower supports univariate single-output functions")
+    if not 0 <= args.order <= MAX_TOWER_ORDER:
+        raise FlagError(f"--mode tower requires --order >= 0 and <= {MAX_TOWER_ORDER}")
+    out = eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
+    entries = tower_take(out, args.order + 1)
+    return [], entries[:1], [entries], [f"derivatives 0..{args.order}: {_fmt_vector(entries)}"]
+
+
+def _jacobian(args, fdef, point):
+    tape = record(fdef, point)  # the tape `jacobian` sweeps at this point
+    matrix = jacobian(fdef, point, mode="forward")
+    value = [tape.values[r] for r in tape.output_refs]
+    return [], value, matrix, [f"jacobian row: {_fmt_vector(row)}" for row in matrix]
+
+
+#: The `diff` modes, in the order `--help` lists them.
+_MODES = {"forward": _forward, "reverse": _reverse, "jet": _jet, "tower": _tower,
+          "jacobian": _jacobian}
+
+
 def _cmd_diff(args) -> int:
     fdef = parse(args.expression)
     point = _vector(args.at, "--at")
     if len(point) != fdef.n:
         raise FlagError(f"--at must supply {fdef.n} value(s), got {len(point)}")
-    mode = args.mode
-
-    if mode == "forward":
-        if args.direction is None:
-            raise FlagError("--mode forward requires --dir")
-        direction = _vector(args.direction, "--dir")
-        if len(direction) != fdef.n:
-            raise FlagError(f"--dir must supply {fdef.n} value(s)")
-        value, tangent = forward_directional(fdef, SeedSpec.forward(point, direction))
-        report = _report(args.expression, mode, point, direction, value, [tangent])
-        if not args.json:
-            print(f"value: {_fmt_vector(value)}")
-            print(f"tangent: {_fmt_vector(tangent)}")
-
-    elif mode == "reverse":
-        if args.covector is None:
-            raise FlagError("--mode reverse requires --cov")
-        covector = _vector(args.covector, "--cov")
-        if len(covector) != fdef.m:
-            raise FlagError(f"--cov must supply {fdef.m} value(s)")
-        tape = record(fdef, point)
-        gradient = backprop(tape, covector)
-        value = [tape.values[r] for r in tape.output_refs]
-        report = _report(args.expression, mode, point, covector, value, [gradient])
-        if not args.json:
-            print(f"value: {_fmt_vector(value)}")
-            print(f"gradient: {_fmt_vector(gradient)}")
-
-    elif mode == "jet":
-        from .jets import BERZ, MAX_ORDER, JetAlgebra, jet_shape, jet_variable
-
-        if args.order is None:
-            raise FlagError("--mode jet requires --order")
-        if fdef.m != 1:
-            raise FlagError("--mode jet supports single-output functions")
-        if not 1 <= args.order <= MAX_ORDER:
-            raise FlagError(f"--mode jet requires --order in 1..{MAX_ORDER}")
-        try:
-            shape = jet_shape(fdef.n, args.order)
-        except ValueError as err:  # too many coefficients
-            raise FlagError(f"--mode jet: {err}")
-        algebra = JetAlgebra(shape, BERZ)
-        inputs = [
-            jet_variable(shape, i + 1, point[i], BERZ) for i in range(fdef.n)
-        ]
-        out = eval_generic(fdef, inputs, algebra)[0]
-        partials = [
-            {"multi_index": list(k), "value": out.coeffs[pos]}
-            for pos, k in enumerate(shape.monomials)
-        ]
-        value = [out.coeffs[0]]
-        report = _report(args.expression, mode, point, [], value, partials)
-        if not args.json:
-            print(f"value: {_fmt_vector(value)}")
-            for row in partials:
-                k = ",".join(str(x) for x in row["multi_index"])
-                print(f"d[{k}]: {row['value']!r}")
-
-    elif mode == "tower":
-        from .towers import MAX_TOWER_ORDER, TowerAlgebra, tower_var
-
-        if args.order is None:
-            raise FlagError("--mode tower requires --order")
-        if fdef.n != 1 or fdef.m != 1:
-            raise FlagError("--mode tower supports univariate single-output functions")
-        if not 0 <= args.order <= MAX_TOWER_ORDER:
-            raise FlagError(f"--mode tower requires --order >= 0 and <= {MAX_TOWER_ORDER}")
-        out = eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
-        entries = tower_take(out, args.order + 1)
-        report = _report(args.expression, mode, point, [], [entries[0]], [entries])
-        if not args.json:
-            print(f"value: {_fmt_vector(entries[:1])}")
-            print(f"derivatives 0..{args.order}: {_fmt_vector(entries)}")
-
-    else:  # jacobian
-        tape = record(fdef, point)  # the tape `jacobian` sweeps at this point
-        matrix = jacobian(fdef, point, mode="forward")
-        value = [tape.values[r] for r in tape.output_refs]
-        report = _report(args.expression, mode, point, [], value, matrix)
-        if not args.json:
-            print(f"value: {_fmt_vector(value)}")
-            for row in matrix:
-                print(f"jacobian row: {_fmt_vector(row)}")
-
+    seed, value, derivative, lines = _MODES[args.mode](args, fdef, point)
     if args.json:
-        _print_json(report)
+        _print_json(_report(args.expression, args.mode, point, seed, value, derivative))
+    else:
+        print(f"value: {_fmt_vector(value)}", *lines, sep="\n")
     return EXIT_OK
 
 

@@ -382,6 +382,8 @@ def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
     UnsupportedOrderError) lifted onto the jet args[0] (see `_chain`).  Its
     value, first partial and a float its rule returns enter as floats."""
     arg = args[0]
+    if not isinstance(arg, Jet):
+        raise TypeError(f"a jet lift needs a Jet, not {type(arg).__name__}")
     w = taylor.lift(fn, (_Node(arg.coeffs, (), _zero, None, arg), {}))
     return _jet(arg.shape, taylor.force(w, arg.shape.order + 1), arg.basis)
 

@@ -42,19 +42,13 @@ class Tower(Lifted):
         self._tail: Optional[Tower] = None
 
     def tail(self) -> "Tower":
-        tail = self._tail
-        if tail is None:
-            # Another thread may finish forcing between the read above and
-            # this one; it stores `_tail` before clearing `_tail_fn`.
-            tail_fn = self._tail_fn
-            if tail_fn is None:
-                return self._tail
-            tail = tail_fn()
-            if not isinstance(tail, Tower):
-                raise TypeError(f"a tower's tail_fn returned {type(tail).__name__}, not a Tower")
-            self._tail = tail
-            self._tail_fn = None
-        return tail
+        with _LOCK:  # held by forcing too, so `tail_fn` runs once
+            if self._tail is None:
+                tail = self._tail_fn()
+                if not isinstance(tail, Tower):
+                    raise TypeError(f"a tower's tail_fn returned {type(tail).__name__}, not a Tower")
+                self._tail, self._tail_fn = tail, None  # a tail_fn may refer to its leaf
+            return self._tail
 
     def __repr__(self) -> str:
         return f"Tower(head={self.head!r}, ...)"
@@ -121,10 +115,16 @@ def tower_var(c: float) -> Tower:
     return _Node([float(c), 1.0], (), _zero)
 
 
+def _tower(a, caller: str) -> Tower:
+    """a, which `caller` refuses unless it is a tower."""
+    if not isinstance(a, Tower):
+        raise TypeError(f"{caller} needs a Tower, not {type(a).__name__}")
+    return a
+
+
 def tower_take(a: Tower, k: int) -> list[float]:
     """The first k entries; computes none beyond them."""
-    if not isinstance(a, Tower):
-        raise TypeError(f"tower_take needs a Tower, not {type(a).__name__}")
+    _tower(a, "tower_take")
     if k < 1:
         raise ValueError("need k >= 1")
     if k > MAX_TOWER_ORDER + 1:
@@ -135,7 +135,7 @@ def tower_take(a: Tower, k: int) -> list[float]:
 
 def tower_df(a: Tower) -> Tower:
     """The shift derivation: drop the head, exposing the derivative stream."""
-    return a.tail()
+    return _tower(a, "tower_df").tail()
 
 
 def _binary(node: _Node, d: int, levels: list, j: int) -> None:
@@ -242,7 +242,7 @@ class _Node(Tower):
 def lift(fn: ElementaryFn, args: list[Tower]) -> Tower:
     """Lift a unary catalogue function with a rule (else UnsupportedOrderError)
     onto the tower args[0]."""
-    return taylor.lift(fn, (_node(args[0]), {}))
+    return taylor.lift(fn, (_node(_tower(args[0], "a tower lift")), {}))
 
 
 class TowerAlgebra(_LiftedAlgebra):

@@ -72,6 +72,12 @@ def test_lift_domain_error_names_function():
     assert "-1.0" in str(err.value)
 
 
+def test_a_dual_lift_refuses_what_is_not_a_dual():
+    for bad in (2.0, None, jet_constant(jet_shape(1, 2), 1.0), tower_const(1.0)):
+        with pytest.raises(TypeError, match=f"a dual lift needs Duals, not {type(bad).__name__}"):
+            DualAlgebra().apply(CATALOG["sin"], [bad])
+
+
 def test_operators_match_functions():
     a, b = Dual(1.5, 2.0), Dual(-0.5, 3.0)
     apply = DualAlgebra().apply

@@ -293,6 +293,13 @@ def test_lift_domain_checked_on_constant_term():
         JetAlgebra(shape).apply(CATALOG["ln"], [jet_variable(shape, 1, -1.0)])
 
 
+def test_a_jet_lift_refuses_what_is_not_a_jet():
+    algebra = JetAlgebra(jet_shape(2, 3), BERZ)
+    for bad in (2.0, None, Dual(1.0, 1.0)):
+        with pytest.raises(TypeError, match=f"a jet lift needs a Jet, not {type(bad).__name__}"):
+            algebra.apply(CATALOG["sin"], [bad])
+
+
 def test_extract_examples():
     shape = jet_shape(1, 2)
     x = jet_variable(shape, 1, 3.0)

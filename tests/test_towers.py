@@ -430,36 +430,52 @@ def test_lift_family_evaluates_each_function_once(monkeypatch):
         assert jet == JetAlgebra(shape, BERZ).apply(sin, [seed])
 
 
-def test_tail_returns_the_tail_a_racing_caller_just_forced():
-    # Deterministic interleaving: the second caller reads `_tail` as None,
-    # and the first caller runs its whole tail() before that read returns.
-    class Interleaved(Tower):
-        __slots__ = ("racer",)
+def test_two_threads_reading_one_unforced_leaf_run_its_tail_fn_once():
+    # tail_fn waits for a second call.  Unlocked, both readers run it and get
+    # different tails; memoised under the forcing lock, the second reader
+    # waits for the first, whose wait times out, and reads its tail.
+    barrier = threading.Barrier(2, timeout=1)
+    calls = []
 
-        @property
-        def _tail(self):
-            seen = Tower._tail.__get__(self)
-            racer, self.racer = self.racer, None
-            if racer is not None:
-                racer()
-            return seen
+    def tail_fn():
+        tail = tower_const(2.0)
+        calls.append(tail)
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return tail
 
-        @_tail.setter
-        def _tail(self, value):
-            Tower._tail.__set__(self, value)
+    leaf = Tower(1.0, tail_fn)
+    tails = [None, None]
 
-    forced = []
+    def read(i):
+        tails[i] = leaf.tail()
 
-    def force():
-        forced.append(tower_const(2.0))
-        return forced[-1]
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(calls) == 1
+    assert tails[0] is tails[1] is calls[0]
 
-    tower = Interleaved(1.0, force)
-    first = []
-    tower.racer = lambda: first.append(Tower.tail(tower))
-    second = tower.tail()
-    assert len(forced) == 1
-    assert first == [forced[0]] and second is forced[0]
+
+def test_tower_df_refuses_what_is_not_a_tower():
+    for bad in (2.0, None, Dual(1.0, 1.0)):
+        with pytest.raises(TypeError, match=f"tower_df needs a Tower, not {type(bad).__name__}"):
+            tower_df(bad)
+
+
+def test_a_tower_lift_refuses_what_is_not_a_tower():
+    sin = CATALOG["sin"]
+    for bad in (2.0, None, Dual(1.0, 1.0)):
+        want = f"a tower lift needs a Tower, not {type(bad).__name__}"
+        with pytest.raises(TypeError, match=want):
+            TowerAlgebra().apply(sin, [bad])
+        with pytest.raises(TypeError, match=want):
+            towers.lift(sin, [bad])
 
 
 def _tower_jet_dual(fdef, c, order):
@@ -538,11 +554,17 @@ def test_entries_0_and_1_are_the_dual_value_and_tangent():
 
 def test_forced_towers_leave_no_cyclic_garbage():
     fdef = parse("f(x) = exp(sin(x))*tan(x)/sqrt(1+x*x)")
+
+    def leaf_reading_itself():
+        leaf = Tower(0.7, lambda: tower_const(leaf.head))
+        return leaf
+
     gc.collect()
     gc.disable()
     try:
         for _ in range(50):
             tower_take(eval_generic(fdef, [tower_var(0.7)], TowerAlgebra())[0], 17)
+            tower_take(leaf_reading_itself(), 3)
         assert gc.collect() == 0
     finally:
         gc.enable()
