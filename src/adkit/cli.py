@@ -160,16 +160,31 @@ def _seed(text: Optional[str], flag: str, mode: str, size: int) -> list[float]:
     return seed
 
 
-# Each `diff` mode checks its own flags, runs its layers and returns (seed,
-# value, derivative, the lines text mode prints after the value).
+#: The `diff` flags that only some modes read, by their argparse destination.
+_MODE_FLAGS = {"--dir": "direction", "--cov": "covector", "--order": "order"}
+
+
+def _refuse_unread(args, *reads: str) -> None:
+    """Refuse a flag of `_MODE_FLAGS` that was given but that the mode does
+    not read: every flag it does read is in `reads`."""
+    for flag, dest in _MODE_FLAGS.items():
+        if flag not in reads and getattr(args, dest) is not None:
+            raise FlagError(f"--mode {args.mode} does not take {flag}")
+
+
+# Each `diff` mode checks its own flags, then refuses those it does not
+# read, runs its layers and returns (seed, value, derivative, the lines text
+# mode prints after the value).
 def _forward(args, fdef, point):
     direction = _seed(args.direction, "--dir", "forward", fdef.n)
+    _refuse_unread(args, "--dir")
     value, tangent = forward_directional(fdef, SeedSpec.forward(point, direction))
     return direction, value, [tangent], [f"tangent: {_fmt_vector(tangent)}"]
 
 
 def _reverse(args, fdef, point):
     covector = _seed(args.covector, "--cov", "reverse", fdef.m)
+    _refuse_unread(args, "--cov")
     tape = record(fdef, point)
     gradient = backprop(tape, covector)
     value = [tape.values[r] for r in tape.output_refs]
@@ -189,6 +204,7 @@ def _jet(args, fdef, point):
         shape = jet_shape(fdef.n, args.order)
     except ValueError as err:  # too many coefficients
         raise FlagError(f"--mode jet: {err}")
+    _refuse_unread(args, "--order")
     inputs = [jet_variable(shape, i + 1, c, BERZ) for i, c in enumerate(point)]
     coeffs = eval_generic(fdef, inputs, JetAlgebra(shape, BERZ))[0].coeffs
     terms = list(zip(shape.monomials, coeffs))
@@ -206,12 +222,14 @@ def _tower(args, fdef, point):
         raise FlagError("--mode tower supports univariate single-output functions")
     if not 0 <= args.order <= MAX_TOWER_ORDER:
         raise FlagError(f"--mode tower requires --order >= 0 and <= {MAX_TOWER_ORDER}")
+    _refuse_unread(args, "--order")
     out = eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
     entries = tower_take(out, args.order + 1)
     return [], entries[:1], [entries], [f"derivatives 0..{args.order}: {_fmt_vector(entries)}"]
 
 
 def _jacobian(args, fdef, point):
+    _refuse_unread(args)
     tape = record(fdef, point)  # the tape `jacobian` sweeps at this point
     matrix = jacobian(fdef, point, mode="forward")
     value = [tape.values[r] for r in tape.output_refs]

@@ -23,6 +23,17 @@ NaN payloads, never share a tape.  The pair is replaced in one assignment
 and a tape is never changed, so threads sharing a definition can only miss
 the memo.
 
+The three sweeps are loops that dispatch on each step's kind.  On a
+program's `_WARM`-th linearization at a distinct point, `record` compiles
+it, in one call, into straight-line record, tangent and adjoint kernels
+(`kernels.build`), which the sweeps then call.  Their results equal the
+loops' bit for bit (a NaN's sign and payload are unspecified either way).
+At 300 steps a build takes about 16 ms and 3.5 MB of transient memory, so
+a program above `_CAP` steps, or linearized once, as in a CLI call, never
+pays for one.  The kernels are the program's memo, `StateProgram.kernels`,
+replaced whole, so threads sharing a program can only miss them or build
+them twice.
+
 `cost_compare` instruments three function families with the shared
 evaluation counter and reports exact integer operation counts for a
 symbolic-style re-evaluation pattern next to the forward-mode sweep.
@@ -104,6 +115,16 @@ class Tape(NamedTuple):
 # The constant local partials of add, sub, neg and copy, shared by every tape.
 _ADD, _SUB, _NEG, _COPY = (1.0, 1.0), (1.0, -1.0), (-1.0,), (1.0,)
 
+#: The linearization of a program at which `record` builds its kernels.
+#: Building took as long as 51 to 83 interpreted linearizations, each with
+#: one tangent and one adjoint sweep, at 38 to 1036 steps (76 at 300), so a
+#: program that gets this far has mostly paid for its kernels already.
+_WARM = 80
+
+#: The most steps a program with kernels has.  Compiling a kernel holds
+#: about 10 KB of transient memory per step: 10 MB at the cap.
+_CAP = 1024
+
 
 def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
     """Linearize the program at c in one sweep of its op table, with
@@ -119,6 +140,13 @@ def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
     memo = fdef.last_tape
     if memo is not None and memo[0] == key:
         return memo[1]
+    kernels = program.kernels
+    if kernels.__class__ is int:
+        kernels = _count(program, kernels)
+    if kernels is not None:
+        tape = Tape(program, *kernels[0](fdef, values))
+        object.__setattr__(fdef, "last_tape", (key, tape))
+        return tape
     partials = []
     put, note = values.append, partials.append
     for kind, a, b, fn in program.ops:
@@ -144,7 +172,7 @@ def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
             args = ([values[r] for r in a] if kind == "other" else
                     [values[a]] if b is None else [values[a], values[b]])
             if not fn.domain(args):  # a compiled step's arity always matches
-                raise DomainError(fn.name, args, _path_of(fdef, len(values)))
+                raise _domain_error(fdef, len(values), args)
             put(fn.value(args))
             note(tuple(fn.partials(args)))
     tape = Tape(program, tuple(values), tuple(partials))
@@ -152,9 +180,33 @@ def record(fdef: FunctionDef, c: Sequence[float]) -> Tape:
     return tape
 
 
+def _count(program: StateProgram, seen: int) -> Optional[tuple]:
+    """Count one more linearization of the program, `seen` before it, and
+    return its kernels if this one builds them."""
+    if len(program.ops) > _CAP:
+        object.__setattr__(program, "kernels", None)
+    elif seen + 1 < _WARM:
+        object.__setattr__(program, "kernels", seen + 1)
+    else:
+        from .kernels import build  # loaded by the first build only
+
+        return build(program)
+    return None
+
+
+def _domain_error(fdef: FunctionDef, slot: int, args: list) -> DomainError:
+    """The error `record` raises, by the loop or a kernel, when the step
+    filling `slot` is out of its domain at `args`."""
+    fn = fdef.program.ops[slot - fdef.n][3]
+    return DomainError(fn.name, args, _path_of(fdef, slot))
+
+
 def _tangents(tape: Tape, direction: Sequence[float]) -> list[float]:
     """J_f(c) . direction from one tangent sweep over the tape.  Each step
     uses the formula its dual-number lift uses, so the bits are the same."""
+    kernels = tape.program.kernels
+    if kernels.__class__ is tuple:
+        return kernels[1](tape.values, tape.partials, direction)
     n, v, partials = tape.n, tape.values, tape.partials
     t = [float(d) for d in direction]
     add = t.append
@@ -201,6 +253,9 @@ def backprop(tape: Tape, ybar: Sequence[float]) -> list[float]:
     Contributions into the same slot add up, which realises fan-out."""
     if len(ybar) != tape.m:
         raise ValueError(f"expected a covector of length {tape.m}")
+    kernels = tape.program.kernels
+    if kernels.__class__ is tuple:
+        return kernels[2](tape.partials, ybar)
     adjoint = [0.0] * len(tape.values)
     for ref, y in zip(tape.output_refs, ybar):
         adjoint[ref] += float(y)

@@ -40,7 +40,7 @@ import re
 from functools import cached_property
 from itertools import chain, filterfalse, islice
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .catalog import (
     ADD,
@@ -347,23 +347,36 @@ def parse(source: str) -> FunctionDef:
 # --- the compiled program ---
 
 
-class StateProgram(NamedTuple):
+class StateProgram(Record):
     """A straight-line program over the state space R^(n+mu).
 
     Slots 0..n-1 hold the inputs.  Steps fill the following slots in order:
     first one ``const`` step per constant, in first-use order, then the
     scheduled operations.  The last m steps produce the outputs in order, so
     the output projection is a pure slot selection.
+
+    `ops` holds the steps, one (kind, a, b, fn) each; step k fills slot
+    n + k.  kind is an arithmetic function's name, a and b its slots (b None
+    for neg and copy); or "const", a the value and fn None; "unary", a the
+    slot; "other", a the slots.  `arg_slots` gives any step's slots.
+
+    `kernels` is the memo of `engine.record`: how many times the program
+    was linearized, then the straight-line kernels it built for the program
+    (None when it never builds them).  It is replaced whole, never changed;
+    equality, the hash, `copy` and `pickle` ignore it, so a copy starts
+    with no kernels.
     """
 
-    n: int
-    m: int
-    #: The steps, one (kind, a, b, fn) each; step k fills slot n + k.  kind
-    #: is an arithmetic function's name, a and b its slots (b None for neg
-    #: and copy); or "const", a the value and fn None; "unary", a the slot;
-    #: "other", a the slots.  `arg_slots` gives any step's slots.
-    ops: tuple[tuple, ...]
-    output_slots: tuple[int, ...]
+    _fields = ("n", "m", "ops", "output_slots", "kernels")
+    __slots__ = _fields
+    _compared = _fields[:-1]
+
+    def __init__(self, n: int, m: int, ops: tuple[tuple, ...],
+                 output_slots: tuple[int, ...]) -> None:
+        self._set(n, m, ops, output_slots, 0)
+
+    def __reduce__(self):  # a copy starts without the memo
+        return StateProgram, self._key()
 
     @property
     def mu(self) -> int:

@@ -1,6 +1,7 @@
 """`adkit diff` byte for byte: stdout, stderr and the exit code of every
-mode, in text and in --json, of a flag error for each mode, of the order in
-which the checks run, and of `adkit diff --help`."""
+mode, in text and in --json, of a flag error for each mode, of a flag each
+mode does not read, of the order in which the checks run, and of
+`adkit diff --help`."""
 
 import contextlib
 import io
@@ -52,6 +53,13 @@ GOLDEN = [
         id='forward-no-dir',
     ),
     pytest.param(
+        ['diff', 'f(x)=sin(x)', '--at', '1', '--dir', '1', '--cov', '1'],
+        3,
+        '',
+        'adkit: --mode forward does not take --cov\n',
+        id='forward-unread-cov',
+    ),
+    pytest.param(
         ['diff', 'f(x)=sin(x)', '--at', '1', '--dir', '1,2'],
         3,
         '',
@@ -88,6 +96,13 @@ GOLDEN = [
         '',
         'adkit: --mode reverse requires --cov\n',
         id='reverse-no-cov',
+    ),
+    pytest.param(
+        ['diff', 'f(x)=(x, exp(x)*sin(x))', '--at', '5', '--mode', 'reverse', '--cov', '1,1', '--dir', '1'],
+        3,
+        '',
+        'adkit: --mode reverse does not take --dir\n',
+        id='reverse-unread-dir',
     ),
     pytest.param(
         ['diff', 'f(x)=(x, exp(x)*sin(x))', '--at', '5', '--mode', 'reverse', '--cov', '1'],
@@ -131,6 +146,13 @@ GOLDEN = [
         '',
         'adkit: --mode jet requires --order\n',
         id='jet-no-order',
+    ),
+    pytest.param(
+        ['diff', 'f(x,y)=x*y', '--at', '1,2', '--mode', 'jet', '--order', '2', '--dir', '1,0'],
+        3,
+        '',
+        'adkit: --mode jet does not take --dir\n',
+        id='jet-unread-dir',
     ),
     pytest.param(
         ['diff', 'f(x,y)=(x, y)', '--at', '1,2', '--mode', 'jet', '--order', '2'],
@@ -188,6 +210,13 @@ GOLDEN = [
         id='tower-no-order',
     ),
     pytest.param(
+        ['diff', 'f(x)=x', '--at', '1', '--mode', 'tower', '--order', '2', '--cov', '1'],
+        3,
+        '',
+        'adkit: --mode tower does not take --cov\n',
+        id='tower-unread-cov',
+    ),
+    pytest.param(
         ['diff', 'f(x,y)=x', '--at', '1,2', '--mode', 'tower', '--order', '2'],
         3,
         '',
@@ -225,6 +254,13 @@ GOLDEN = [
         '{"function": "f(x,y)=(x*y, sin(x)/y)", "mode": "jacobian", "point": [1.0, 2.0], "seed": [], "value": [2.0, 0.42073549240394825], "derivative": [[2.0, 1.0], [0.2701511529340699, -0.21036774620197413]]}\n',
         '',
         id='jacobian-json',
+    ),
+    pytest.param(
+        ['diff', 'f(x,y)=(x*y, sin(x)/y)', '--at', '1,2', '--mode', 'jacobian', '--dir', '1,0', '--order', '3'],
+        3,
+        '',
+        'adkit: --mode jacobian does not take --dir\n',
+        id='jacobian-unread-dir-and-order',
     ),
     pytest.param(
         ['diff', 'f(x,y)=(x*y, sin(x)/y)', '--at', '1', '--mode', 'jacobian'],

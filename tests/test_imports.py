@@ -174,8 +174,8 @@ for argv in {argvs!r}:
 """
 
 #: Modules that no first-order command, graph or error exit loads.
-HEAVY = {"adkit.jets", "adkit.taylor", "adkit.towers", "adkit.trace", "dataclasses", "inspect",
-         "csv"}
+HEAVY = {"adkit.jets", "adkit.kernels", "adkit.taylor", "adkit.towers", "adkit.trace",
+         "dataclasses", "inspect", "csv"}
 
 
 def surface(argvs: list[list[str]]) -> list[tuple[int, set[str]]]:

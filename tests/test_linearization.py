@@ -12,7 +12,7 @@ from adkit.algebras import CountingAlgebra, DualAlgebra
 from adkit.catalog import ADD, CATALOG, DIV, MUL, NEG, SUB, pow_fn
 from adkit.counting import EvalCounter
 from adkit.dual import Dual
-from adkit.engine import SeedSpec, backprop, forward_directional, jacobian, record
+from adkit.engine import _WARM, SeedSpec, backprop, forward_directional, jacobian, record
 from adkit.expr import Apply, Constant, FunctionDef, Variable, eval_generic, parse
 from adkit.trace import compile_program, forward_derivative, reverse_derivative
 
@@ -256,5 +256,48 @@ def test_threads_at_distinct_points_get_their_single_thread_results():
             assert len(seen) == 40
             for k, got in seen:
                 assert got == want[k], k
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_two_threads_sweeping_one_definition_past_its_kernel_build_get_the_loops_bits():
+    rng = random.Random(78)
+    fdef, point = random_program(rng, max_ops=25)
+    points = [[c + 0.001 * k for c in point] for k in range(2 * _WARM)]
+    direction = [rng.uniform(-1, 1) for _ in point]
+
+    def results(f, point):
+        return (
+            outcome(lambda: forward_directional(f, SeedSpec.forward(point, direction))),
+            outcome(lambda: backprop(record(f, point), [1.0] * f.m)),
+            outcome(lambda: jacobian(f, point, mode="forward")),
+        )
+
+    loops = fresh(fdef)
+    object.__setattr__(loops.program, "kernels", None)  # as above the cap
+    want = [results(loops, p) for p in points]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = fresh(fdef)
+            barrier = threading.Barrier(2)
+            seen = []
+
+            def sweep(k):
+                barrier.wait(timeout=30)
+                for i in range(k, len(points), 2):
+                    seen.append((i, results(shared, points[i])))
+
+            threads = [threading.Thread(target=sweep, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(seen) == len(points)
+            for i, got in seen:
+                assert got == want[i], i
+            assert isinstance(shared.program.kernels, tuple)
     finally:
         sys.setswitchinterval(old_interval)

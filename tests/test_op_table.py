@@ -1,20 +1,25 @@
-"""The sweeps over the op table against the per-step dispatch they
-replaced (`oracles.step_record`, `step_tangents`, `step_backprop` and
-`step_eval`): the same values, partials, tangents and adjoints bit for bit,
-the same generic evaluation in every algebra, the same DomainErrors and the
-same evaluation counts.  Last, the benchmark's own workload checks, run
-untimed."""
+"""The sweeps over the op table, by the loops and by a program's compiled
+kernels, against the per-step dispatch they replaced (`oracles.step_record`,
+`step_tangents`, `step_backprop` and `step_eval`): the same values,
+partials, tangents and adjoints bit for bit, the same generic evaluation in
+every algebra, the same DomainErrors and the same evaluation counts.  Then
+which programs get kernels, and last the benchmark's own workload checks,
+run untimed."""
 
+import contextlib
 import math
 import random
 import struct
 
 from adkit.algebras import CountingAlgebra, DualAlgebra, RealAlgebra
-from adkit.catalog import ADD, COPY, EXP, MUL, DomainError, ElementaryFn
+from adkit.catalog import ADD, COPY, EXP, MUL, NEG, DomainError, ElementaryFn
 from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual
-from adkit.engine import _tangents, backprop, record
-from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
+from adkit.engine import (
+    _CAP, _WARM, SeedSpec, _tangents, backprop, forward_directional, jacobian, record,
+)
+from adkit.expr import Apply, FunctionDef, Variable, arg_slots, eval_generic, parse
+from adkit.kernels import build
 from adkit.jets import BERZ, STANDARD, JetAlgebra, jet_shape, jet_variable
 from adkit.towers import TowerAlgebra, tower_take, tower_var
 
@@ -35,6 +40,30 @@ def bits(xs) -> bytes:
 
 def _basis(k: int, j: int) -> list[float]:
     return [1.0 if i == j else 0.0 for i in range(k)]
+
+
+def on_loops(fdef: FunctionDef) -> FunctionDef:
+    """fdef, its program held to the loops, as a program above the cap is."""
+    object.__setattr__(fdef.program, "kernels", None)
+    return fdef
+
+
+def on_kernels(fdef: FunctionDef) -> FunctionDef:
+    """A new definition of fdef's expression whose program has warm kernels.
+    A kernel's first calls run unspecialised bytecode, which can give a NaN
+    another sign or payload than the warm loops do, so each kernel is first
+    called sixteen times (CPython 3.11 specialises it by the eighth)."""
+    clone = FunctionDef(fdef.name, fdef.params, fdef.outputs)
+    program = clone.program
+    record_kernel, tangent, adjoint = build(program)
+    values = (1.0,) * program.dim
+    partials = tuple((1.0,) * len(arg_slots(op)) for op in program.ops)
+    for _ in range(16):
+        with contextlib.suppress(DomainError):
+            record_kernel(clone, [1.0] * program.n)
+        tangent(values, partials, [1.0] * program.n)
+        adjoint(partials, [1.0] * program.m)
+    return clone
 
 
 def outcome(fdef: FunctionDef, point, directions=(), covectors=()):
@@ -65,16 +94,17 @@ def _seeds(rng: random.Random, k: int) -> list[list[float]]:
 
 def test_sweeps_match_the_per_step_dispatch_on_generated_programs():
     rng = random.Random(1807)
+    cases = []
     for _ in range(300):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         p = gen.random_program(rng, n, m, rng.randint(5, 200))
-        fdef, point = parse(p.source), p.point(rng)
-        new, old = outcome(fdef, point, _seeds(rng, n), _seeds(rng, m))
-        assert new[0] != "error" and new == old
-    for _ in range(100):
-        fdef, point = random_program(rng, max_ops=40)
-        new, old = outcome(fdef, point, _seeds(rng, fdef.n), _seeds(rng, fdef.m))
-        assert new[0] != "error" and new == old
+        cases.append((parse(p.source), p.point(rng)))
+    cases += [random_program(rng, max_ops=40) for _ in range(100)]
+    for fdef, point in cases:
+        seeds = _seeds(rng, fdef.n), _seeds(rng, fdef.m)
+        for path in (on_loops(fdef), on_kernels(fdef)):
+            new, old = outcome(path, point, *seeds)
+            assert new[0] != "error" and new == old
 
 
 def test_sweeps_match_the_per_step_dispatch_on_edge_cases():
@@ -96,17 +126,18 @@ def test_sweeps_match_the_per_step_dispatch_on_edge_cases():
         parse("f(x, y) = (x*y, x/y, y - x, x + y, -y, 2*x - 0.5/y)"),
         parse("f(x, y) = let a = x*y in (exp(a), ln(x), sqrt(y), sin(a), cos(x), tan(y))"),
         parse("f(x, y) = x^3 * y^0 + (x + 1)^2 / (y*y + 1)"),
+        parse("f(x, y) = (x / 1e-200, 1e-200 / y, (x*y) / (y * 1e-200))"),
         registered,
     ]
+    seeds = [[1.0, 0.0], [0.0, 1.0], [math.inf, -0.0], [math.nan, 5e-324]]
     for fdef in programs:
-        for a in SPECIALS:
-            for b in SPECIALS:
-                seeds = [[1.0, 0.0], [0.0, 1.0], [math.inf, -0.0], [math.nan, 5e-324]]
-                covectors = [_basis(fdef.m, i) for i in range(fdef.m)]
-                covectors.append([(-1.0) ** i * SPECIALS[i % len(SPECIALS)]
-                                  for i in range(fdef.m)])
-                new, old = outcome(fdef, [a, b], seeds, covectors)
-                assert new == old
+        covectors = [_basis(fdef.m, i) for i in range(fdef.m)]
+        covectors.append([(-1.0) ** i * SPECIALS[i % len(SPECIALS)] for i in range(fdef.m)])
+        for path in (on_loops(fdef), on_kernels(fdef)):
+            for a in SPECIALS:
+                for b in SPECIALS:
+                    new, old = outcome(path, [a, b], seeds, covectors)
+                    assert new == old, (fdef, a, b)
 
 
 def test_domain_errors_match_the_per_step_dispatch():
@@ -116,21 +147,24 @@ def test_domain_errors_match_the_per_step_dispatch():
         ("f(x) = x * tan(x)", [math.inf], "tan undefined on (inf,) (at out0.1)"),
     ]
     for source, point, message in cases:
-        new, old = outcome(parse(source), point)
-        assert new == old == ("error", message, message.split("(at ")[1][:-1])
+        fdef = parse(source)
+        for path in (on_loops(fdef), on_kernels(fdef)):
+            new, old = outcome(path, point)
+            assert new == old == ("error", message, message.split("(at ")[1][:-1])
 
 
 def test_evaluation_counts_match_the_per_step_dispatch():
     x, y = Variable(1), Variable(2)
     counts = []
-    for sweep in (lambda f, c: record(f, c), step_record):
+    for path, sweep in ((on_loops, record), (on_kernels, record), (lambda f: f, step_record)):
         counter = EvalCounter()
         mul, exp = counted_variant(MUL, counter), counted_variant(EXP, counter)
-        fdef = FunctionDef("f", ("x", "y"), (
-            Apply(mul, (Apply(exp, (x,)), Apply(mul, (y, Apply(exp, (y,)))))),))
+        fdef = path(FunctionDef("f", ("x", "y"), (
+            Apply(mul, (Apply(exp, (x,)), Apply(mul, (y, Apply(exp, (y,)))))),)))
+        before = counter.count  # warming kernels charges too
         sweep(fdef, [0.5, -0.25])
-        counts.append(counter.count)
-    assert counts == [4, 4]
+        counts.append(counter.count - before)
+    assert counts == [4, 4, 4]  # each exp's value and partials; mul is inline
 
 
 class RecordingAlgebra(RealAlgebra):
@@ -235,18 +269,67 @@ def test_eval_generic_domain_errors_match_the_step_sweep():
         assert outcomes[0][0] == ("error", message, message.split("(at ")[1][:-1])
 
 
+def test_a_program_builds_its_kernels_at_its_warm_th_linearization():
+    fdef = parse("f(x, y) = let s = sin(x * y) in (s / y, s * s - x)")
+    program = fdef.program
+    assert program.kernels == 0
+    tape = record(fdef, [0.5, 1.5])
+    assert program.kernels == 1
+    # the memo hits of every mode at the same point do not count
+    forward_directional(fdef, SeedSpec.forward([0.5, 1.5], [1.0, 0.0]))
+    jacobian(fdef, [0.5, 1.5], mode="reverse")
+    assert record(fdef, [0.5, 1.5]) is tape and program.kernels == 1
+    for k in range(2, _WARM):
+        record(fdef, [0.5, 1.5 + k])
+    assert program.kernels == _WARM - 1
+    record(fdef, [0.5, 0.25])
+    kernels = program.kernels
+    assert isinstance(kernels, tuple) and len(kernels) == 3
+    record(fdef, [0.5, 0.75])
+    assert program.kernels is kernels
+
+
+def test_a_definition_linearized_once_builds_no_kernels():
+    rng = random.Random(3)
+    for _ in range(20):
+        p = gen.random_program(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(5, 120))
+        fdef, point = parse(p.source), p.point(rng)
+        forward_directional(fdef, SeedSpec.forward(point, [1.0] * fdef.n))
+        jacobian(fdef, point, mode="forward")
+        jacobian(fdef, point, mode="reverse")
+        backprop(record(fdef, point), [1.0] * fdef.m)
+        assert fdef.program.kernels == 1
+
+
+def test_a_program_above_the_cap_never_builds_kernels():
+    for steps, built in ((_CAP, True), (_CAP + 1, False)):
+        node = Variable(1)
+        for _ in range(steps):
+            node = Apply(NEG, (node,))
+        fdef = FunctionDef("f", ("x",), (node,))
+        assert fdef.program.mu == steps
+        for k in range(_WARM + 1):
+            record(fdef, [float(k)])
+        kernels = fdef.program.kernels
+        assert isinstance(kernels, tuple) if built else kernels is None
+
+
 def test_benchmark_workload_checks_pass():
-    """Untimed operations of fo-reuse, fresh-programs and one block of
+    """Untimed operations of fo-reuse, past the linearization at which its
+    programs build kernels, of fresh-programs and of one block of
     higher-order, each verified by the benchmark's own `check`.  Nothing is
     written under perfbench/."""
     before = sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*"))
     workloads = perfbench_module("workloads")
     untimed = perfbench_module("spans").Direct
-    for workload, count in ((workloads.FoReuse, 144), (workloads.FreshPrograms, 60),
+    fo_reuse = len(workloads.FoReuse.SHAPES) * (_WARM + 2)
+    for workload, count in ((workloads.FoReuse, fo_reuse), (workloads.FreshPrograms, 60),
                             (workloads.HigherOrder, workloads.HigherOrder.BLOCK)):
         wl = workload(1807)
         wl.setup()
         for i in range(count):
             inp = wl.make(i)
             assert wl.check(inp, wl.run(inp, untimed)) == [], (workload.name, i)
+        if workload is workloads.FoReuse:
+            assert all(isinstance(f.program.kernels, tuple) for f in wl.fdefs)
     assert sorted((p, p.stat().st_mtime_ns) for p in PERFBENCH.rglob("*")) == before

@@ -9,7 +9,7 @@ import pytest
 from adkit.algebras import DualAlgebra, RealAlgebra
 from adkit.catalog import DomainError
 from adkit.dual import Dual
-from adkit.engine import SeedSpec, backprop, forward_directional, record
+from adkit.engine import _WARM, SeedSpec, backprop, forward_directional, record
 from adkit.expr import (
     Constant,
     FunctionDef,
@@ -173,20 +173,23 @@ def test_program_is_built_once_per_definition():
 
 def test_definitions_swept_in_every_mode_leave_no_cyclic_garbage():
     # A definition keeps its program and its last tape, and the tape keeps
-    # the program, so all of it must be freed by reference counting alone.
+    # the program, which keeps its kernels once it has swept `_WARM` points,
+    # so all of it must be freed by reference counting alone.
     rng = random.Random(2104)
     cases = []
     for _ in range(60):
         p = gen.random_program(rng, rng.randint(1, 6), rng.randint(1, 6), rng.randint(5, 120))
-        cases.append((p.source, p.point(rng)))
+        cases.append((p.source, [p.point(rng) for _ in range(_WARM if len(cases) % 6 else 1)]))
     gc.collect()
     gc.disable()
     try:
-        for source, point in cases:
+        for source, points in cases:
             fdef = parse(source)
-            forward_directional(fdef, SeedSpec.forward(point, [1.0] * fdef.n))
-            backprop(record(fdef, point), [1.0] * fdef.m)
+            for point in points:
+                forward_directional(fdef, SeedSpec.forward(point, [1.0] * fdef.n))
+                backprop(record(fdef, point), [1.0] * fdef.m)
             eval_generic(fdef, point, RealAlgebra())
+            assert isinstance(fdef.program.kernels, tuple) is (len(points) == _WARM)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,8 +1,8 @@
 """The package's records keep their contracts: constructors with their
 defaults, fields that cannot be assigned, and equality and hashing over a
-fixed set of fields.  `ElementaryFn`, `FunctionDef` and `CostReport` are
-immutable `__slots__` records, `TraceRecord` a mutable one, and `SeedSpec`,
-`TapeEntry`, `Tape` and `StateProgram` named tuples."""
+fixed set of fields.  `ElementaryFn`, `FunctionDef`, `StateProgram` and
+`CostReport` are immutable `__slots__` records, `TraceRecord` a mutable one,
+and `SeedSpec`, `TapeEntry` and `Tape` named tuples."""
 
 import copy
 import math
@@ -12,8 +12,8 @@ import pytest
 
 from adkit.catalog import CATALOG, MUL, ElementaryFn, _Builtin
 from adkit.counting import EvalCounter, counted_variant
-from adkit.engine import CostReport, SeedSpec, Tape, TapeEntry, cost_compare, record
-from adkit.expr import FunctionDef, StateProgram, Variable, parse
+from adkit.engine import _WARM, CostReport, SeedSpec, Tape, TapeEntry, cost_compare, record
+from adkit.expr import Apply, FunctionDef, StateProgram, Variable, parse
 from adkit.trace import TraceRecord
 
 
@@ -97,6 +97,31 @@ def test_function_def():
     assert repr(fdef) == "FunctionDef(name='f', params=('x',), outputs=(Variable(1),))"
 
 
+def test_state_program():
+    fdef = parse("f(x)=sin(x)")
+    program = fdef.program
+    assert_same(program, StateProgram(1, 1, program.ops, (1,)))
+    assert_same(program, StateProgram(n=1, m=1, ops=program.ops, output_slots=(1,)))
+    assert program != StateProgram(1, 1, program.ops, (0,))
+    assert (program.mu, program.dim, program.kernels) == (1, 2, 0)
+    with pytest.raises(TypeError):
+        StateProgram(1, 1, program.ops, (1,), None)  # the memo is not a constructor field
+    for field in ("n", "ops", "output_slots", "kernels"):
+        assert_frozen(program, field)
+    assert repr(program) == f"StateProgram(n=1, m=1, ops={program.ops!r}, output_slots=(1,))"
+    # equality, the hash, copy and pickle ignore the memo: a copy has no
+    # kernels (this program's function pickles by reference)
+    phi = ElementaryFn("phi", 1, value, partials, domain)
+    fdef = FunctionDef("f", ("x",), (Apply(phi, (Variable(1),)),))
+    program = fdef.program
+    for k in range(_WARM):
+        record(fdef, [0.5 + k])
+    assert isinstance(program.kernels, tuple)
+    for clone in (copy.copy(program), copy.deepcopy(program), pickle.loads(pickle.dumps(program))):
+        assert_same(clone, program)
+        assert clone.kernels == 0
+
+
 def test_cost_report():
     report = CostReport("chain", 2, 3, 4, 3, 4)
     assert report.details == {} and report.details is not CostReport("chain", 2, 3, 4, 3, 4).details
@@ -129,12 +154,6 @@ def test_named_tuple_records():
     assert_same(seed, SeedSpec(point=(1.0,), direction=(0.5,), covector=None))
     assert SeedSpec.reverse([1.0], [2.0]) == SeedSpec((1.0,), None, (2.0,))
     assert_frozen(seed, "point")
-
-    program = parse("f(x)=sin(x)").program
-    assert_same(program, StateProgram(1, 1, program.ops, (1,)))
-    assert program != StateProgram(1, 1, program.ops, (0,))
-    assert (program.mu, program.dim) == (1, 2)
-    assert_frozen(program, "ops")
 
     tape = record(parse("f(x)=sin(x)"), [0.5])
     assert_same(tape, Tape(program=tape.program, values=tape.values, partials=tape.partials))
