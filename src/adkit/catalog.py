@@ -6,8 +6,10 @@ sqrt, sin, cos and tan, each shipped with its value, first partials and an
 open domain predicate.  The unary transcendentals and powers also carry one
 first-order rule, f'(a) in catalogue terms (cos for sin, 1 + f*f for tan),
 from which jets and towers both derive every higher order through the chain
-rule.  Additional primitives can be registered by constructing
-:class:`ElementaryFn` directly, under a name of their own.
+rule.  exp, ln, sqrt, sin, cos, tan and division are written once each, as
+a row (`_ROWS`) from which they are generated.  Additional primitives can
+be registered by constructing :class:`ElementaryFn` directly, under a name
+of their own.
 
 Lifted scalars (dual numbers, jets, towers) are :class:`Lifted`: they carry
 the Python operators, and `OPERATORS` maps each arithmetic function's name
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
@@ -107,6 +110,7 @@ class ElementaryFn(Record):
     it may return a float: ``pow0``'s is ``0.0``.  Jets take degree 1 from
     `partials`, as dual numbers do, and towers entry 1 from the rule; the
     Taylor engine (`adkit.taylor`) runs the rule once per lift for the rest.
+    The catalogue's transcendentals and division are generated from rows.
 
     The modes dispatch on a function's name, so the names of the catalogue's
     own functions (``add sub neg mul div copy``, ``pow<k>`` and the CATALOG
@@ -161,27 +165,12 @@ def _always(args: Sequence[float]) -> bool:
     return True
 
 
-# sin, cos and tan are undefined at +-inf; NaN passes, as through _always.
-def _not_infinite(args: Sequence[float]) -> bool:
-    return abs(args[0]) != math.inf
-
-
 def ipow(x: float, k: int) -> float:
     """x**k for k >= 0 by repeated multiplication (left fold)."""
     r = 1.0
     for _ in range(k):
         r *= x
     return r
-
-
-def _div_partials(a: Sequence[float]) -> list[float]:
-    x, y = a
-    square = y * y
-    if square == 0.0:
-        # y*y underflowed: write -x/(y*y) as -(x/y)/y, the form of the dual
-        # tangent (x' - q y')/y, which then overflows at worst
-        return [1.0 / y, -(x / y) / y]
-    return [1.0 / y, -x / square]
 
 
 ADD = _Builtin(
@@ -193,14 +182,6 @@ SUB = _Builtin(
 NEG = _Builtin("neg", 1, lambda a: -a[0], lambda a: [-1.0], _always, unit_cost=0)
 MUL = _Builtin(
     "mul", 2, lambda a: a[0] * a[1], lambda a: [a[1], a[0]], _always, unit_cost=0
-)
-DIV = _Builtin(
-    "div",
-    2,
-    lambda a: a[0] / a[1],
-    _div_partials,
-    lambda a: a[1] != 0.0,
-    unit_cost=0,
 )
 COPY = _Builtin(
     "copy",
@@ -253,37 +234,55 @@ class Lifted:
     __truediv__, __rtruediv__ = _operators("_div")
 
 
-# exp is undefined above math.log(sys.float_info.max) = 709.782712893384, the
-# largest argument whose exp is a finite float; NaN passes, as through _always.
-EXP = _Builtin(
-    "exp", 1, lambda a: math.exp(a[0]), lambda a: [math.exp(a[0])],
-    lambda a: not a[0] > 709.782712893384,
-    derivative=lambda a, f, lift: f,
-)
-LN = _Builtin(
-    "ln", 1, lambda a: math.log(a[0]), lambda a: [1.0 / a[0]],
-    lambda a: a[0] > 0.0,
-    derivative=lambda a, f, lift: 1.0 / a,
-)
-SQRT = _Builtin(
-    "sqrt", 1, lambda a: math.sqrt(a[0]), lambda a: [0.5 / math.sqrt(a[0])],
-    lambda a: a[0] > 0.0,
-    derivative=lambda a, f, lift: 0.5 / f,
-)
-SIN = _Builtin(
-    "sin", 1, lambda a: math.sin(a[0]), lambda a: [math.cos(a[0])], _not_infinite,
-    derivative=lambda a, f, lift: lift("cos"),
-)
-COS = _Builtin(
-    "cos", 1, lambda a: math.cos(a[0]), lambda a: [-math.sin(a[0])], _not_infinite,
-    derivative=lambda a, f, lift: -lift("sin"),
-)
-TAN = _Builtin(
-    "tan", 1, lambda a: math.tan(a[0]),
-    lambda a: [1.0 + math.tan(a[0]) * math.tan(a[0])],
-    lambda a: _not_infinite(a) and math.cos(a[0]) != 0.0,
-    derivative=lambda a, f, lift: 1.0 + f * f,
-)
+#: The catalogue's functions given by formula, one row each: the domain, the
+#: value and the first partials, Python expressions in `math`'s names over
+#: the arguments x (and y), where f stands for the value.  A row is the one
+#: source of its function's callables, of its first-order rule (`_generate`)
+#: and of the lines `kernels.build` writes for its steps.
+_ROWS = {
+    # exp is undefined above math.log(sys.float_info.max), the largest
+    # argument whose exp is a finite float, and sin, cos and tan at +-inf;
+    # NaN passes both tests.
+    "exp": ("not x > 709.782712893384", "exp(x)", "f"),
+    "ln": ("x > 0.0", "log(x)", "1.0 / x"),
+    "sqrt": ("x > 0.0", "sqrt(x)", "0.5 / f"),
+    "sin": ("abs(x) != inf", "sin(x)", "cos(x)"),
+    "cos": ("abs(x) != inf", "cos(x)", "-sin(x)"),
+    "tan": ("abs(x) != inf and cos(x) != 0.0", "tan(x)", "1.0 + f * f"),
+    # where y*y underflows, -x/(y*y) is taken as -(x/y)/y, the form of the
+    # dual tangent (x' - f y')/y, which then overflows at worst
+    "div": ("y != 0.0", "x / y", "1.0 / y, -x / s if (s := y * y) != 0.0 else -f / y"),
+}
+
+#: `math`'s public names, the globals of the rows' code.
+_MATH = {name: value for name, value in vars(math).items() if not name.startswith("_")}
+
+#: Each row with its names x, y and f as the fields {x}, {y} and {f}, for
+#: the text of the arguments and of the value.
+_TEMPLATES = {name: tuple(re.sub(r"\b[xyf]\b", lambda m: f"{{{m[0]}}}", e) for e in row)
+              for name, row in _ROWS.items()}
+
+
+def _generate() -> dict[str, "_Builtin"]:
+    """The row functions by name, compiled by one `eval` over `_MATH`.  A
+    callable is its row's expression on ``a[0]`` (and ``a[1]``), with the
+    value, parenthesised, for f.  A unary function's first-order rule is its
+    partial, where a call of a catalogue function on x is that lift."""
+    lifts = {value: f"lift({name!r})" for name, (_, value, _) in _ROWS.items()}
+    source = []
+    for name, (domain, value, partials) in _TEMPLATES.items():
+        on = {"x": "a[0]", "y": "a[1]"}
+        on["f"] = f"({value.format(**on)})"
+        rule = re.sub(r"\b\w+\(x\)", lambda m: lifts[m[0]], _ROWS[name][2])
+        head = "2, unit_cost=0" if name == "div" else f"1, derivative=lambda x, f, lift: {rule}"
+        source.append(f"{name!r}: _Builtin({name!r}, {head}, value=lambda a: {value.format(**on)}, "
+                      f"partials=lambda a: [{partials.format(**on)}], "
+                      f"domain=lambda a: {domain.format(**on)}),")
+    return eval(f"{{{''.join(source)}}}", dict(_MATH, _Builtin=_Builtin, __name__=__name__))
+
+
+_ROW_FNS = _generate()
+EXP, LN, SQRT, SIN, COS, TAN, DIV = _ROW_FNS.values()
 
 
 #: The largest exponent `^` accepts.  A power is that many multiplications

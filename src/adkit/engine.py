@@ -28,7 +28,7 @@ program's `_WARM`-th linearization at a distinct point, `record` compiles
 it, in one call, into straight-line record, tangent and adjoint kernels
 (`kernels.build`), which the sweeps then call.  Their results equal the
 loops' bit for bit (a NaN's sign and payload are unspecified either way).
-At 300 steps a build takes about 16 ms and 3.5 MB of transient memory, so
+At 300 steps a build takes about 18 ms and 3.5 MB of transient memory, so
 a program above `_CAP` steps, or linearized once, as in a CLI call, never
 pays for one.  The kernels are the program's memo, `StateProgram.kernels`,
 replaced whole, so threads sharing a program can only miss them or build

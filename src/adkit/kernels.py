@@ -3,17 +3,21 @@ compiled from its op table into Python functions.
 
 `engine.record` calls `build` on a program's `engine._WARM`-th
 linearization, and from then on the sweeps call the three functions it
-returns in place of their loops.  Each kernel has one line per step, the
+returns in place of their loops.  Each kernel writes each step as the
 loop's own expression for that step's kind, in the loop's order, with
-every slot in a local variable, so the kernels give the loops' results bit
-for bit and raise the loop's DomainError.  Compiling costs about 10 KB of
-transient memory per step and, at 300 steps, about 16 ms.  This module is
+every slot in a local variable.  A step of a catalogue function that has a
+row (`catalog._ROWS`) is that row on the step's slots, where the loop calls
+the callables generated from it, and any other function step calls its
+function, so the kernels give the loops' results bit for bit, raise the
+loop's DomainError and keep its counts.  Compiling costs about 10 KB of
+transient memory per step and, at 300 steps, about 18 ms.  This module is
 loaded by the first build, so a process that builds none, such as a CLI
 call, does not compile it.
 """
 
 from __future__ import annotations
 
+from .catalog import _MATH, _ROW_FNS, _TEMPLATES
 from .engine import _ADD, _COPY, _NEG, _SUB, _domain_error
 from .expr import StateProgram, arg_slots
 
@@ -39,7 +43,7 @@ def build(program: StateProgram) -> tuple:
     makes no reference cycle."""
     n, ops, outputs = program.n, program.ops, program.output_slots
     dim, inputs = n + len(ops), range(n)
-    env = {"_domain_error": _domain_error,
+    env = {**_MATH, "_domain_error": _domain_error,
            "_ADD": _ADD, "_SUB": _SUB, "_NEG": _NEG, "_COPY": _COPY}
     const = [False] * n + [op[0] == "const" for op in ops]
     val = [f"c{s}" if const[s] else f"v{s}" for s in range(dim)]
@@ -60,11 +64,16 @@ def build(program: StateProgram) -> tuple:
             value, note, tangent = (line.format(**names) for line in _INLINE[kind])
             rec.append(f"v{s} = {value}")
         else:
-            env.update({f"d{s}": fn.domain, f"e{s}": fn.value, f"g{s}": fn.partials})
-            rec += [f"x = [{', '.join(val[r] for r in reads)}]",
-                    f"if not d{s}(x): raise _domain_error(fdef, {s}, x)",
-                    f"v{s} = e{s}(x)",
-                    f"p{s} = tuple(g{s}(x))"]
+            args = ", ".join(val[r] for r in reads)
+            if _ROW_FNS.get(fn.name) is fn:  # its row, inline
+                fill = dict(zip("xy", (val[r] for r in reads)), f=f"v{s}")
+                lines = [t.format(**fill) for t in _TEMPLATES[fn.name]] + [f"[{args}]"]
+            else:  # through its callables, the globals d, e and g
+                env.update({f"d{s}": fn.domain, f"e{s}": fn.value, f"g{s}": fn.partials})
+                lines = [f"d{s}(x := [{args}])", f"e{s}(x)", f"*g{s}(x)", "x"]
+            domain, value, partials, at = lines
+            rec += [f"if not ({domain}): raise _domain_error(fdef, {s}, {at})",
+                    f"v{s} = {value}", f"p{s} = ({partials},)"]
             note = f"p{s}"
             tangent = (f"({tan[a]} - v[{s}] * {tan[b]}) / v[{b}]" if kind == "div" else
                        "0.0" + "".join(f" + P[{k}][{i}] * {tan[r]}" for i, r in enumerate(reads)))

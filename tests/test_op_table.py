@@ -12,7 +12,9 @@ import random
 import struct
 
 from adkit.algebras import CountingAlgebra, DualAlgebra, RealAlgebra
-from adkit.catalog import ADD, COPY, EXP, MUL, NEG, DomainError, ElementaryFn
+from adkit.catalog import (
+    ADD, CATALOG, COPY, DIV, EXP, MUL, NEG, SIN, DomainError, ElementaryFn, pow_fn,
+)
 from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual
 from adkit.engine import (
@@ -145,6 +147,12 @@ def test_domain_errors_match_the_per_step_dispatch():
         ("f(x) = sin(x) + x/0", [1.0], "div undefined on (1.0, 0.0) (at out0.1)"),
         ("f(x) = (x, 2 * ln(x))", [-1.0], "ln undefined on (-1.0,) (at out1.1)"),
         ("f(x) = x * tan(x)", [math.inf], "tan undefined on (inf,) (at out0.1)"),
+        ("f(x) = exp(x)", [709.7827128933841], "exp undefined on (709.7827128933841,) (at out0)"),
+        ("f(x) = 1 + sqrt(x)", [-0.0], "sqrt undefined on (-0.0,) (at out0.1)"),
+        ("f(x) = ln(x) * x", [0.0], "ln undefined on (0.0,) (at out0.0)"),
+        ("f(x) = cos(x)", [-math.inf], "cos undefined on (-inf,) (at out0)"),
+        ("f(x, y) = (y, x / y)", [1.0, -0.0], "div undefined on (1.0, -0.0) (at out1)"),
+        ("f(x) = x * ln(0)", [2.0], "ln undefined on (0.0,) (at out0.1)"),  # a constant slot
     ]
     for source, point, message in cases:
         fdef = parse(source)
@@ -159,12 +167,29 @@ def test_evaluation_counts_match_the_per_step_dispatch():
     for path, sweep in ((on_loops, record), (on_kernels, record), (lambda f: f, step_record)):
         counter = EvalCounter()
         mul, exp = counted_variant(MUL, counter), counted_variant(EXP, counter)
+        sin = counted_variant(SIN, counter)
         fdef = path(FunctionDef("f", ("x", "y"), (
-            Apply(mul, (Apply(exp, (x,)), Apply(mul, (y, Apply(exp, (y,)))))),)))
+            Apply(mul, (Apply(exp, (x,)), Apply(mul, (y, Apply(exp, (y,)))))),
+            Apply(sin, (Apply(SIN, (x,)),)))))
         before = counter.count  # warming kernels charges too
         sweep(fdef, [0.5, -0.25])
         counts.append(counter.count - before)
-    assert counts == [4, 4, 4]  # each exp's value and partials; mul is inline
+    assert counts == [6, 6, 6]  # each counted exp's and sin's value and partials
+
+
+def test_kernels_write_the_rows_inline_and_call_every_other_function():
+    """A record kernel holds no callable of a catalogue function with a row,
+    and calls a copy of one, a registered function and a power."""
+    rows = parse("f(x, y) = (exp(x), ln(y), sqrt(y), sin(x), cos(x), tan(x), x / y)")
+    own = {id(c) for fn in (*CATALOG.values(), DIV) for c in (fn.value, fn.partials, fn.domain)}
+    assert not own & set(map(id, build(rows.program)[0].__globals__.values()))
+    x = Variable(1)
+    twice = ElementaryFn("twice", 1, lambda a: 2.0 * a[0], lambda a: [2.0], lambda a: True)
+    mixed = FunctionDef("f", ("x",), (
+        Apply(counted_variant(SIN, EvalCounter()), (Apply(twice, (Apply(pow_fn(3), (x,)),)),)),))
+    called = set(map(id, build(mixed.program)[0].__globals__.values()))
+    for fn in (op[3] for op in mixed.program.ops):
+        assert {id(fn.value), id(fn.partials), id(fn.domain)} <= called, fn
 
 
 class RecordingAlgebra(RealAlgebra):
