@@ -12,7 +12,9 @@ order N into one vector; `JetAlgebra` is that evaluation's algebra.
 
 In the ``standard`` basis the slot for multi-index k holds the coefficient
 of X^k (the order-k partial is k1!...kn! times it); in the ``berz`` basis
-the monomials are X^k/k1!...kn!, so slots hold partial derivatives.  Jets
+the monomials are X^k/k1!...kn!, so slots hold partial derivatives.  The
+basis only picks the weights: products, quotients and lifts run the Taylor
+engine's loops over the split table `JetShape.pair_table(basis)`.  Jets
 are immutable values; every operation is pure.
 
 A constant is flat (a finite head, then signed zeros).  A product with a
@@ -54,7 +56,7 @@ class JetShape:
     through :func:`jet_shape` (cached, compared by identity).
     """
 
-    __slots__ = ("n", "order", "size", "ends", "monomials", "position", "_pair_table",
+    __slots__ = ("n", "order", "size", "ends", "monomials", "position", "_tables",
                  "factorials", "degrees")
 
     def __init__(self, n: int, order: int):
@@ -79,12 +81,13 @@ class JetShape:
             float(math.prod(map(math.factorial, k))) for k in monos
         )
         self.degrees: tuple[int, ...] = tuple(map(sum, monos))
-        self._pair_table = None
+        self._tables: dict[str, list] = {}
 
-    def pair_table(self):
-        """For each position t: list of (r, s, w, e) with monomials
-        r + s = t and r != 0, in ascending r, where w = t! / (r! s!) is the
-        multinomial weight and e = |r| w the berz lift's weight.
+    def pair_table(self, basis: str = BERZ):
+        """The basis's split table (see `adkit.taylor`): for each position t,
+        the (r, s, w, e) with monomials r + s = t and r != 0, in ascending r.
+        In the berz basis w = t! / (r! s!) is the multinomial weight and
+        e = |r| w the lift's; in the standard basis w = 1.0 and e = float(|r|).
 
         The partners s of r are the first C(n + N - deg r, n) positions of
         the graded layout, so visiting r in ascending order lists each
@@ -93,21 +96,28 @@ class JetShape:
         one float object and each position one int object, so an entry
         costs little beyond its tuple.
         """
-        if self._pair_table is None:
-            monos, position, fact = self.monomials, self.position, self.factorials
-            table = [[] for _ in monos]
-            interned: dict[float, float] = {}
-            index = list(range(self.size))
-            for r in index[1:]:
-                kr, fr, dr = monos[r], fact[r], self.degrees[r]
-                for s in index[:math.comb(self.n + self.order - dr, self.n)]:
-                    t = position[tuple(map(operator.add, kr, monos[s]))]
-                    w = fact[t] / (fr * fact[s])
-                    w = interned.setdefault(w, w)
-                    e = dr * w
-                    table[t].append((r, s, w, interned.setdefault(e, e)))
-            self._pair_table = table
-        return self._pair_table
+        if basis not in self._tables:
+            _check_basis(basis)
+            e = [float(d) for d in range(self.order + 1)]
+            self._tables[basis] = self._berz_table() if basis == BERZ else [
+                [(r, s, 1.0, e[self.degrees[r]]) for r, s, _, _ in splits]
+                for splits in self.pair_table()]
+        return self._tables[basis]
+
+    def _berz_table(self) -> list:
+        monos, position, fact = self.monomials, self.position, self.factorials
+        table = [[] for _ in monos]
+        interned: dict[float, float] = {}
+        index = list(range(self.size))
+        for r in index[1:]:
+            kr, fr, dr = monos[r], fact[r], self.degrees[r]
+            for s in index[:math.comb(self.n + self.order - dr, self.n)]:
+                t = position[tuple(map(operator.add, kr, monos[s]))]
+                w = fact[t] / (fr * fact[s])
+                w = interned.setdefault(w, w)
+                e = dr * w
+                table[t].append((r, s, w, interned.setdefault(e, e)))
+        return table
 
     def __repr__(self) -> str:
         return f"JetShape(n={self.n}, order={self.order})"
@@ -167,6 +177,11 @@ class Jet(Lifted):
     def __hash__(self):
         return hash((id(self.shape), self.basis, tuple(self.coeffs)))
 
+    @property
+    def table(self) -> list:
+        """The split table of the jet's shape and basis."""
+        return self.shape.pair_table(self.basis)
+
     def _promote(self, b):
         if isinstance(b, Jet):
             if b.shape is not self.shape:
@@ -190,8 +205,7 @@ class Jet(Lifted):
     def _mul(self, b: Jet) -> Jet:
         """Coefficient convolution, discarding all terms of total degree > N."""
         out: list[float] = []
-        _times(out, self.coeffs, b.coeffs, self.shape.pair_table(), range(self.shape.size),
-               self.basis == BERZ)
+        _times(out, self.coeffs, b.coeffs, self.table, range(self.shape.size))
         return _jet(self.shape, out, self.basis)
 
     def _div(self, b: Jet) -> Jet:
@@ -201,12 +215,11 @@ class Jet(Lifted):
         if b0 == 0.0:
             raise DomainError("div", (self.coeffs[0], b0))
         q = [self.coeffs[0] / b0]
-        _quotient(q, self.coeffs, b.coeffs, self.shape.pair_table(), range(1, self.shape.size),
-                  self.basis == BERZ)
+        taylor.quotient(q, self.coeffs, b.coeffs, self.table, range(1, self.shape.size))
         return _jet(self.shape, q, self.basis)
 
 
-#: Bounds every berz weight t!/(r! s!) = prod binom(t_i, r_i) <= 2^|t|.
+#: Bounds every weight t!/(r! s!) = prod binom(t_i, r_i) <= 2^|t|.
 _BIG = 2.0 ** MAX_ORDER
 
 
@@ -215,57 +228,21 @@ def _flat(coeffs: list, stop: int) -> bool:
     return math.isfinite(coeffs[0]) and not any(islice(coeffs, 1, stop))
 
 
-def _times(out: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
-    """`_product`, or 0.0 + c_0 v_t with c flat through the targets while no
-    weight times a v_t overflows (`_BIG` times the sum of |v_t| shows it)."""
+def _times(out: list, ac: list, bc: list, table: list, targets: range) -> None:
+    """`taylor.product`, or 0.0 + c_0 v_t with c flat through the targets
+    while no weight times a v_t overflows (`_BIG` times the sum of |v_t|
+    shows it)."""
     stop = targets.stop
     if not ac[1] and _flat(ac, stop):
         c, v = ac, bc
     elif not bc[1] and _flat(bc, stop):
         c, v = bc, ac
     else:
-        return _product(out, ac, bc, table, targets, berz)
+        return taylor.product(out, ac, bc, table, targets)
     if math.isfinite(_BIG * sum(map(abs, islice(v, stop)))):
         out += [0.0 + c[0] * y for y in v[targets.start:stop]]
     else:
-        _product(out, ac, bc, table, targets, berz)
-
-
-def _product(out: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
-    """Append a * b at each target t: a_0 b_t, then its splits t = r + s in
-    ascending r, from +0.0, weighted in the berz basis by the multinomial
-    t!/(r! s!) that multiplying factorial-scaled monomials forces."""
-    a0 = ac[0]
-    if berz:
-        for t in targets:
-            acc = 0.0 + a0 * bc[t]
-            for r, s, w, _ in table[t]:
-                acc += w * ac[r] * bc[s]
-            out.append(acc)
-    else:
-        for t in targets:
-            acc = 0.0 + a0 * bc[t]
-            for r, s, _, _ in table[t]:
-                acc += ac[r] * bc[s]
-            out.append(acc)
-
-
-def _quotient(q: list, ac: list, bc: list, table: list, targets: range, berz: bool) -> None:
-    """Append a / b at each target t > 0, solving q * b = a for q_t: its
-    splits t = r + s have r != 0, so they read lower-degree q_s."""
-    b0 = bc[0]
-    if berz:
-        for t in targets:
-            acc = 0.0
-            for r, s, w, _ in table[t]:
-                acc += w * bc[r] * q[s]
-            q.append((ac[t] - acc) / b0)
-    else:
-        for t in targets:
-            acc = 0.0
-            for r, s, _, _ in table[t]:
-                acc += bc[r] * q[s]
-            q.append((ac[t] - acc) / b0)
+        taylor.product(out, ac, bc, table, targets)
 
 
 def _jet(shape: JetShape, coeffs: list[float], basis: str) -> Jet:
@@ -305,34 +282,20 @@ def _each(node: _Node, d: int, levels: list, j: int) -> None:
 
 
 def _split(node: _Node, d: int, levels: list, j: int) -> None:
-    """Degree d of a product or quotient (`extra`: `_times`, `_quotient`)."""
+    """Degree d of a product or quotient (`extra`: `_times`, `taylor.quotient`)."""
     x, y = node.inputs
-    node.extra(node.entries, x.entries, y.entries, node.shape.pair_table(),
-               range(node.ends[d - 1], node.ends[d]), node.basis == BERZ)
+    node.extra(node.entries, x.entries, y.entries, node.table,
+               range(node.ends[d - 1], node.ends[d]))
 
 
 def _chain(node: _Node, d: int, levels: list, j: int) -> None:
-    """Degree d of a lift w = f(u): w_t = sum |r| u_r v_s / d over the
-    splits t = r + s from +0.0, with v the first partial f'(u_0) at d = 1,
-    as dual numbers take it, and g = f'(u) after (see `taylor.grow`).  In
-    the berz basis each term carries the index table's e = |r| t!/(r! s!)."""
-    u, w = node.inputs[0].entries, node.entries
+    """Degree d of a lift w = f(u): the Euler sum (`taylor.euler`), with v
+    the first partial f'(u_0) at d = 1, as dual numbers take it, and
+    g = f'(u) after (see `taylor.grow`)."""
+    u = node.inputs[0].entries
     v = ([float(p) for p in node.extra[0].partials([u[0]])] if d == 1
          else node.inputs[1].entries)
-    table, targets = node.shape.pair_table(), range(node.ends[d - 1], node.ends[d])
-    if node.basis == BERZ:
-        for t in targets:
-            acc = 0.0
-            for r, s, _, e in table[t]:
-                acc += e * u[r] * v[s]
-            w.append(acc / d)
-    else:
-        degrees = node.shape.degrees
-        for t in targets:
-            acc = 0.0
-            for r, s, _, _ in table[t]:
-                acc += degrees[r] * u[r] * v[s]
-            w.append(acc / d)
+    taylor.euler(node.entries, u, v, node.table, range(node.ends[d - 1], node.ends[d]), d)
     if d == 1 and j + 1 < len(levels):  # w is filled beyond degree 1
         taylor.grow(node, levels, j)
 
@@ -343,14 +306,14 @@ def _zero(node: _Node, d: int, levels: list, j: int) -> None:
 
 class _Node(Lifted):
     """A jet in a lift: a Taylor engine node, built by a rule's operators on
-    the shape and basis of `like`, a jet or node."""
+    the shape and split table of `like`, a jet or node."""
 
-    __slots__ = ("entries", "inputs", "fill", "extra", "serial", "shape", "basis", "ends")
+    __slots__ = ("entries", "inputs", "fill", "extra", "serial", "shape", "table", "ends")
     chain, zero = staticmethod(_chain), staticmethod(_zero)
 
     def __init__(self, entries: list[float], inputs: tuple, fill, extra, like):
         self.entries, self.inputs, self.fill, self.extra = entries, inputs, fill, extra
-        self.shape, self.basis, self.ends = like.shape, like.basis, like.shape.ends
+        self.shape, self.table, self.ends = like.shape, like.table, like.shape.ends
         self.serial = next(taylor.serial)
 
     def _promote(self, b):
@@ -374,7 +337,7 @@ class _Node(Lifted):
         x0, y0 = self.entries[0], b.entries[0]
         if y0 == 0.0:
             raise DomainError("div", (x0, y0))
-        return _Node([x0 / y0], (self, b), _split, _quotient, self)
+        return _Node([x0 / y0], (self, b), _split, taylor.quotient, self)
 
 
 def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
@@ -416,6 +379,7 @@ class JetAlgebra(_LiftedAlgebra):
     """Higher-order forward mode over truncated polynomials."""
 
     def __init__(self, shape: JetShape, basis: str = STANDARD):
+        _check_basis(basis)
         self.shape = shape
         self.basis = basis
 

@@ -11,6 +11,14 @@ from f's rule, when its degree 1 is filled; g reads w and the lifts its
 rule names on u (cos for sin) through views, so the graph has no cycles.
 A lift of a flat u settles (`grow`): its class's `zero` kernel fills the
 rest with +0.0, and g is never filled.
+
+Jets in both bases and towers fill their products, quotients and lifts by
+the same three loops (`product`, `quotient`, `euler`).  Each reads a split
+table: for each target t, its splits t = r + s with r != 0 in ascending r,
+as tuples (r, s, w, e) of positions, the product's weight w and the Euler
+sum's weight e.  A Berz jet's table carries w = t!/(r! s!) and e = |r| w,
+a standard jet's w = 1.0 and e = float(|r|), and a tower's is the n = 1
+Berz table, entry d splitting into (r, d - r, binom(d, r), r binom(d, r)).
 """
 
 from __future__ import annotations
@@ -121,3 +129,36 @@ def _flat_graph(w) -> bool:
                 _build(node)
             stack += [(x, m - lifted) for x in node.inputs]
     return True
+
+
+def product(out: list, a: list, b: list, table: list, targets: range) -> None:
+    """Append a * b at each target t: a_0 b_t, then its splits in ascending
+    r, from +0.0, each term w a_r b_s."""
+    a0 = a[0]
+    for t in targets:
+        acc = 0.0 + a0 * b[t]
+        for r, s, w, _ in table[t]:
+            acc += w * a[r] * b[s]
+        out.append(acc)
+
+
+def quotient(q: list, a: list, b: list, table: list, targets: range) -> None:
+    """Append a / b at each target t > 0, solving q * b = a for q_t: its
+    splits have r != 0, so they read q_s already appended."""
+    b0 = b[0]
+    for t in targets:
+        acc = 0.0
+        for r, s, w, _ in table[t]:
+            acc += w * b[r] * q[s]
+        q.append((a[t] - acc) / b0)
+
+
+def euler(out: list, u: list, v: list, table: list, targets: range, d: int) -> None:
+    """Append degree d of a lift w = f(u) at each target t of that degree:
+    the Euler sum of e u_r v_s over its splits, from +0.0, over d, with v
+    the coefficients of g = f'(u) through degree d - 1 (E w = g E u)."""
+    for t in targets:
+        acc = 0.0
+        for r, s, _, e in table[t]:
+            acc += e * u[r] * v[s]
+        out.append(acc / d)

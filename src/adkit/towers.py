@@ -1,9 +1,11 @@
 """Lazy univariate derivative towers (f, f', f'', ...) at a point, one entry
-per degree on the Taylor engine (`adkit.taylor`).  The operators ``+ - * /``
-build nodes: products take the Leibniz sum, and division solves it for the
-quotient.  A lift w = f(u) has entry 1 g_0 u_1, and from entry 2 the n = 1
-Berz jet's form w_d = (sum_{r=1..d} r binom(d, r) u_r g_{d-r}) / d in
-ascending r, so towers and jets share one lift.  A leaf `Tower(head,
+per degree on the Taylor engine (`adkit.taylor`).  A tower is the n = 1
+Berz jet of unbounded order: the operators ``+ - * /`` build nodes whose
+products, quotients and lifts run the engine's loops over the n = 1 split
+table, entry d splitting into (r, d - r, binom(d, r), r binom(d, r)).  So
+a product takes the Leibniz sum, division solves it for the quotient, and
+a lift w = f(u) has, from entry 2, w_d = (sum_{r=1..d} r binom(d, r) u_r
+g_{d-r}) / d in ascending r; its entry 1 is g_0 u_1.  A leaf `Tower(head,
 tail_fn)` is read through its tails.  `TowerAlgebra` evaluates over towers.
 
 A constant is flat (a finite head, then signed zeros), as are products
@@ -79,7 +81,7 @@ class Tower(Lifted):
         term: q_n = (a_n - sum_{i>=1} binom(n, i) b_i q_{n-i}) / b_0."""
         if b.head == 0.0:
             raise DomainError("div", (self.head, b.head))
-        return _Node([self.head / b.head], (self, b), _quotient)
+        return _Node([self.head / b.head], (self, b), _split, taylor.quotient)
 
 
 #: The highest entry a tower fills: from order 1021 the lift's weight
@@ -130,6 +132,7 @@ def tower_take(a: Tower, k: int) -> list[float]:
     if k > MAX_TOWER_ORDER + 1:
         raise ValueError(f"tower order {k - 1} exceeds {MAX_TOWER_ORDER}")
     with _LOCK:
+        _grow(k - 1)
         return taylor.force(_node(a), k)[:k]
 
 
@@ -147,20 +150,27 @@ def _neg(node: _Node, d: int, levels: list, j: int) -> None:
     node.entries.append(-node.inputs[0].entries[d])
 
 
-_ROWS = [((1.0,), (0.0,))]
-_LAST = [1]  # binom(d, r) as exact integers for the last row in _ROWS
+#: The n = 1 split table (see `adkit.taylor`) through the highest entry
+#: forced so far: entry d holds (r, d - r, binom(d, r), r binom(d, r)) for
+#: r = 1..d, as `jet_shape(1, N).pair_table()` does through N.
+_SPLITS: list[list[tuple]] = [[]]
+_LAST = [1]  # binom(d, r) as exact integers for the last entry of _SPLITS
+_INDEX = list(range(MAX_TOWER_ORDER + 1))  # each position one int object
 
 
-def _rows(d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """binom(d, r) and r * binom(d, r), formed as the Berz jet forms it.
-
-    Rows are built in order by Pascal's rule on exact integers, and each
-    entry is rounded to a float once; callers hold the forcing lock."""
-    while len(_ROWS) <= d:
+def _grow(order: int) -> None:
+    """Extend _SPLITS through `order`, by Pascal's rule on exact integers,
+    each binomial rounded to a float once; equal weights in an entry are
+    one float object.  Callers hold the forcing lock."""
+    while len(_SPLITS) <= order:
         _LAST[:] = [1, *map(operator.add, _LAST, _LAST[1:]), 1]
-        row = tuple(map(float, _LAST))
-        _ROWS.append((row, tuple(r * c for r, c in enumerate(row))))
-    return _ROWS[d]
+        d, splits, interned = len(_LAST) - 1, [], {}
+        for r in _INDEX[1:d + 1]:
+            w = float(_LAST[r])
+            e = r * w
+            splits.append((r, _INDEX[d - r], interned.setdefault(w, w),
+                           interned.setdefault(e, e)))
+        _SPLITS.append(splits)
 
 
 def _times(node: _Node, d: int, levels: list, j: int) -> None:
@@ -168,7 +178,7 @@ def _times(node: _Node, d: int, levels: list, j: int) -> None:
     x, y = node.inputs
     c, v = (x, y) if taylor.flat(x) else (y, x)
     if not taylor.flat(c):
-        node.fill = _leibniz
+        node.fill, node.extra = _split, taylor.product
     elif taylor.flat(v):
         taylor.settle(node)
     else:
@@ -184,29 +194,18 @@ def _scaled(node: _Node, d: int, levels: list, j: int) -> None:
     if isfinite(node.extra[2] * 2.0 ** d):
         node.entries.append(0.0 + c * v[d])
     else:
-        node.fill = _leibniz
-        _leibniz(node, d, levels, j)
+        node.fill, node.extra = _split, taylor.product
+        _split(node, d, levels, j)
 
 
-def _leibniz(node: _Node, d: int, levels: list, j: int) -> None:
-    x, y = node.inputs[0].entries, node.inputs[1].entries
-    total = 0.0
-    for i, c in enumerate(_rows(d)[0]):
-        total += c * x[i] * y[d - i]
-    node.entries.append(total)
-
-
-def _quotient(node: _Node, d: int, levels: list, j: int) -> None:
-    x, y, q = node.inputs[0].entries, node.inputs[1].entries, node.entries
-    row = _rows(d)[0]
-    total = 0.0
-    for i in range(1, d + 1):
-        total += row[i] * y[i] * q[d - i]
-    q.append((x[d] - total) / y[0])
+def _split(node: _Node, d: int, levels: list, j: int) -> None:
+    """Entry d of a product or quotient (`extra`: `taylor.product`, `taylor.quotient`)."""
+    x, y = node.inputs
+    node.extra(node.entries, x.entries, y.entries, _SPLITS, range(d, d + 1))
 
 
 def _chain(node: _Node, d: int, levels: list, j: int) -> None:
-    """Entry d of a lift: g_0 u_1 at d = 1, the Euler form from d = 2."""
+    """Entry d of a lift: g_0 u_1 at d = 1, the Euler sum from d = 2."""
     u = node.inputs[0].entries
     if d == 1:
         node.entries.append(taylor.grow(node, levels, j).entries[0] * u[1])
@@ -214,11 +213,7 @@ def _chain(node: _Node, d: int, levels: list, j: int) -> None:
     v = node.inputs[1].entries
     if len(v) < d:  # g was built by a nested forcing, outside this one
         v = taylor.force(node.inputs[1], d)
-    row = _rows(d)[1]
-    total = 0.0
-    for r in range(1, d + 1):
-        total += row[r] * u[r] * v[d - r]
-    node.entries.append(total / d)
+    taylor.euler(node.entries, u, v, _SPLITS, range(d, d + 1), d)
 
 
 class _Node(Tower):

@@ -488,6 +488,37 @@ def test_pair_table_equals_the_pair_scan():
             assert len(set(map(id, values))) == len(set(values)), (n, order, part)
 
 
+def test_the_standard_table_weighs_by_one_and_the_degree_and_berz_is_the_default():
+    # The standard basis runs the same loops on the Berz table's splits with
+    # w = 1.0 and e = float(|r|): 1.0 * x is x, and |r| * x converts |r|.
+    # With no basis named, pair_table() is still the Berz table.
+    for n, order in ((1, 1), (1, 12), (2, 5), (4, 8), (30, 2)):
+        shape = jet_shape(n, order)
+        berz, standard = shape.pair_table(BERZ), shape.pair_table(STANDARD)
+        assert shape.pair_table() is berz and berz == scanned_pair_table(shape)
+        assert len(standard) == len(berz) and standard is not berz
+        for row, berz_row in zip(standard, berz):
+            assert [entry[:2] for entry in row] == [entry[:2] for entry in berz_row]
+            for r, s, w, e in row:
+                assert type(w) is float and type(e) is float
+                assert (w, e) == (1.0, float(shape.degrees[r])), (n, order, r, s)
+        assert shape.pair_table(STANDARD) is standard
+    with pytest.raises(ValueError, match="unknown basis 'bogus'"):
+        jet_shape(1, 2).pair_table("bogus")
+
+
+def test_jet_algebra_refuses_an_unknown_basis():
+    # A basis chooses the weights, so an unknown one is refused when the
+    # algebra is built, not taken for the standard basis, whether or not the
+    # program has a constant in it.
+    shape = jet_shape(1, 2)
+    x = jet_variable(shape, 1, 1.0)
+    for source in ("f(x) = x*x", "f(x) = x*x + 1"):
+        with pytest.raises(ValueError, match="unknown basis 'bogus'"):
+            eval_generic(parse(source), [x], JetAlgebra(shape, "bogus"))
+    assert JetAlgebra(shape, STANDARD).basis == STANDARD
+
+
 def test_a_lift_reads_prefixes_of_its_own_shape():
     # A cold (5, 7) evaluation lifts exp, sin and cos through degree 7, each
     # degree reading the lower ones of its own shape's layout, and adds only

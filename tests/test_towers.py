@@ -203,17 +203,15 @@ def test_jet_agreement_univariate():
             tower_out = eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
         except DomainError:
             continue
-        prefix = tower_take(tower_out, order + 1)
-        for t, j in zip(prefix, jet_out.coeffs):
-            assert math.isclose(t, j, rel_tol=1e-9, abs_tol=1e-9), (point, prefix)
+        # a tower is the n = 1 Berz jet, read through the same split table
+        assert tower_take(tower_out, order + 1) == jet_out.coeffs, (unparse(fdef), point)
         checked += 1
     assert checked > 25
 
 
 def test_jet_agreement_to_order_12_with_divisions():
-    # The order-12 Berz jet carries the rounding of its Taylor-sum lift, which
-    # grows about fivefold per order (towers and jets agreed within 1.2e-16 *
-    # 5^r of this scale over 2400 such programs), so the bound follows it.
+    # Towers and the order-12 Berz jet run the same loops over equal split
+    # tables, so they agree to the last bit through order 12, quotients too.
     rng = random.Random(1212)
     order = 12
     shape = jet_shape(1, order)
@@ -229,16 +227,7 @@ def test_jet_agreement_to_order_12_with_divisions():
             tower = eval_generic(fdef, [tower_var(point[0])], TowerAlgebra())[0]
         except DomainError:
             continue
-        prefix = tower_take(tower, order + 1)
-        assert prefix[:2] == jet[:2]
-        for r in range(2, order + 1):
-            # r! times the largest Taylor coefficient so far: the size an
-            # order-r entry has when nothing cancels
-            scale = math.factorial(r) * max(
-                [1.0] + [max(abs(prefix[k]), abs(jet[k])) / math.factorial(k)
-                         for k in range(r + 1)]
-            )
-            assert abs(prefix[r] - jet[r]) <= 1e-14 * 5.0**r * scale, (r, point)
+        assert tower_take(tower, order + 1) == jet, (unparse(fdef), point)
         checked += 1
 
 
@@ -346,17 +335,19 @@ def test_tower_take_refuses_what_is_not_a_tower():
 
 
 def test_binomial_rows_are_exact_and_an_order_1020_tower_forces_promptly():
-    # Rows are built by Pascal's rule on integers and rounded once each.
-    for d in (0, 1, 2, 57, 500, 1020):
-        row, weighted = towers._rows(d)
-        want = tuple(float(math.comb(d, r)) for r in range(d + 1))
-        assert row == want and weighted == tuple(r * c for r, c in enumerate(want))
     start = time.perf_counter()
     t = TowerAlgebra().apply(lookup("exp"), [tower_var(0.5)])
     entries = tower_take(t, MAX_TOWER_ORDER + 1)
     assert time.perf_counter() - start < 5.0
     assert len(entries) == 1021
     assert all(math.isclose(e, math.exp(0.5), rel_tol=1e-12) for e in entries)
+    # The split table is built by Pascal's rule on integers, each binomial
+    # rounded once, and its lift weight r binom(d, r) formed from that float.
+    for d in (0, 1, 2, 57, 500, 1020):
+        want = [float(math.comb(d, r)) for r in range(1, d + 1)]
+        assert towers._SPLITS[d] == [(r, d - r, c, r * c) for r, c in enumerate(want, 1)], d
+    # Through order 12 it is the n = 1 Berz jet's table, entry for entry.
+    assert towers._SPLITS[:13] == jet_shape(1, 12).pair_table(BERZ)
 
 
 def test_laziness_forces_only_requested_depth(monkeypatch):
