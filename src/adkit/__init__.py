@@ -13,12 +13,10 @@ from importlib import import_module
 
 #: The exports, by the module that defines them.
 _MODULES = {
-    "algebras": "CountingAlgebra DualAlgebra RealAlgebra",
-    "catalog": "CATALOG DomainError ElementaryFn UnsupportedOrderError pow_fn",
-    "counting": "EvalCounter counted_variant",
-    "dual": "Dual",
-    "engine": "CostReport SeedSpec Tape backprop cost_compare forward_directional"
-              " jacobian record reverse_gradient",
+    "catalog": "CATALOG DomainError ElementaryFn RealAlgebra UnsupportedOrderError pow_fn",
+    "counting": "CostReport CountingAlgebra EvalCounter cost_compare counted_variant",
+    "dual": "Dual DualAlgebra",
+    "engine": "SeedSpec Tape backprop forward_directional jacobian record reverse_gradient",
     "expr": "Apply Constant Expr FunctionDef ParseError StateProgram Variable eval_generic"
             " parse schedule to_dot unparse",
     "jets": "BERZ STANDARD Jet JetAlgebra JetShape jet_constant jet_convert_basis"

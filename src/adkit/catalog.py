@@ -15,6 +15,11 @@ Lifted scalars (dual numbers, jets, towers) are :class:`Lifted`: they carry
 the Python operators, and `OPERATORS` maps each arithmetic function's name
 to its operator, so one table applies arithmetic in every lifted mode.
 
+An algebra (`constant` and `apply`) plugs scalars into `expr.eval_generic`
+and lives beside its scalar: `RealAlgebra`, for floats, and the lifted
+algebras' one `apply` (`_LiftedAlgebra`: arithmetic by `OPERATORS`, any
+other function by the algebra's `lift(fn, args)`) are here.
+
 `Record` is the small `__slots__` record class that `ElementaryFn` and the
 package's other records build on.
 """
@@ -234,6 +239,30 @@ class Lifted:
     __truediv__, __rtruediv__ = _operators("_div")
 
 
+class RealAlgebra:
+    """Plain float evaluation."""
+
+    @staticmethod
+    def constant(c: float) -> float:
+        return float(c)
+
+    @staticmethod
+    def apply(fn: ElementaryFn, args: list[float]) -> float:
+        fn.check_domain(args)
+        return fn.value(args)
+
+
+class _LiftedAlgebra:
+    """Arithmetic by its operator, any other function by `self.lift`."""
+
+    def apply(self, fn: ElementaryFn, args: list):
+        fn.check_arity(args)
+        op = OPERATORS.get(fn.name)
+        if op is not None:
+            return op(*args)
+        return self.lift(fn, args)
+
+
 #: The catalogue's functions given by formula, one row each: the domain, the
 #: value and the first partials, Python expressions in `math`'s names over
 #: the arguments x (and y), where f stands for the value.  A row is the one
@@ -265,14 +294,14 @@ _TEMPLATES = {name: tuple(re.sub(r"\b[xyf]\b", lambda m: f"{{{m[0]}}}", e) for e
 
 def _generate() -> dict[str, "_Builtin"]:
     """The row functions by name, compiled by one `eval` over `_MATH`.  A
-    callable is its row's expression on ``a[0]`` (and ``a[1]``), with the
-    value, parenthesised, for f.  A unary function's first-order rule is its
-    partial, where a call of a catalogue function on x is that lift."""
+    callable is its row's expression on ``a[0]`` (and ``a[1]``), and the
+    partials bind the value to f where they first read it.  A unary
+    function's rule is its partial, a catalogue call on x being that lift."""
     lifts = {value: f"lift({name!r})" for name, (_, value, _) in _ROWS.items()}
     source = []
+    on = {"x": "a[0]", "y": "a[1]", "f": "f"}
     for name, (domain, value, partials) in _TEMPLATES.items():
-        on = {"x": "a[0]", "y": "a[1]"}
-        on["f"] = f"({value.format(**on)})"
+        partials = partials.replace("{f}", f"(f := {value})", 1)
         rule = re.sub(r"\b\w+\(x\)", lambda m: lifts[m[0]], _ROWS[name][2])
         head = "2, unit_cost=0" if name == "div" else f"1, derivative=lambda x, f, lift: {rule}"
         source.append(f"{name!r}: _Builtin({name!r}, {head}, value=lambda a: {value.format(**on)}, "

@@ -22,7 +22,8 @@ import sys
 from typing import Optional, Sequence
 
 from .catalog import DomainError
-from .engine import SCENARIOS, SeedSpec, cost_compare, forward_directional, jacobian, record, backprop
+from .counting import SCENARIOS, cost_compare
+from .engine import SeedSpec, backprop, forward_directional, jacobian, record
 from .expr import ParseError, eval_generic, parse, to_dot
 
 EXIT_OK = 0
@@ -272,6 +273,7 @@ def _cmd_graph(args) -> int:
             program = compile_program(fdef)
         except ValueError as err:  # too many state slots for dense matrices
             raise FlagError(f"--annotate: {err}")
+        record(fdef, point)  # a domain error names its node, as `diff` does
         rec = forward_derivative_trace(program, point, direction)
         values = rec.states[-1]
         tangents = rec.derivative_states[-1]

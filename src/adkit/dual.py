@@ -3,14 +3,15 @@
 A dual number x + x'e with e*e = 0 carries one directional derivative through
 any composition of catalogue functions.  Arithmetic is the operators
 ``+ - * /`` and unary ``-``, with other duals and with floats (a float c is
-the dual c + 0e); `algebras.DualAlgebra` lifts every other elementary f to
+the dual c + 0e); `DualAlgebra` lifts every other elementary f to
 (f(x), grad f(x) . x'), so evaluating a whole expression on duals yields the
-exact directional derivative alongside the value.
+exact directional derivative alongside the value.  No CLI command loads this
+module: the engine's tangent sweep uses the same formulas on its tape.
 """
 
 from __future__ import annotations
 
-from .catalog import DomainError, Lifted
+from .catalog import DomainError, ElementaryFn, Lifted, _LiftedAlgebra
 
 
 class Dual(Lifted):
@@ -70,3 +71,25 @@ class Dual(Lifted):
 
     def __neg__(self) -> Dual:
         return Dual(-self.primal, -self.tangent)
+
+
+class DualAlgebra(_LiftedAlgebra):
+    """Forward mode: scalars are dual numbers, and f lifts to
+    (f(x), grad f(x) . x')."""
+
+    @staticmethod
+    def constant(c: float) -> Dual:
+        return Dual(c, 0.0)
+
+    @staticmethod
+    def lift(fn: ElementaryFn, args: list[Dual]) -> Dual:
+        for a in args:
+            if not isinstance(a, Dual):
+                raise TypeError(f"a dual lift needs Duals, not {type(a).__name__}")
+        primals = [a.primal for a in args]
+        fn.check_domain(primals)
+        value = fn.value(primals)
+        tangent = 0.0
+        for p, a in zip(fn.partials(primals), args):
+            tangent += p * a.tangent
+        return Dual(value, tangent)

@@ -18,8 +18,9 @@ is a ParseError at the literal, while one that underflows reads as 0.
 Callable idents are the catalogue transcendentals (exp, ln, sqrt, sin, cos,
 tan).  A parenthesised, comma-separated body defines a multi-output function.
 ``let`` is the sharing mechanism: the bound expression becomes a single DAG
-node no matter how often the name is used.  Nothing else is merged, so an
-expression written twice is evaluated twice.
+node no matter how often the name is used.  It cannot name a parameter,
+since a body that starts with it reads as a binding.  Nothing else is
+merged, so an expression written twice is evaluated twice.
 
 Source text becomes a program in few Python-level passes.  The tokenizer is
 one ``findall`` scan that returns every token's text; kinds come from each
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
-from itertools import chain, filterfalse, islice
+from itertools import chain, count, filterfalse, islice
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -138,10 +139,13 @@ class FunctionDef(Record):
 
 # --- tokenizer ---
 
+#: An identifier: a function, parameter or binding name.
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
 #: One token after optional whitespace: an identifier, a number (``\d`` is
 #: any Unicode decimal digit), or any other single character.
 _TOKEN_RE = re.compile(
-    r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\S)"
+    rf"\s*({_IDENT.pattern}|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\S)"
 )
 
 #: Token kind by first character, for every ASCII character that starts one.
@@ -212,10 +216,10 @@ class _Parser:
     def parse_def(self) -> FunctionDef:
         name = self.expect("ident", "function name")[1]
         self.expect("(")
-        params = [self.expect("ident", "parameter name")[1]]
+        params = [self.parameter()]
         while self.peek()[0] == ",":
             self.advance()
-            params.append(self.expect("ident", "parameter name")[1])
+            params.append(self.parameter())
         self.expect(")")
         self.expect("=")
         if len(set(params)) != len(params):
@@ -235,6 +239,12 @@ class _Parser:
         outputs = self.parse_tuple(env)
         self.expect("end", "end of input")
         return FunctionDef(name, tuple(params), tuple(outputs))
+
+    def parameter(self) -> str:
+        tok = self.expect("ident", "parameter name")
+        if tok[1] == "let":
+            raise self.error("'let' cannot name a parameter", tok)
+        return tok[1]
 
     def parse_tuple(self, env: dict) -> list[Expr]:
         # "(" sum ("," sum)+ ")" is a tuple only if a comma follows; otherwise
@@ -633,10 +643,16 @@ _INFIX = {fn.name: (sym, prec) for sym, (prec, fn) in CATALOG_BIN.items()}
 
 def unparse(fdef: FunctionDef) -> str:
     """Render a definition back to source.  Operation nodes referenced more
-    than once are emitted as let bindings, preserving the sharing structure
-    through a reparse.  A node the grammar cannot write (a non-finite
-    constant, a power above MAX_EXPONENT, a call to a function outside
-    CATALOG) raises ValueError."""
+    than once are emitted as let bindings, under names no parameter has,
+    preserving the sharing structure through a reparse.  Names or a node the
+    grammar cannot write (names the parser would not read back, a
+    non-finite constant, a power above MAX_EXPONENT, a call to a function
+    outside CATALOG) raise ValueError."""
+    for name in (fdef.name, *fdef.params):
+        if not _IDENT.fullmatch(name) or (name == "let" and name in fdef.params):
+            raise ValueError(f"cannot unparse the name {name!r}: the parser would not read it back")
+    if not fdef.params or len(set(fdef.params)) < len(fdef.params):
+        raise ValueError(f"cannot unparse the parameters {fdef.params}: none, or a repeat")
     order = _walk(fdef.outputs)[0]
     refs = dict.fromkeys(order, 0)
     for node in order:
@@ -647,7 +663,8 @@ def unparse(fdef: FunctionDef) -> str:
         if isinstance(root, Apply):
             refs[root] += 1
     shared = [node for node in order if refs[node] > 1]
-    names = {node: f"_v{i + 1}" for i, node in enumerate(shared)}
+    fresh = filterfalse(set(fdef.params).__contains__, (f"_v{i}" for i in count(1)))
+    names = dict(zip(shared, fresh))
 
     def prec(node: Expr) -> int:
         """The precedence of the node's rendering as an argument."""

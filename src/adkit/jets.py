@@ -31,8 +31,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, islice
 
 from . import taylor
-from .algebras import _LiftedAlgebra
-from .catalog import DomainError, ElementaryFn, Lifted
+from .catalog import DomainError, ElementaryFn, Lifted, _LiftedAlgebra
 
 #: Largest supported truncation order: 12! is the last factorial exactly
 #: representable alongside its multinomial weights without drift.

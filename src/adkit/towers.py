@@ -23,8 +23,7 @@ from math import isfinite
 from typing import Callable, Optional
 
 from . import taylor
-from .algebras import _LiftedAlgebra
-from .catalog import DomainError, ElementaryFn, Lifted
+from .catalog import DomainError, ElementaryFn, Lifted, _LiftedAlgebra
 
 
 class Tower(Lifted):

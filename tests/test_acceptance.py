@@ -9,13 +9,12 @@ import math
 import random
 import time
 
-from adkit.algebras import DualAlgebra, RealAlgebra
-from adkit.catalog import ADD, CATALOG, DIV, MUL, SUB, DomainError, pow_fn
-from adkit.dual import Dual
+from adkit.catalog import ADD, CATALOG, DIV, MUL, SUB, DomainError, RealAlgebra, pow_fn
+from adkit.counting import cost_compare
+from adkit.dual import Dual, DualAlgebra
 from adkit.engine import (
     SeedSpec,
     backprop,
-    cost_compare,
     forward_directional,
     record,
 )

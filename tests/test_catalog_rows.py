@@ -9,9 +9,8 @@ import ast
 import math
 import random
 
-from adkit.algebras import DualAlgebra
 from adkit.catalog import _ROW_FNS, _ROWS, CATALOG, DIV
-from adkit.dual import Dual
+from adkit.dual import Dual, DualAlgebra
 from adkit.jets import BERZ, JetAlgebra, jet_shape, jet_variable
 from adkit.towers import TowerAlgebra, tower_take, tower_var
 

@@ -1,8 +1,7 @@
 """The exact-count cost model."""
 
-from adkit.algebras import CountingAlgebra
 from adkit.catalog import ADD, CATALOG, MUL
-from adkit.counting import EvalCounter, counted_variant
+from adkit.counting import CountingAlgebra, EvalCounter, counted_variant
 from adkit.expr import eval_generic, parse
 
 
@@ -54,3 +53,15 @@ def test_counted_variant_ticks_on_direct_calls():
     fn.partials([0.2])
     assert counter.count == 3
     assert fn.name == "sin"
+
+
+def test_generated_partials_evaluate_the_function_value_once(monkeypatch):
+    # the partials of exp, sqrt and tan read the value (f in their rows); tan
+    # reads it twice, as 1 + f * f, and must still call math.tan once
+    for name, partial in (("exp", lambda f: f), ("sqrt", lambda f: 0.5 / f),
+                          ("tan", lambda f: 1.0 + f * f)):
+        fn = CATALOG[name]
+        real, calls = fn.partials.__globals__[name], []
+        monkeypatch.setitem(fn.partials.__globals__, name, lambda x: calls.append(x) or real(x))
+        assert fn.partials([0.5]) == [partial(real(0.5))]
+        assert calls == [0.5], name

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adkit.catalog import ADD, CATALOG, DIV, MUL, DomainError, pow_fn
-from adkit.algebras import DualAlgebra
-from adkit.dual import Dual
+from adkit.dual import Dual, DualAlgebra
 from adkit.jets import BERZ, STANDARD, Jet, jet_constant, jet_shape
 from adkit.towers import Tower, tower_const, tower_take
 

@@ -8,12 +8,12 @@ import pytest
 from adkit.engine import (
     SeedSpec,
     backprop,
-    cost_compare,
     forward_directional,
     jacobian,
     record,
     reverse_gradient,
 )
+from adkit.counting import cost_compare
 from adkit.expr import FunctionDef, parse
 from adkit.trace import compile_program, forward_derivative, reverse_derivative
 
@@ -147,7 +147,7 @@ def test_engine_matches_trace_oracle():
 
 
 def test_gradient_matches_finite_differences():
-    from adkit.algebras import RealAlgebra
+    from adkit.catalog import RealAlgebra
     from adkit.expr import eval_generic
 
     rng = random.Random(50)

@@ -8,10 +8,9 @@ import tracemalloc
 
 import pytest
 
-from adkit.algebras import CountingAlgebra, DualAlgebra, RealAlgebra
-from adkit.catalog import MAX_EXPONENT, DomainError, pow_fn
-from adkit.counting import EvalCounter
-from adkit.dual import Dual
+from adkit.catalog import MAX_EXPONENT, DomainError, RealAlgebra, pow_fn
+from adkit.counting import CountingAlgebra, EvalCounter
+from adkit.dual import Dual, DualAlgebra
 from adkit.expr import (
     Apply,
     Constant,

@@ -8,8 +8,7 @@ import struct
 
 import pytest
 
-from adkit.algebras import RealAlgebra
-from adkit.catalog import ADD, COPY, MUL, SIN, pow_fn
+from adkit.catalog import ADD, COPY, MUL, SIN, RealAlgebra, pow_fn
 from adkit.engine import record
 from adkit.expr import (
     Apply,
@@ -152,6 +151,37 @@ def test_unparse_refuses_nodes_the_grammar_cannot_write():
         with pytest.raises(ValueError, match=message):
             unparse(FunctionDef("f", ("x",), (root,)))
     assert unparse(FunctionDef("f", ("x",), (Apply(pow_fn(1000), (x,)),))) == "f(x) = x^1000"
+
+
+def test_unparse_binds_shared_nodes_under_names_no_parameter_has():
+    source = "f(_v1, x, _v3) = let y = x*x in let z = sin(x) in y + y + _v1 + z + z + _v3"
+    fdef = parse(source)
+    text = unparse(fdef)
+    assert text == ("f(_v1, x, _v3) = let _v2 = x * x in let _v4 = sin(x) in "
+                    "_v2 + _v2 + _v1 + _v4 + _v4 + _v3")
+    point = [10.0, 2.0, 0.5]
+    want = eval_generic(fdef, point, RealAlgebra())
+    assert want == [10.0 + 8.0 + 2 * math.sin(2.0) + 0.5]
+    assert eval_generic(parse(text), point, RealAlgebra()) == want
+    assert unparse(parse("f(_v1, x) = let y = x*x in y + y + _v1")).startswith("f(_v1, x) = let _v2 =")
+
+
+def test_let_names_no_parameter_and_unparse_refuses_names_it_cannot_write():
+    for source, column in (("f(let)=(let)+1", 3), ("f(x, let) = x", 6)):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert (str(err.value), err.value.column) == (
+            f"'let' cannot name a parameter (line 1, column {column})", column)
+    body = (Apply(ADD, (Variable(1), Constant(1.0))),)
+    for name, params in (("f", ("let",)), ("f", ("x", "let")), ("f g", ("x",)),
+                         ("f", ("1x",)), ("f", ("x²",)), ("", ("x",))):
+        with pytest.raises(ValueError, match="parser would not read it back"):
+            unparse(FunctionDef(name, params, body))
+    for params in ((), ("x", "x")):
+        with pytest.raises(ValueError, match="cannot unparse the parameters"):
+            unparse(FunctionDef("f", params, (Constant(1.0),)))
+    assert unparse(FunctionDef("let", ("x",), body)) == "let(x) = x + 1"
+    assert parse("let(x) = x + 1").name == "let"
 
 
 def test_unparse_keeps_the_sign_of_a_zero_constant():

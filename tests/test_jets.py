@@ -7,11 +7,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adkit.algebras import DualAlgebra
 from adkit.catalog import CATALOG, MUL, DomainError, UnsupportedOrderError, ElementaryFn
 from adkit.cli import main
 from adkit.counting import EvalCounter, counted_variant
-from adkit.dual import Dual
+from adkit.dual import Dual, DualAlgebra
 from adkit.engine import SeedSpec, backprop, forward_directional, record
 from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse, unparse
 from adkit.jets import (
@@ -378,7 +377,7 @@ def test_partials_match_nested_forward_and_finite_differences():
             want = nested_partial(fdef, point, k)
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (k, point)
         # spot-check pure partials against order-matched stencils
-        from adkit.algebras import RealAlgebra
+        from adkit.catalog import RealAlgebra
 
         for var in range(fdef.n):
             k = tuple(order if i == var else 0 for i in range(fdef.n))

@@ -8,10 +8,9 @@ import struct
 import sys
 import threading
 
-from adkit.algebras import CountingAlgebra, DualAlgebra
 from adkit.catalog import ADD, CATALOG, DIV, MUL, NEG, SUB, pow_fn
-from adkit.counting import EvalCounter
-from adkit.dual import Dual
+from adkit.counting import CountingAlgebra, EvalCounter
+from adkit.dual import Dual, DualAlgebra
 from adkit.engine import _WARM, SeedSpec, backprop, forward_directional, jacobian, record
 from adkit.expr import Apply, Constant, FunctionDef, Variable, eval_generic, parse
 from adkit.trace import compile_program, forward_derivative, reverse_derivative

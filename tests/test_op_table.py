@@ -11,12 +11,12 @@ import math
 import random
 import struct
 
-from adkit.algebras import CountingAlgebra, DualAlgebra, RealAlgebra
 from adkit.catalog import (
-    ADD, CATALOG, COPY, DIV, EXP, MUL, NEG, SIN, DomainError, ElementaryFn, pow_fn,
+    ADD, CATALOG, COPY, DIV, EXP, MUL, NEG, SIN, DomainError, ElementaryFn, RealAlgebra,
+    pow_fn,
 )
-from adkit.counting import EvalCounter, counted_variant
-from adkit.dual import Dual
+from adkit.counting import CountingAlgebra, EvalCounter, counted_variant
+from adkit.dual import Dual, DualAlgebra
 from adkit.engine import (
     _CAP, _WARM, SeedSpec, _tangents, backprop, forward_directional, jacobian, record,
 )

@@ -6,9 +6,8 @@ import random
 
 import pytest
 
-from adkit.algebras import DualAlgebra, RealAlgebra
-from adkit.catalog import DomainError
-from adkit.dual import Dual
+from adkit.catalog import DomainError, RealAlgebra
+from adkit.dual import Dual, DualAlgebra
 from adkit.engine import _WARM, SeedSpec, backprop, forward_directional, record
 from adkit.expr import (
     Constant,

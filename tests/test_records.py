@@ -11,8 +11,8 @@ import pickle
 import pytest
 
 from adkit.catalog import CATALOG, MUL, ElementaryFn, _Builtin
-from adkit.counting import EvalCounter, counted_variant
-from adkit.engine import _WARM, CostReport, SeedSpec, Tape, TapeEntry, cost_compare, record
+from adkit.counting import CostReport, EvalCounter, cost_compare, counted_variant
+from adkit.engine import _WARM, SeedSpec, Tape, TapeEntry, record
 from adkit.expr import Apply, FunctionDef, StateProgram, Variable, parse
 from adkit.trace import TraceRecord
 

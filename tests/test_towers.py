@@ -10,10 +10,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adkit.algebras import DualAlgebra
 from adkit.catalog import CATALOG, COPY, DomainError, lookup
 from adkit.counting import EvalCounter, counted_variant
-from adkit.dual import Dual
+from adkit.dual import Dual, DualAlgebra
 from adkit.expr import eval_generic, parse, unparse
 from adkit.jets import BERZ, JetAlgebra, jet_shape, jet_variable
 from adkit import taylor, towers
