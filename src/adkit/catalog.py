@@ -170,6 +170,13 @@ def _always(args: Sequence[float]) -> bool:
     return True
 
 
+def integer(value, name: str) -> int:
+    """value by `operator.index`, else a TypeError that names it."""
+    if not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    return operator.index(value)
+
+
 def ipow(x: float, k: int) -> float:
     """x**k for k >= 0 by repeated multiplication (left fold)."""
     r = 1.0

@@ -17,10 +17,9 @@ basis only picks the weights: products, quotients and lifts run the Taylor
 engine's loops over the split table `JetShape.pair_table(basis)`.  Jets
 are immutable values; every operation is pure.
 
-A constant is flat (a finite head, then signed zeros).  A product with a
-flat factor costs a multiply per coefficient, and its lift only its rule's
-heads: while the coefficients read are finite, every other term of the
-general sum is a signed zero, and 0.0 + p, bit for bit, is the sum.
+A product runs the general loop whatever its factors.  A lift of a flat
+jet (`taylor.flat`: a finite head, then signed zeros, as constants are)
+costs only its rule's heads: see `taylor.grow`.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 
 from . import taylor
-from .catalog import DomainError, ElementaryFn, Lifted, _LiftedAlgebra
+from .catalog import DomainError, ElementaryFn, Lifted, _LiftedAlgebra, integer
 
 #: Largest supported truncation order: 12! is the last factorial exactly
 #: representable alongside its multinomial weights without drift.
@@ -130,9 +129,11 @@ def _degree(n: int, d: int):
         yield tuple(map(operator.sub, edges[1:], edges))
 
 
-@lru_cache(maxsize=None)
 def jet_shape(n: int, order: int) -> JetShape:
-    return JetShape(n, order)
+    return _shapes(integer(n, "jet_shape's n"), integer(order, "jet_shape's order"))
+
+
+_shapes = lru_cache(maxsize=None)(JetShape)  # one shape object per (n, order)
 
 
 def _check_basis(basis: str) -> None:
@@ -204,7 +205,7 @@ class Jet(Lifted):
     def _mul(self, b: Jet) -> Jet:
         """Coefficient convolution, discarding all terms of total degree > N."""
         out: list[float] = []
-        _times(out, self.coeffs, b.coeffs, self.table, range(self.shape.size))
+        taylor.product(out, self.coeffs, b.coeffs, self.table, range(self.shape.size))
         return _jet(self.shape, out, self.basis)
 
     def _div(self, b: Jet) -> Jet:
@@ -216,32 +217,6 @@ class Jet(Lifted):
         q = [self.coeffs[0] / b0]
         taylor.quotient(q, self.coeffs, b.coeffs, self.table, range(1, self.shape.size))
         return _jet(self.shape, q, self.basis)
-
-
-#: Bounds every weight t!/(r! s!) = prod binom(t_i, r_i) <= 2^|t|.
-_BIG = 2.0 ** MAX_ORDER
-
-
-def _flat(coeffs: list, stop: int) -> bool:
-    """Whether coeffs[:stop] are a finite head, then signed zeros."""
-    return math.isfinite(coeffs[0]) and not any(islice(coeffs, 1, stop))
-
-
-def _times(out: list, ac: list, bc: list, table: list, targets: range) -> None:
-    """`taylor.product`, or 0.0 + c_0 v_t with c flat through the targets
-    while no weight times a v_t overflows (`_BIG` times the sum of |v_t|
-    shows it)."""
-    stop = targets.stop
-    if not ac[1] and _flat(ac, stop):
-        c, v = ac, bc
-    elif not bc[1] and _flat(bc, stop):
-        c, v = bc, ac
-    else:
-        return taylor.product(out, ac, bc, table, targets)
-    if math.isfinite(_BIG * sum(map(abs, islice(v, stop)))):
-        out += [0.0 + c[0] * y for y in v[targets.start:stop]]
-    else:
-        taylor.product(out, ac, bc, table, targets)
 
 
 def _jet(shape: JetShape, coeffs: list[float], basis: str) -> Jet:
@@ -281,7 +256,7 @@ def _each(node: _Node, d: int, levels: list, j: int) -> None:
 
 
 def _split(node: _Node, d: int, levels: list, j: int) -> None:
-    """Degree d of a product or quotient (`extra`: `_times`, `taylor.quotient`)."""
+    """Degree d of a product or quotient (`extra`: `taylor.product`, `taylor.quotient`)."""
     x, y = node.inputs
     node.extra(node.entries, x.entries, y.entries, node.table,
                range(node.ends[d - 1], node.ends[d]))
@@ -330,13 +305,16 @@ class _Node(Lifted):
         return _Node([-self.entries[0]], (self,), _each, operator.neg, self)
 
     def _mul(self, b: _Node) -> _Node:
-        return _Node([0.0 + self.entries[0] * b.entries[0]], (self, b), _split, _times, self)
+        return _Node([0.0 + self.entries[0] * b.entries[0]], (self, b), _split, taylor.product, self)
 
     def _div(self, b: _Node) -> _Node:
         x0, y0 = self.entries[0], b.entries[0]
         if y0 == 0.0:
             raise DomainError("div", (x0, y0))
         return _Node([x0 / y0], (self, b), _split, taylor.quotient, self)
+
+
+_Node.make = _Node  # the constructor `taylor.lift` calls
 
 
 def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:

@@ -10,7 +10,7 @@ topological, so nothing recurses.  A lift w = f(u) builds g = f'(u) once,
 from f's rule, when its degree 1 is filled; g reads w and the lifts its
 rule names on u (cos for sin) through views, so the graph has no cycles.
 A lift of a flat u settles (`grow`): its class's `zero` kernel fills the
-rest with +0.0, and g is never filled.
+rest with +0.0, and g is never filled.  `flat` is the one flatness test.
 
 Jets in both bases and towers fill their products, quotients and lifts by
 the same three loops (`product`, `quotient`, `euler`).  Each reads a split
@@ -62,14 +62,14 @@ def _unfilled(t, k: int) -> list:
 
 def lift(fn: ElementaryFn, family: tuple):
     """fn lifted on a node a, in the family (a, views of its lifts by name),
-    as nodes `type(a)(entries, inputs, fill, extra, a)` with kernel a.chain
+    as nodes `a.make(entries, inputs, fill, extra, a)` with kernel a.chain
     (or a.zero, once settled)."""
     derivative_rule(fn)
     a, views = family
     fn.check_domain([a.entries[0]])
     entries = [float(fn.value([a.entries[0]]))]
-    views[fn.name] = view = type(a)(entries, (), None, None, a)
-    return type(a)(entries, (a,), a.chain, (fn, family, view), a)
+    views[fn.name] = view = a.make(entries, (), None, None, a)
+    return a.make(entries, (a,), a.chain, (fn, family, view), a)
 
 
 def grow(node, levels: list, j: int):

@@ -1,6 +1,7 @@
-"""Flat constants in jets and towers: a product with a flat factor (a finite
-head, then signed zeros) and a lift of one skip the general kernels, and
-must give their bits exactly."""
+"""Flat constants in jets and towers (`taylor.flat`: a finite head, then
+signed zeros): a lift of one, and a tower product with a flat factor, skip
+the general kernels and must give their bits exactly; jet products run the
+general kernel whatever their factors, and must give the same bits."""
 
 import math
 import random

@@ -134,6 +134,15 @@ def test_no_module_imports_numpy():
     assert [(f, m) for f, m in imported if m.split(".")[0] == "numpy"] == []
 
 
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10.
+    names = [name for name in os.listdir(os.path.join(SRC, "adkit")) if name.endswith(".py")]
+    assert names
+    for name in names:
+        with open(os.path.join(SRC, "adkit", name)) as handle:
+            ast.parse(handle.read(), name, feature_version=(3, 10))
+
+
 def test_exports_are_the_written_list():
     assert EXPORTS == sorted(EXPORTS)
     assert sorted(adkit._HOME) == EXPORTS

@@ -13,6 +13,7 @@ from adkit.counting import EvalCounter, counted_variant
 from adkit.dual import Dual, DualAlgebra
 from adkit.engine import SeedSpec, backprop, forward_directional, record
 from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse, unparse
+from adkit import jets
 from adkit.jets import (
     BERZ,
     MAX_ORDER,
@@ -522,12 +523,12 @@ def test_a_lift_reads_prefixes_of_its_own_shape():
     # A cold (5, 7) evaluation lifts exp, sin and cos through degree 7, each
     # degree reading the lower ones of its own shape's layout, and adds only
     # that shape to the cache.
-    before = jet_shape.cache_info().currsize
+    before = jets._shapes.cache_info().currsize
     shape = jet_shape(5, 7)
     fdef = parse("f(a,b,c,d,e) = exp(a*b)/(1+c^2)+sin(d*e)")
     seeds = [jet_variable(shape, i + 1, 0.25 * (i + 1), BERZ) for i in range(5)]
     out = eval_generic(fdef, seeds, JetAlgebra(shape, BERZ))[0]
-    assert jet_shape.cache_info().currsize == before + 1
+    assert jets._shapes.cache_info().currsize == before + 1
     assert out.coeffs[0] == math.exp(0.125) / (1 + 0.75**2) + math.sin(1.25)
 
 
@@ -630,6 +631,19 @@ def test_too_large_a_jet_is_refused_promptly():
     source = "f(a,b,c,d,e,f,g,h) = a*b*c*d*e*f*g*h"
     argv = ["diff", source, "--at", ",".join(["1"] * 8), "--mode", "jet", "--order", "12"]
     assert main(argv) == 3
+
+
+def test_orders_and_variable_counts_that_are_not_integers_are_refused():
+    # Refused by name before the shape cache is read, so a float equal to a
+    # cached shape's n or order is refused too.
+    jet_shape(2, 2)
+    before = jets._shapes.cache_info()
+    for n, order, name in ((2, 2.5, "order"), (2.0, 2, "n"), (2, 2.0, "order"),
+                           ("2", 2, "n"), (2, None, "order")):
+        with pytest.raises(TypeError, match=f"jet_shape's {name} must be an integer"):
+            jet_shape(n, order)
+    assert jets._shapes.cache_info() == before
+    assert jet_shape(True, 2) is jet_shape(1, 2)  # what operator.index takes
 
 
 def test_max_order_enforced():

@@ -308,6 +308,14 @@ def test_orders_past_the_bound_are_refused_before_any_forcing():
     with pytest.raises(ValueError, match="exceeds 1020"):
         tower_df(shifted)
 
+    # An order that is not an integer is refused by name, before the split
+    # table grows or anything is forced.
+    splits = len(towers._SPLITS)
+    for k in (2.5, "3", 3.0, None, float(splits + 5)):
+        with pytest.raises(TypeError, match="tower_take's k must be an integer"):
+            tower_take(t, k)
+    assert len(towers._SPLITS) == splits and t.entries == [math.exp(0.5)]
+
 
 def test_a_leaf_without_a_callable_tail_is_refused():
     for tail_fn in (None, 5.0, tower_const(1.0)):
