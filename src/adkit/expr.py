@@ -513,15 +513,27 @@ def eval_generic(fdef: FunctionDef, inputs: Sequence, algebra) -> list:
     `algebra` supplies ``constant(c)`` and ``apply(fn, args)``.  Constant
     steps call ``constant``, copy steps reuse their source's value without
     calling the algebra, and every other step calls ``apply`` once, so every
-    shared node is evaluated exactly once.  A domain error is re-raised with
-    the failing node's path from its output root (``out1.0`` is argument 0
-    of output 1's root).  When several steps are out of domain, the first in
-    schedule order is reported.
+    shared node is evaluated exactly once.  An algebra may also supply
+    ``sweep(program, inputs, slots)``, which runs the whole sweep itself,
+    appending one value per slot to `slots`, and returns the outputs, or
+    None to leave the sweep to this loop (`JetAlgebra.sweep`).  A domain
+    error is re-raised with the failing node's path from its output root
+    (``out1.0`` is argument 0 of output 1's root).  When several steps are
+    out of domain, the first in schedule order is reported.
     """
     if len(inputs) != fdef.n:
         raise ValueError(f"expected {fdef.n} inputs, got {len(inputs)}")
     program = fdef.program
-    slots = list(inputs)
+    slots: list = []
+    sweep = getattr(algebra, "sweep", None)
+    if sweep is not None:
+        try:
+            outputs = sweep(program, inputs, slots)
+        except DomainError as err:
+            raise _located(err, fdef, len(slots)) from None
+        if outputs is not None:
+            return outputs
+    slots += inputs
     put = slots.append
     constant, apply = algebra.constant, algebra.apply
     for kind, a, b, fn in program.ops:  # this step fills slot len(slots)
@@ -534,10 +546,13 @@ def eval_generic(fdef: FunctionDef, inputs: Sequence, algebra) -> list:
                 put(apply(fn, [slots[a], slots[b]] if b is not None else
                           [slots[s] for s in a] if kind == "other" else [slots[a]]))
             except DomainError as err:
-                if err.path is None:
-                    raise err.at(_path_of(fdef, len(slots))) from None
-                raise
+                raise _located(err, fdef, len(slots)) from None
     return [slots[s] for s in program.output_slots]
+
+
+def _located(err: DomainError, fdef: FunctionDef, slot: int) -> DomainError:
+    """err, with the path of the node that fills `slot` if it has none."""
+    return err if err.path is not None else err.at(_path_of(fdef, slot))
 
 
 def _path_of(fdef: FunctionDef, slot: int) -> str:

@@ -19,7 +19,11 @@ are immutable values; every operation is pure.
 
 A product runs the general loop whatever its factors.  A lift of a flat
 jet (`taylor.flat`: a finite head, then signed zeros, as constants are)
-costs only its rule's heads: see `taylor.grow`.
+costs only its rule's heads: see `taylor.grow`.  `JetAlgebra.sweep` runs
+`eval_generic` over plain coefficient lists.  A lift of one of the
+catalogue's own functions replays the `_Schedule` recorded from the first
+graph of its (fn, shape, basis) on a non-flat jet; only other lifts, and
+flat ones before that, build the graph.
 """
 
 from __future__ import annotations
@@ -27,10 +31,13 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
+from math import isfinite
+from typing import Sequence
 
 from . import taylor
-from .catalog import DomainError, ElementaryFn, Lifted, _LiftedAlgebra, integer
+from .catalog import (_ROW_FNS, DomainError, ElementaryFn, Lifted, _LiftedAlgebra, integer,
+                      is_pow, pow_exponent, pow_fn)
 
 #: Largest supported truncation order: 12! is the last factorial exactly
 #: representable alongside its multinomial weights without drift.
@@ -55,7 +62,7 @@ class JetShape:
     """
 
     __slots__ = ("n", "order", "size", "ends", "monomials", "position", "_tables",
-                 "factorials", "degrees")
+                 "factorials", "degrees", "schedules")
 
     def __init__(self, n: int, order: int):
         if n < 1:
@@ -80,6 +87,8 @@ class JetShape:
         )
         self.degrees: tuple[int, ...] = tuple(map(sum, monos))
         self._tables: dict[str, list] = {}
+        #: (fn name, basis) -> the `_Schedule` of that catalogue function's lift
+        self.schedules: dict[tuple[str, str], _Schedule] = {}
 
     def pair_table(self, basis: str = BERZ):
         """The basis's split table (see `adkit.taylor`): for each position t,
@@ -119,6 +128,9 @@ class JetShape:
 
     def __repr__(self) -> str:
         return f"JetShape(n={self.n}, order={self.order})"
+
+    def __reduce__(self):  # a copy is built afresh: schedules hold unpicklable rules
+        return JetShape, (self.n, self.order)
 
 
 def _degree(n: int, d: int):
@@ -193,30 +205,41 @@ class Jet(Lifted):
             return jet_constant(self.shape, b, self.basis)
         return NotImplemented
 
-    def _add(self, b: Jet) -> Jet:
-        return _jet(self.shape, [x + y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
-
-    def _sub(self, b: Jet) -> Jet:
-        return _jet(self.shape, [x - y for x, y in zip(self.coeffs, b.coeffs)], self.basis)
-
     def __neg__(self) -> Jet:
         return _jet(self.shape, [-x for x in self.coeffs], self.basis)
 
-    def _mul(self, b: Jet) -> Jet:
-        """Coefficient convolution, discarding all terms of total degree > N."""
-        out: list[float] = []
-        taylor.product(out, self.coeffs, b.coeffs, self.table, range(self.shape.size))
-        return _jet(self.shape, out, self.basis)
+    def _arithmetic(kind: str):
+        def method(self, b: Jet) -> Jet:
+            return _jet(self.shape, _BINARY[kind](self.coeffs, b.coeffs, self.table), self.basis)
+        return method
 
-    def _div(self, b: Jet) -> Jet:
-        """Long division: solve q * b = self coefficient by coefficient in
-        graded order.  Defined iff the constant term of b is nonzero."""
-        b0 = b.coeffs[0]
-        if b0 == 0.0:
-            raise DomainError("div", (self.coeffs[0], b0))
-        q = [self.coeffs[0] / b0]
-        taylor.quotient(q, self.coeffs, b.coeffs, self.table, range(1, self.shape.size))
-        return _jet(self.shape, q, self.basis)
+    _add, _sub, _mul, _div = map(_arithmetic, ("add", "sub", "mul", "div"))
+    del _arithmetic
+
+
+def _product(x: list, y: list, table: list) -> list:
+    """Coefficient convolution, discarding all terms of total degree > N."""
+    out: list[float] = []
+    taylor.product(out, x, y, table, range(len(x)))
+    return out
+
+
+def _quotient(x: list, y: list, table: list) -> list:
+    """Long division: solve q * y = x coefficient by coefficient in graded
+    order.  Defined iff the constant term of y is nonzero."""
+    y0 = y[0]
+    if y0 == 0.0:
+        raise DomainError("div", (x[0], y0))
+    q = [x[0] / y0]
+    taylor.quotient(q, x, y, table, range(1, len(x)))
+    return q
+
+
+#: Binary arithmetic on coefficient lists, for `Jet`'s operators and the sweep.
+_BINARY = {"add": lambda x, y, table: [a + b for a, b in zip(x, y)],
+           "sub": lambda x, y, table: [a - b for a, b in zip(x, y)],
+           "mul": _product, "div": _quotient}
+_KIND = operator.itemgetter(0)  # an op-table step's kind
 
 
 def _jet(shape: JetShape, coeffs: list[float], basis: str) -> Jet:
@@ -229,9 +252,13 @@ def _jet(shape: JetShape, coeffs: list[float], basis: str) -> Jet:
 
 def jet_constant(shape: JetShape, c: float, basis: str = STANDARD) -> Jet:
     _check_basis(basis)
-    coeffs = [0.0] * shape.size
+    return _jet(shape, _constant(shape.size, c), basis)
+
+
+def _constant(size: int, c: float) -> list:
+    coeffs = [0.0] * size
     coeffs[0] = float(c)
-    return _jet(shape, coeffs, basis)
+    return coeffs
 
 
 def jet_variable(shape: JetShape, i: int, c: float, basis: str = STANDARD) -> Jet:
@@ -239,6 +266,7 @@ def jet_variable(shape: JetShape, i: int, c: float, basis: str = STANDARD) -> Je
 
     Identical in both bases: degree-one monomials carry no factorial weight.
     """
+    i = integer(i, "jet_variable's i")
     if not 1 <= i <= shape.n:
         raise IndexError(f"variable index {i} out of range 1..{shape.n}")
     _check_basis(basis)
@@ -319,19 +347,140 @@ _Node.make = _Node  # the constructor `taylor.lift` calls
 
 def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
     """A unary catalogue function with a first-order rule (else
-    UnsupportedOrderError) lifted onto the jet args[0] (see `_chain`).  Its
-    value, first partial and a float its rule returns enter as floats."""
+    UnsupportedOrderError) lifted onto the jet args[0] (see `_lifted`)."""
     arg = args[0]
     if not isinstance(arg, Jet):
         raise TypeError(f"a jet lift needs a Jet, not {type(arg).__name__}")
-    w = taylor.lift(fn, (_Node(arg.coeffs, (), _zero, None, arg), {}))
-    return _jet(arg.shape, taylor.force(w, arg.shape.order + 1), arg.basis)
+    return _jet(arg.shape, _lifted(fn, arg.coeffs, arg.shape, arg.basis), arg.basis)
+
+
+def _lifted(fn: ElementaryFn, u: list, shape: JetShape, basis: str) -> list:
+    """fn lifted on the jet u by its schedule, else by the graph (`_chain`),
+    which records the schedule of a catalogue function's own lift of a
+    non-flat u.  Its value, first partial and rule's floats enter as floats."""
+    key = (fn.name, basis)
+    schedule = shape.schedules.get(key)
+    if schedule is not None and schedule.fn is fn:
+        return schedule.replay(u, shape.pair_table(basis), shape.ends)
+    root = _Node(u, (), _zero, None, _jet(shape, u, basis))
+    w = taylor.lift(fn, (root, {}))
+    coeffs = taylor.force(w, shape.order + 1)
+    if schedule is None and not _flat(u) and _own(fn):
+        # Threads that race here record schedules that replay alike.
+        shape.schedules[key] = _Schedule(fn, w, root)
+    return coeffs
+
+
+def _own(fn: ElementaryFn) -> bool:
+    """Whether fn is the catalogue's own row function or cached power, not a
+    registered function or a `counted_variant` copy."""
+    name = fn.name
+    return fn is (pow_fn(pow_exponent(name)) if is_pow(name) else _ROW_FNS.get(name))
+
+
+def _flat(u: list) -> bool:
+    """`taylor.flat` of a complete jet: a finite head, then signed zeros."""
+    return isfinite(u[0]) and not any(islice(u, 1, None))
+
+
+def _reached(w: _Node) -> dict:
+    """The nodes w reads, itself included, each mapped to its creation number."""
+    seen, stack = {}, [w]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen[node] = node.serial
+            stack.extend(node.inputs)
+    return seen
+
+
+class _Schedule:
+    """A catalogue function's jet lift for one (fn, shape, basis), read off
+    the graph of its lift on a non-flat jet, which never settles and so is
+    the same at every point.  The argument is register 0, the lift 1, and
+    each other node (a view is its lift's) one more, in creation order.
+    A node is (kernel, x, y): `taylor.euler`, its function and g's register
+    for a lift, None and the coefficients for a constant, else `extra` and
+    its inputs' registers.  `heads` holds the nodes; `deeper`, those of the
+    lifts' rules one level deeper, which only `_flat_graph` reads.
+    `fills[d - 1]` holds (register, *node) for each node filled through
+    degree d or beyond, in creation order, the order `force` fills them in.
+    """
+
+    __slots__ = ("fn", "heads", "deeper", "fills")
+
+    def __init__(self, fn: ElementaryFn, w: _Node, root: _Node):
+        self.fn, order = fn, len(w.ends) - 1
+        nodes, deeper = _reached(w), next(taylor.serial)
+        if order > 1:  # build the rules `_flat_graph` would
+            for node in list(nodes):
+                if node.fill is _chain and len(node.inputs) == 1:
+                    taylor.build(node)
+            nodes = _reached(w)
+        lifts = {id(x.entries): x for x in nodes if x.fill is _chain}
+        made = [x for x in sorted(nodes, key=nodes.get)
+                if x is not root and (x.fill or id(x.entries) not in lifts)]
+        reg = {x: r for r, x in enumerate([root, *made])}
+        reg.update((x, reg[lifts[id(x.entries)]]) for x in nodes if x not in reg)  # views
+        steps = []
+        for x in made:
+            ins = [reg[i] for i in x.inputs] + [None]
+            steps.append((None, x.entries, None) if x.fill is None else
+                         (taylor.euler, x.extra[0], ins[1]) if x.fill is _chain else
+                         (x.extra, ins[0], ins[1]))
+        self.fills = [[(r, *steps[r - 1]) for r, x in enumerate(made, 1)
+                       if x.fill and len(x.entries) > x.ends[d]] for d in range(order)]
+        normal = sum(x.serial < deeper for x in made)
+        self.heads, self.deeper = steps[:normal], steps[normal:]
+
+    def replay(self, u: list, table: list, ends: tuple) -> list:
+        """The lift on u, of the schedule's shape and basis: the heads, with
+        their domain and zero-divisor checks, then the fills.  A flat u at
+        N >= 2 settles to its head and +0.0, as `taylor.grow` does, if its
+        first partial and every head `_flat_graph` reads are finite."""
+        point, regs = [u[0]], [u]
+        flat = len(self.fills) > 1 and _flat(u)
+        for code, x, y in chain(self.heads, self.deeper) if flat else self.heads:
+            if code is taylor.euler:  # a lift of x
+                x.check_domain(point)
+                regs.append([float(x.value(point))])
+            elif code is None:
+                regs.append(x)
+            elif code is taylor.product:
+                regs.append([0.0 + regs[x][0] * regs[y][0]])
+            elif code is taylor.quotient:
+                x0, y0 = regs[x][0], regs[y][0]
+                if y0 == 0.0:
+                    raise DomainError("div", (x0, y0))
+                regs.append([x0 / y0])
+            elif code is operator.add:  # the operators `_Node` writes, not calls
+                regs.append([regs[x][0] + regs[y][0]])
+            elif code is operator.sub:
+                regs.append([regs[x][0] - regs[y][0]])
+            else:
+                regs.append([-regs[x][0]])
+        if flat and isfinite(float(self.fn.partials(point)[0])) and all(isfinite(r[0]) for r in regs):
+            return [regs[1][0]] + [0.0] * (len(u) - 1)
+        for d, steps in enumerate(self.fills, 1):
+            lo, hi = ends[d - 1], ends[d]
+            targets = range(lo, hi)
+            for out, kernel, x, y in steps:
+                if kernel is taylor.euler:
+                    v = regs[y] if d > 1 else [float(p) for p in x.partials(point)]
+                    kernel(regs[out], u, v, table, targets, d)
+                elif kernel is taylor.product or kernel is taylor.quotient:
+                    kernel(regs[out], regs[x], regs[y], table, targets)
+                elif y is None:
+                    regs[out] += map(kernel, regs[x][lo:hi])
+                else:
+                    regs[out] += map(kernel, regs[x][lo:hi], regs[y][lo:hi])
+        return regs[1]
 
 
 def jet_extract_partial(j: Jet, k: tuple[int, ...]) -> float:
     """The order-k partial derivative stored in the jet: k! times the
     standard-basis coefficient, or the berz coefficient directly."""
-    k = tuple(int(x) for x in k)
+    k = tuple(integer(x, "a multi-index entry") for x in k)
     pos = j.shape.position.get(k)
     if pos is None:
         raise IndexError(f"multi-index {k} out of range for {j.shape!r}")
@@ -364,3 +513,28 @@ class JetAlgebra(_LiftedAlgebra):
         return jet_constant(self.shape, c, self.basis)
 
     lift = staticmethod(lift)
+
+    def sweep(self, program, inputs: Sequence, slots: list) -> list[Jet] | None:
+        """`expr.eval_generic` over jets of this shape and basis as one sweep
+        over coefficient lists, one per slot in `slots`, by the code `Jet`'s
+        operators and `lift` run, with no Jet per step.  None, with nothing
+        done, if an input is not such a jet or a step is an ``other`` one."""
+        shape, basis = self.shape, self.basis
+        if "other" in map(_KIND, program.ops) or not all(
+                type(x) is Jet and x.shape is shape and x.basis == basis for x in inputs):
+            return None
+        size, table = shape.size, shape.pair_table(basis)
+        slots += [x.coeffs for x in inputs]
+        put = slots.append
+        for kind, a, b, fn in program.ops:  # this step fills slot len(slots)
+            if kind == "const":
+                put(_constant(size, a))
+            elif kind == "unary":
+                put(_lifted(fn, slots[a], shape, basis))
+            elif kind == "copy":
+                put(slots[a])
+            elif kind == "neg":
+                put([-x for x in slots[a]])
+            else:
+                put(_BINARY[kind](slots[a], slots[b], table))
+        return [_jet(shape, slots[s], basis) for s in program.output_slots]

@@ -19,6 +19,12 @@ as tuples (r, s, w, e) of positions, the product's weight w and the Euler
 sum's weight e.  A Berz jet's table carries w = t!/(r! s!) and e = |r| w,
 a standard jet's w = 1.0 and e = float(|r|), and a tower's is the n = 1
 Berz table, entry d splitting into (r, d - r, binom(d, r), r binom(d, r)).
+
+Towers build and force this graph on every evaluation.  A jet lift of one
+of the catalogue's own functions builds it once per (function, shape,
+basis) and records it (`jets._Schedule`): its later lifts replay the
+nodes' heads and these kernels in the order `force` runs them, and decide
+a flat argument's settling from the heads `_flat_graph` reads.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ def grow(node, levels: list, j: int):
     filled at degree 1, unlike u; none if g is complete or a view) join the
     level below."""
     if len(node.inputs) == 1:
-        _build(node)
+        build(node)
     u, g = node.inputs
     if flat(u) and _flat_graph(node):
         settle(node)
@@ -100,7 +106,8 @@ def settle(node) -> None:
     node.fill, node.inputs, node.extra = node.zero, (), None
 
 
-def _build(node) -> None:
+def build(node) -> None:
+    """Give the unbuilt lift node its g = f'(u), from its rule, as its second input."""
     fn, family, view = node.extra
     a, views = family
     g = a._promote(fn.derivative(
@@ -126,7 +133,7 @@ def _flat_graph(w) -> bool:
                 return False
             lifted = node.fill is node.chain
             if lifted and m and len(node.inputs) == 1:
-                _build(node)
+                build(node)
             stack += [(x, m - lifted) for x in node.inputs]
     return True
 

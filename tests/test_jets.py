@@ -73,6 +73,16 @@ def test_variable_seeding():
         jet_variable(shape, 3, 0.0)
 
 
+def test_a_variable_index_that_is_not_an_integer_is_refused():
+    # 1.5 matched no unit monomial, so the seed's 1.0 overwrote the point
+    # and gave the constant jet 1; an integral float is refused as well.
+    shape = jet_shape(2, 3)
+    for i, kind in ((1.5, "float"), (1.0, "float"), ("1", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"jet_variable's i must be an integer, not {kind}"):
+            jet_variable(shape, i, 0.5)
+    assert jet_variable(shape, True, 0.5) == jet_variable(shape, 1, 0.5)
+
+
 def test_degree_one_jet_is_a_dual_number():
     # one variable truncated at order one: exactly the dual numbers
     shape = jet_shape(1, 1)
@@ -308,6 +318,15 @@ def test_extract_examples():
     assert jet_extract_partial(sq, (0,)) == 9.0
     with pytest.raises(IndexError):
         jet_extract_partial(sq, (3,))
+
+
+def test_a_multi_index_entry_that_is_not_an_integer_is_refused():
+    # int() read (1.7, 0) and ("1", 0) as the (1, 0) partial.
+    j = jet_variable(jet_shape(2, 2), 1, 3.0)
+    for k, kind in (((1.7, 0), "float"), (("1", 0), "str"), ((1, 0.0), "float"), ((1, None), "NoneType")):
+        with pytest.raises(TypeError, match=f"a multi-index entry must be an integer, not {kind}"):
+            jet_extract_partial(j, k)
+    assert jet_extract_partial(j, (True, 0)) == jet_extract_partial(j, (1, 0)) == 1.0
 
 
 def test_extract_example_function_gradient():
