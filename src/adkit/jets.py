@@ -36,8 +36,7 @@ from math import isfinite
 from typing import Sequence
 
 from . import taylor
-from .catalog import (_ROW_FNS, DomainError, ElementaryFn, Lifted, _LiftedAlgebra, integer,
-                      is_pow, pow_exponent, pow_fn)
+from .catalog import DomainError, ElementaryFn, Lifted, _LiftedAlgebra, integer
 
 #: Largest supported truncation order: 12! is the last factorial exactly
 #: representable alongside its multinomial weights without drift.
@@ -365,33 +364,15 @@ def _lifted(fn: ElementaryFn, u: list, shape: JetShape, basis: str) -> list:
     root = _Node(u, (), _zero, None, _jet(shape, u, basis))
     w = taylor.lift(fn, (root, {}))
     coeffs = taylor.force(w, shape.order + 1)
-    if schedule is None and not _flat(u) and _own(fn):
+    if schedule is None and not _flat(u) and taylor.own(fn):
         # Threads that race here record schedules that replay alike.
         shape.schedules[key] = _Schedule(fn, w, root)
     return coeffs
 
 
-def _own(fn: ElementaryFn) -> bool:
-    """Whether fn is the catalogue's own row function or cached power, not a
-    registered function or a `counted_variant` copy."""
-    name = fn.name
-    return fn is (pow_fn(pow_exponent(name)) if is_pow(name) else _ROW_FNS.get(name))
-
-
 def _flat(u: list) -> bool:
     """`taylor.flat` of a complete jet: a finite head, then signed zeros."""
     return isfinite(u[0]) and not any(islice(u, 1, None))
-
-
-def _reached(w: _Node) -> dict:
-    """The nodes w reads, itself included, each mapped to its creation number."""
-    seen, stack = {}, [w]
-    while stack:
-        node = stack.pop()
-        if node not in seen:
-            seen[node] = node.serial
-            stack.extend(node.inputs)
-    return seen
 
 
 class _Schedule:
@@ -411,17 +392,9 @@ class _Schedule:
 
     def __init__(self, fn: ElementaryFn, w: _Node, root: _Node):
         self.fn, order = fn, len(w.ends) - 1
-        nodes, deeper = _reached(w), next(taylor.serial)
-        if order > 1:  # build the rules `_flat_graph` would
-            for node in list(nodes):
-                if node.fill is _chain and len(node.inputs) == 1:
-                    taylor.build(node)
-            nodes = _reached(w)
-        lifts = {id(x.entries): x for x in nodes if x.fill is _chain}
-        made = [x for x in sorted(nodes, key=nodes.get)
-                if x is not root and (x.fill or id(x.entries) not in lifts)]
-        reg = {x: r for r, x in enumerate([root, *made])}
-        reg.update((x, reg[lifts[id(x.entries)]]) for x in nodes if x not in reg)  # views
+        deeper = next(taylor.serial)
+        # with the rules `_flat_graph` would build at N >= 2
+        made, reg = taylor.registers(root, taylor.close(w, order > 1))
         steps = []
         for x in made:
             ins = [reg[i] for i in x.inputs] + [None]

@@ -20,11 +20,18 @@ sum's weight e.  A Berz jet's table carries w = t!/(r! s!) and e = |r| w,
 a standard jet's w = 1.0 and e = float(|r|), and a tower's is the n = 1
 Berz table, entry d splitting into (r, d - r, binom(d, r), r binom(d, r)).
 
-Towers build and force this graph on every evaluation.  A jet lift of one
-of the catalogue's own functions builds it once per (function, shape,
-basis) and records it (`jets._Schedule`): its later lifts replay the
-nodes' heads and these kernels in the order `force` runs them, and decide
-a flat argument's settling from the heads `_flat_graph` reads.
+Both read a finished graph back as registers (`close`, `registers`) to
+record a catalogue function's lift once and replay it.  A jet lift of one
+of the catalogue's own functions builds the graph once per (function,
+shape, basis) and records it (`jets._Schedule`): its later lifts replay
+the nodes' heads and these kernels in the order `force` runs them, and
+decide a flat argument's settling from the heads `_flat_graph` reads.
+`eval_generic` over towers sweeps the op table into entry lists instead
+(`towers.TowerAlgebra.sweep`), and a lift there replays its function's
+plan, recorded once from the rule graph closed over every nested lift.
+Towers still build and force the graph when built outside `eval_generic`
+or by operators on its outputs, and for the steps the sweep leaves to
+`eval_generic`'s loop.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 from itertools import count, islice
 from math import isfinite
 
-from .catalog import ElementaryFn, derivative_rule, lookup
+from .catalog import _ROW_FNS, ElementaryFn, derivative_rule, is_pow, lookup, pow_exponent, pow_fn
 
 #: Creation numbers of nodes.
 serial = count()
@@ -136,6 +143,48 @@ def _flat_graph(w) -> bool:
                 build(node)
             stack += [(x, m - lifted) for x in node.inputs]
     return True
+
+
+def own(fn: ElementaryFn) -> bool:
+    """Whether fn is the catalogue's own row function or cached power, not a
+    registered function or a `counted_variant` copy."""
+    name = fn.name
+    return fn is (pow_fn(pow_exponent(name)) if is_pow(name) else _ROW_FNS.get(name))
+
+
+def close(w, rounds: int) -> dict:
+    """The nodes w reads, itself included, each mapped to its creation
+    number, once the unbuilt lifts among them are built, then those of the
+    rules that built, `rounds` times over, or, for rounds < 0, until none
+    is left: every catalogue rule closes (pow's chain ends at pow0's 0.0)."""
+    seen, stack, unbuilt = {}, [w], []
+    while True:
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen[node] = node.serial
+                stack.extend(node.inputs)
+                if node.fill is node.chain and len(node.inputs) == 1:
+                    unbuilt.append(node)
+        if not (rounds and unbuilt):
+            return seen
+        for node in unbuilt:
+            build(node)
+            stack.append(node.inputs[1])
+        unbuilt, rounds = [], rounds - 1
+
+
+def registers(root, nodes: dict) -> tuple[list, dict]:
+    """A lift on root read off its graph `nodes` (`close`) as registers:
+    root is 0 and each other node one more, in creation order, so the lift
+    is 1; a view is its lift's register.  The nodes after root, views left
+    out, and each node's register."""
+    lifts = {id(x.entries): x for x in nodes if x.fill is x.chain}
+    made = [x for x in sorted(nodes, key=nodes.get)
+            if x is not root and (x.fill or id(x.entries) not in lifts)]
+    reg = {x: r for r, x in enumerate([root, *made])}
+    reg.update((x, reg[lifts[id(x.entries)]]) for x in nodes if x not in reg)  # views
+    return made, reg
 
 
 def product(out: list, a: list, b: list, table: list, targets: range) -> None:

@@ -12,14 +12,32 @@ signed zeros, as constants are) are flat.  An entry of a product with a
 flat factor costs a multiply, and a flat tower's lift only its rule's
 heads: while the entries read are finite, every other term of the general
 sum is a signed zero, and 0.0 + p, bit for bit, is the sum.
+
+`eval_generic` over towers makes no node per step: `TowerAlgebra.sweep`
+writes each step's head, with its checks, into a program state of one
+entry list per slot, and its outputs are nodes that fill the slots they
+read, in op order and in blocks, as they are forced.  A lift of one of the
+catalogue's own functions replays that function's plan: its rule graph on
+a non-flat argument, closed over every nested lift's rule (pow's chain
+ends at pow0's 0.0), read once as registers (u, w, then the rule nodes),
+so one plan serves every point and order.  At entry 1 a lift computes its
+rule nodes' heads; at entry d it fills each rule node's entry d - 1, then
+its own, so the rule nodes lag one entry, as `force` fills them.  A plan
+holds two tuples per register, about 0.3 KB: 0.3 to 1.1 KB for exp, ln,
+sqrt, sin, cos and tan, about 0.7 KB per unit of a power's exponent; each
+is kept for the life of the process.  The graph still runs for library
+towers and operators on outputs, and `eval_generic`'s loop takes programs
+with an ``other`` step, a registered function, a `counted_variant` copy or
+a hand-built power above `MAX_EXPONENT`, or an input not filled with zeros.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
+from itertools import islice
 from math import isfinite
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import taylor
 from .catalog import DomainError, ElementaryFn, Lifted, _LiftedAlgebra, integer
@@ -184,10 +202,14 @@ class Tower(Lifted):
         return self.entries[0]
 
     def tail(self, k: int = 1) -> Tower:
-        """The entries from entry k on: a leaf's tail at k = 1, `tail_fn()`
-        run once under the lock that forcing holds, else a leaf over them."""
+        """The entries from entry k >= 0 on: a leaf's tail at k = 1,
+        `tail_fn()` run once under the lock that forcing holds, else a leaf
+        over them."""
+        k = integer(k, "a tower's tail k")
+        if k < 0:
+            raise ValueError(f"Tower.tail needs k >= 0, not {k}")
         with _LOCK:
-            if k > 1 or self._tail is None:
+            if k != 1 or self._tail is None:
                 return Tower(tower_take(self, k + 1)[k], lambda: self.tail(k + 1))
             if callable(self._tail):
                 tail = self._tail()
@@ -231,8 +253,257 @@ def lift(fn: ElementaryFn, args: list[Tower]) -> Tower:
     return taylor.lift(fn, (_tower(args[0], "a tower lift"), {}))
 
 
+# A program's sweep state, and a lift's under its plan, is a list of
+# registers, each an entry list, with one code per register, (kernel, x, y,
+# ...): `kernel(registers, codes, i, lo, hi)` appends register i's entries
+# lo..hi from the registers x and y (or None), which hold them already.
+
+
+def _zeros(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    regs[i] += [0.0] * (hi + 1 - lo)
+
+
+#: The code of a register filled with +0.0: an input, a constant, or a
+#: product or lift that settled.
+_ZEROS = (_zeros, None, None)
+
+
+def _each(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    """x + y, x - y or -x, entry by entry (`code[3]`: the operator)."""
+    _, x, y, op = codes[i]
+    if y is None:
+        regs[i] += map(op, regs[x][lo:hi + 1])
+    else:
+        regs[i] += map(op, regs[x][lo:hi + 1], regs[y][lo:hi + 1])
+
+
+def _kernel(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    """x * y or x / y (`code[3]`: `taylor.product` or `taylor.quotient`)."""
+    _, x, y, kernel = codes[i]
+    kernel(regs[i], regs[x], regs[y], _SPLITS, range(lo, hi + 1))
+
+
+def _mul(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    """x * y, by the kernel that `_times` picks at entry 1."""
+    _, x, y = codes[i]
+    c, v = (x, y) if _flat(regs, codes, x) else (y, x)
+    codes[i] = ((_kernel, x, y, taylor.product) if not _flat(regs, codes, c) else _ZEROS
+                if _flat(regs, codes, v) else [_scale, x, y, regs[c][0], v, 0.0])
+    codes[i][0](regs, codes, i, lo, hi)
+
+
+def _scale(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    """c * v or v * c, c flat, as `_scaled` fills it (`code[3:]`: c_0, v and
+    the sum it keeps)."""
+    code = codes[i]
+    out, c, v, total = regs[i], code[3], regs[code[4]], code[5]
+    for d in range(lo, hi + 1):
+        total += abs(v[d - 1])
+        if not isfinite(total * 2.0 ** d):
+            codes[i] = (_kernel, code[1], code[2], taylor.product)
+            return _kernel(regs, codes, i, d, hi)
+        out.append(0.0 + c * v[d])
+    code[5] = total
+
+
+def _div(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    """x / y, by `_divided` if y is flat at entry 1, else by `taylor.quotient`."""
+    _, x, y = codes[i]
+    codes[i] = (_divided, x, y) if _flat(regs, codes, y) else (_kernel, x, y, taylor.quotient)
+    codes[i][0](regs, codes, i, lo, hi)
+
+
+def _divided(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    """x / y, y flat: q_t = x_t / y_0 while q's entries are finite, every
+    term w y_r q_s of `taylor.quotient` then being a signed zero, so its sum
+    +0.0 and x_t - 0.0 x_t; from the first that is not, `taylor.quotient`."""
+    _, x, y = codes[i]
+    out, a, b0 = regs[i], regs[x], regs[y][0]
+    for t in range(lo, hi + 1):
+        if not isfinite(out[t - 1]):
+            codes[i] = (_kernel, x, y, taylor.quotient)
+            return _kernel(regs, codes, i, t, hi)
+        out.append(a[t] / b0)
+
+
+def _flat(regs: list, codes: list, i: int) -> bool:
+    """`taylor.flat` of register i."""
+    e = regs[i]
+    return codes[i] is _ZEROS and not e[1] and isfinite(e[0]) and not any(islice(e, 2, None))
+
+
+def _lift(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    """Entry hi (= lo) of a lift of register 0, whose g (`code[2]`) holds
+    entries through hi - 1: g_0 u_1, then the Euler sum."""
+    u, g = regs[0], regs[codes[i][2]]
+    if hi == 1:
+        regs[i].append(g[0] * u[1])
+        return
+    acc = 0.0  # `taylor.euler` at one entry
+    for r, s, _, e in _SPLITS[hi]:
+        acc += e * u[r] * g[s]
+    regs[i].append(acc / hi)
+
+
+def _run(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
+    """A program's lift of x by its plan: at entry 1 the plan's heads, with
+    their checks, and the lift's entry, settling if x is flat and every
+    head, all of them read by `taylor._flat_graph`, is finite; then, at each
+    entry d, every rule node's entry d - 1 in creation order (constants in
+    a block), then the lift's.  `code[3:]` is the plan before entry 1, then
+    the registers, their codes and the plan.  Nested lifts never settle:
+    where the graph's would, their Euler sums are the same +0.0."""
+    code = codes[i]
+    if lo == 1:
+        x, plan = code[1], code[3]
+        lregs = [regs[x], regs[i]]
+        for step in plan.steps:
+            lregs.append([_head(lregs, *step)])
+        flat = _flat(regs, codes, x)
+        codes[i] = code = (_run, x, None, lregs, [_ZEROS if flat else None, *plan.codes], plan)
+        _lift(lregs, code[4], 1, 1, 1)
+        if flat and all(isfinite(e[0]) for e in lregs):
+            codes[i] = _ZEROS
+            return _zeros(regs, codes, i, 2, hi)
+        lo = 2
+    lregs, lcodes, plan = code[3], code[4], code[5]
+    u, w, g = lregs[0], lregs[1], lregs[lcodes[1][2]]
+    for r in plan.consts:
+        lregs[r] += [0.0] * (hi - len(lregs[r]))
+    for d in range(lo, hi + 1):
+        for r in plan.rules:
+            lcodes[r][0](lregs, lcodes, r, d - 1, d - 1)
+        acc = 0.0  # `_lift`, inline
+        for p, q, _, e in _SPLITS[d]:
+            acc += e * u[p] * g[q]
+        w.append(acc / d)
+
+
+def _head(regs: list, kind: str, a, b, fn) -> float:
+    """The head of a step (an op on registers), written as `Tower`'s
+    operators and `taylor.lift` write it (a NaN operand's sign and payload
+    can depend on the form), with their checks."""
+    if kind == "const":
+        return float(a)
+    x0 = regs[a][0]
+    if kind == "unary":
+        fn.check_domain([x0])
+        return float(fn.value([x0]))
+    if kind == "neg":
+        return -x0
+    y0 = regs[b][0]
+    if kind == "div":
+        if y0 == 0.0:
+            raise DomainError("div", (x0, y0))
+        return x0 / y0
+    return x0 + y0 if kind == "add" else x0 - y0 if kind == "sub" else x0 * y0
+
+
+def _code(kind: str, a, b, fn) -> tuple:
+    """A step's code before entry 1."""
+    if kind == "const":
+        return _ZEROS
+    if kind == "unary":
+        return (_run, a, None, _PLANS[fn.name])
+    if kind == "mul" or kind == "div":
+        return (_mul if kind == "mul" else _div, a, b)
+    return (_each, a, b, getattr(operator, kind))
+
+
+_KINDS = {_neg: "neg", _times: "mul", _split: "div", _zero: "const", _chain: "unary"}
+
+
+class _Plan:
+    """A catalogue function's tower lift w = f(u), recorded from its rule
+    graph on the non-flat u = (0.5, 1, 0, ...) with every nested lift's rule
+    built (`taylor.close`), so that one plan serves every point and order.
+    Its registers are u, w and the rule nodes in creation order, a view
+    being its lift's; `steps` holds each rule node's step, an op on them,
+    `codes` w's code and each rule node's, and `consts` and `rules` the
+    registers of the constant rule nodes and of the rest."""
+
+    __slots__ = ("fn", "steps", "codes", "consts", "rules")
+
+    def __init__(self, fn: ElementaryFn):
+        u = tower_var(0.5)
+        made, reg = taylor.registers(u, taylor.close(taylor.lift(fn, (u, {})), -1))
+        self.fn, self.steps, self.codes = fn, [], []
+        for x in made:
+            kind = x.extra.__name__ if x.fill is _binary else _KINDS[x.fill]
+            ins = [reg[y] for y in x.inputs] or [x.entries[0]]
+            step = (kind, *(ins + [None])[:2], x.extra[0] if kind == "unary" else None)
+            self.steps.append(step)
+            self.codes.append((_lift, *ins) if kind == "unary" else _code(*step))
+        del self.steps[0]  # w's head is the program's
+        self.consts = [r for r, step in enumerate(self.steps, 2) if step[0] == "const"]
+        self.rules = [r for r, step in enumerate(self.steps, 2) if step[0] != "const"]
+
+
+#: Each catalogue function's plan, by name (see `_plan`).
+_PLANS: dict[str, _Plan] = {}
+
+
+def _plan(fn: ElementaryFn) -> _Plan | None:
+    """fn's plan, recorded on first use, if fn is the catalogue's own
+    function; threads that race record equal plans."""
+    plan = _PLANS.get(fn.name)
+    if plan is None and taylor.own(fn):
+        plan = _PLANS[fn.name] = _Plan(fn)
+    return plan if plan is not None and plan.fn is fn else None
+
+
+def _swept(node: Tower, d: int, levels: list, j: int) -> None:
+    """Fill an output of `TowerAlgebra.sweep` (`extra`: its program's slots
+    and codes, and the slots it reads in op order, itself last) through the
+    entry `force` fills this level to; once its slot settles, as a constant."""
+    slots, codes, reads = node.extra
+    hi = len(levels) - j
+    for s in reads:
+        if len(slots[s]) <= hi:
+            codes[s][0](slots, codes, s, len(slots[s]), hi)
+    if codes[reads[-1]] is _ZEROS:
+        node.fill, node.extra = _zero, None
+
+
 class TowerAlgebra(_LiftedAlgebra):
     """Univariate derivative towers of unbounded order."""
 
     constant = staticmethod(tower_const)
     lift = staticmethod(lift)
+
+    @staticmethod
+    def sweep(program, inputs: Sequence, slots: list) -> list[Tower] | None:
+        """`expr.eval_generic` over towers as one sweep of the op table into
+        a program state, one entry list per slot in `slots`: each step's
+        head now, with its checks, the rest as outputs are forced (`_swept`).
+        None, with nothing done, if an input is not a leaf filled with zeros
+        (`tower_var`, `tower_const`), or a step is an ``other`` one or lifts
+        a function other than the catalogue's own."""
+        ops, n = program.ops, program.n
+        if not all(type(x) is Tower and x.fill is _zero and not x.inputs for x in inputs) or any(
+                kind == "other" or kind == "unary" and _plan(fn) is None for kind, _, _, fn in ops):
+            return None
+        slots += [x.entries for x in inputs]
+        codes, canon = [_ZEROS] * n, list(range(n))  # canon: the slot a copy copies
+        for kind, a, b, fn in ops:  # this step fills slot len(slots)
+            if kind == "copy":
+                canon.append(canon[a])
+                slots.append(slots[a])
+                codes.append(None)
+                continue
+            if kind != "const":
+                a, b = canon[a], b if b is None else canon[b]
+            canon.append(len(slots))
+            slots.append([_head(slots, kind, a, b, fn)])
+            codes.append(_code(kind, a, b, fn))
+        outputs: dict[int, Tower] = {}
+        for c in {canon[s] for s in program.output_slots}:
+            reads = {c}
+            for s in range(c, n - 1, -1):
+                if s in reads:
+                    reads.update(codes[s][1:3])
+            reads.discard(None)
+            outputs[c] = (inputs[c] if c < n else Tower.make(slots[c], (), _zero)
+                          if codes[c] is _ZEROS else
+                          Tower.make(slots[c], (), _swept, (slots, codes, sorted(reads))))
+        return [outputs[canon[s]] for s in program.output_slots]

@@ -317,6 +317,23 @@ def test_orders_past_the_bound_are_refused_before_any_forcing():
     assert len(towers._SPLITS) == splits and t.entries == [math.exp(0.5)]
 
 
+def test_a_tail_refuses_a_k_that_is_not_a_count_by_name():
+    # k goes through `integer` like tower_take's, and a negative k is refused
+    # by tail itself, before anything is forced.
+    for t in (tower_var(2.0) * tower_var(2.0), Tower(1.0, lambda: tower_var(3.0))):
+        before = list(t.entries)
+        for k in ("2", 1.5, None):
+            with pytest.raises(TypeError, match="a tower's tail k must be an integer"):
+                t.tail(k)
+        for k in (-1, -5):
+            with pytest.raises(ValueError, match=f"Tower.tail needs k >= 0, not {k}"):
+                t.tail(k)
+        assert t.entries == before
+        # k = 0 is the tower itself, for a leaf too, and k = 2 drops two entries
+        assert tower_take(t.tail(0), 5) == tower_take(t, 5)
+        assert tower_take(t.tail(2), 3) == tower_take(t, 5)[2:]
+
+
 def test_a_leaf_without_a_callable_tail_is_refused():
     for tail_fn in (None, 5.0, tower_const(1.0)):
         with pytest.raises(TypeError, match="tail_fn must be callable"):
