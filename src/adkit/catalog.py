@@ -113,8 +113,11 @@ class ElementaryFn(Record):
     lift of another catalogue function on the same argument.  It is written
     with the operators of lifted scalars (a float is a lifted constant), and
     it may return a float: ``pow0``'s is ``0.0``.  Jets take degree 1 from
-    `partials`, as dual numbers do, and towers entry 1 from the rule; the
-    Taylor engine (`adkit.taylor`) runs the rule once per lift for the rest.
+    `partials`, as dual numbers do, and towers entry 1 from the rule.  The
+    Taylor engine (`adkit.taylor`) records the rule as a plan, once per
+    process for the catalogue's own functions, and for the rest once per
+    lift, when a tower lift's entry 1 or a jet lift's degree 1 at N >= 2 is
+    filled.
     The catalogue's transcendentals and division are generated from rows.
 
     The modes dispatch on a function's name, so the names of the catalogue's

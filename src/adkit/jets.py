@@ -17,13 +17,11 @@ basis only picks the weights: products, quotients and lifts run the Taylor
 engine's loops over the split table `JetShape.pair_table(basis)`.  Jets
 are immutable values; every operation is pure.
 
-A product runs the general loop whatever its factors.  A lift of a flat
-jet (`taylor.flat`: a finite head, then signed zeros, as constants are)
-costs only its rule's heads: see `taylor.grow`.  `JetAlgebra.sweep` runs
-`eval_generic` over plain coefficient lists.  A lift of one of the
-catalogue's own functions replays the `_Schedule` recorded from the first
-graph of its (fn, shape, basis) on a non-flat jet; only other lifts, and
-flat ones before that, build the graph.
+A product runs the general loop whatever its factors.  A lift replays its
+function's plan (`taylor.plan`, `_lifted`), so a lift of a flat jet (a
+finite head, then signed zeros, as constants are) costs only the plan's
+heads when it settles.  `JetAlgebra.sweep` runs `eval_generic` over plain
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice
 from math import isfinite
 from typing import Sequence
 
@@ -61,7 +59,7 @@ class JetShape:
     """
 
     __slots__ = ("n", "order", "size", "ends", "monomials", "position", "_tables",
-                 "factorials", "degrees", "schedules")
+                 "factorials", "degrees")
 
     def __init__(self, n: int, order: int):
         if n < 1:
@@ -86,8 +84,6 @@ class JetShape:
         )
         self.degrees: tuple[int, ...] = tuple(map(sum, monos))
         self._tables: dict[str, list] = {}
-        #: (fn name, basis) -> the `_Schedule` of that catalogue function's lift
-        self.schedules: dict[tuple[str, str], _Schedule] = {}
 
     def pair_table(self, basis: str = BERZ):
         """The basis's split table (see `adkit.taylor`): for each position t,
@@ -128,7 +124,7 @@ class JetShape:
     def __repr__(self) -> str:
         return f"JetShape(n={self.n}, order={self.order})"
 
-    def __reduce__(self):  # a copy is built afresh: schedules hold unpicklable rules
+    def __reduce__(self):  # a copy is built afresh from (n, order), its tables derived again
         return JetShape, (self.n, self.order)
 
 
@@ -276,74 +272,6 @@ def jet_variable(shape: JetShape, i: int, c: float, basis: str = STANDARD) -> Je
     return _jet(shape, coeffs, basis)
 
 
-def _each(node: _Node, d: int, levels: list, j: int) -> None:
-    """Degree d of `extra` (add, sub or neg) applied to the inputs."""
-    lo, hi = node.ends[d - 1], node.ends[d]
-    node.entries += map(node.extra, *[x.entries[lo:hi] for x in node.inputs])
-
-
-def _split(node: _Node, d: int, levels: list, j: int) -> None:
-    """Degree d of a product or quotient (`extra`: `taylor.product`, `taylor.quotient`)."""
-    x, y = node.inputs
-    node.extra(node.entries, x.entries, y.entries, node.table,
-               range(node.ends[d - 1], node.ends[d]))
-
-
-def _chain(node: _Node, d: int, levels: list, j: int) -> None:
-    """Degree d of a lift w = f(u): the Euler sum (`taylor.euler`), with v
-    the first partial f'(u_0) at d = 1, as dual numbers take it, and
-    g = f'(u) after (see `taylor.grow`)."""
-    u = node.inputs[0].entries
-    v = ([float(p) for p in node.extra[0].partials([u[0]])] if d == 1
-         else node.inputs[1].entries)
-    taylor.euler(node.entries, u, v, node.table, range(node.ends[d - 1], node.ends[d]), d)
-    if d == 1 and j + 1 < len(levels):  # w is filled beyond degree 1
-        taylor.grow(node, levels, j)
-
-
-def _zero(node: _Node, d: int, levels: list, j: int) -> None:
-    node.entries += [0.0] * (node.ends[d] - node.ends[d - 1])
-
-
-class _Node(Lifted):
-    """A jet in a lift: a Taylor engine node, built by a rule's operators on
-    the shape and split table of `like`, a jet or node."""
-
-    __slots__ = ("entries", "inputs", "fill", "extra", "serial", "shape", "table", "ends")
-    chain, zero = staticmethod(_chain), staticmethod(_zero)
-
-    def __init__(self, entries: list[float], inputs: tuple, fill, extra, like):
-        self.entries, self.inputs, self.fill, self.extra = entries, inputs, fill, extra
-        self.shape, self.table, self.ends = like.shape, like.table, like.shape.ends
-        self.serial = next(taylor.serial)
-
-    def _promote(self, b):
-        if isinstance(b, (int, float)):
-            return _Node(jet_constant(self.shape, b).coeffs, (), None, None, self)
-        return b if isinstance(b, _Node) else NotImplemented
-
-    def _add(self, b: _Node) -> _Node:
-        return _Node([self.entries[0] + b.entries[0]], (self, b), _each, operator.add, self)
-
-    def _sub(self, b: _Node) -> _Node:
-        return _Node([self.entries[0] - b.entries[0]], (self, b), _each, operator.sub, self)
-
-    def __neg__(self) -> _Node:
-        return _Node([-self.entries[0]], (self,), _each, operator.neg, self)
-
-    def _mul(self, b: _Node) -> _Node:
-        return _Node([0.0 + self.entries[0] * b.entries[0]], (self, b), _split, taylor.product, self)
-
-    def _div(self, b: _Node) -> _Node:
-        x0, y0 = self.entries[0], b.entries[0]
-        if y0 == 0.0:
-            raise DomainError("div", (x0, y0))
-        return _Node([x0 / y0], (self, b), _split, taylor.quotient, self)
-
-
-_Node.make = _Node  # the constructor `taylor.lift` calls
-
-
 def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
     """A unary catalogue function with a first-order rule (else
     UnsupportedOrderError) lifted onto the jet args[0] (see `_lifted`)."""
@@ -354,100 +282,67 @@ def lift(fn: ElementaryFn, args: list[Jet]) -> Jet:
 
 
 def _lifted(fn: ElementaryFn, u: list, shape: JetShape, basis: str) -> list:
-    """fn lifted on the jet u by its schedule, else by the graph (`_chain`),
-    which records the schedule of a catalogue function's own lift of a
-    non-flat u.  Its value, first partial and rule's floats enter as floats."""
-    key = (fn.name, basis)
-    schedule = shape.schedules.get(key)
-    if schedule is not None and schedule.fn is fn:
-        return schedule.replay(u, shape.pair_table(basis), shape.ends)
-    root = _Node(u, (), _zero, None, _jet(shape, u, basis))
-    w = taylor.lift(fn, (root, {}))
-    coeffs = taylor.force(w, shape.order + 1)
-    if schedule is None and not _flat(u) and taylor.own(fn):
-        # Threads that race here record schedules that replay alike.
-        shape.schedules[key] = _Schedule(fn, w, root)
-    return coeffs
+    """fn lifted on the jet u by its plan (`taylor.plan`): its value, its
+    degree 1 from its first partial, as dual numbers take it, then, at
+    N >= 2, the plan's heads with their domain and zero-divisor checks and
+    its rows degree by degree.  Degree d fills w, then the rows of rounds
+    1..N - d in row order, so round r is read through degree N - r, and a
+    nested lift's degree 1 is its own first partial.  A flat u (a finite
+    head, then signed zeros) settles to its head and +0.0 if the value, the
+    first partial and the heads through round N are finite."""
+    point, order = [u[0]], shape.order
+    w = [taylor.head([u], "unary", 0, None, fn)]
+    v = [float(p) for p in fn.partials(point)]
+    table, ends = shape.pair_table(basis), shape.ends
+    if order == 1:  # no rule runs
+        taylor.euler(w, u, v, table, range(1, ends[1]), 1)
+        return w
+    plan = taylor.plan(fn, order)
+    rows, flat = plan.rows, isfinite(u[0]) and not any(islice(u, 1, None))
+    regs = [u, w]
+    for kind, a, b, f in islice(rows, 1, plan.end(order if flat else order - 1)):
+        if kind == "unary":
+            f.check_domain(point)
+            regs.append([float(f.value(point))])
+        elif kind == "const":
+            regs.append(_constant(len(u), a))
+        else:  # a jet product's head is 0.0 + x0 y0, as its kernel writes it
+            h = taylor.head(regs, kind, a, b, f)
+            regs.append([0.0 + h if kind == "mul" else h])
+    if flat and isfinite(v[0]) and all(isfinite(r[0]) for r in regs):
+        return w + [0.0] * (len(u) - 1)
+    g = regs[rows[0][2]]
+    for d, fills in enumerate(_fills(plan, order), 1):
+        lo, hi = ends[d - 1], ends[d]
+        targets = range(lo, hi)
+        taylor.euler(w, u, g if d > 1 else v, table, targets, d)
+        for r, kind, a, b, f in fills:
+            out = regs[r]
+            if kind == "unary":
+                taylor.euler(out, u, regs[b] if d > 1 else [float(p) for p in f.partials(point)],
+                             table, targets, d)
+            elif kind == "mul":
+                taylor.product(out, regs[a], regs[b], table, targets)
+            elif kind == "add":
+                out += map(operator.add, regs[a][lo:hi], regs[b][lo:hi])
+            elif kind == "sub":
+                out += map(operator.sub, regs[a][lo:hi], regs[b][lo:hi])
+            elif kind == "div":
+                taylor.quotient(out, regs[a], regs[b], table, targets)
+            elif kind == "neg":
+                out += map(operator.neg, regs[a][lo:hi])
+    return w
 
 
-def _flat(u: list) -> bool:
-    """`taylor.flat` of a complete jet: a finite head, then signed zeros."""
-    return isfinite(u[0]) and not any(islice(u, 1, None))
-
-
-class _Schedule:
-    """A catalogue function's jet lift for one (fn, shape, basis), read off
-    the graph of its lift on a non-flat jet, which never settles and so is
-    the same at every point.  The argument is register 0, the lift 1, and
-    each other node (a view is its lift's) one more, in creation order.
-    A node is (kernel, x, y): `taylor.euler`, its function and g's register
-    for a lift, None and the coefficients for a constant, else `extra` and
-    its inputs' registers.  `heads` holds the nodes; `deeper`, those of the
-    lifts' rules one level deeper, which only `_flat_graph` reads.
-    `fills[d - 1]` holds (register, *node) for each node filled through
-    degree d or beyond, in creation order, the order `force` fills them in.
-    """
-
-    __slots__ = ("fn", "heads", "deeper", "fills")
-
-    def __init__(self, fn: ElementaryFn, w: _Node, root: _Node):
-        self.fn, order = fn, len(w.ends) - 1
-        deeper = next(taylor.serial)
-        # with the rules `_flat_graph` would build at N >= 2
-        made, reg = taylor.registers(root, taylor.close(w, order > 1))
-        steps = []
-        for x in made:
-            ins = [reg[i] for i in x.inputs] + [None]
-            steps.append((None, x.entries, None) if x.fill is None else
-                         (taylor.euler, x.extra[0], ins[1]) if x.fill is _chain else
-                         (x.extra, ins[0], ins[1]))
-        self.fills = [[(r, *steps[r - 1]) for r, x in enumerate(made, 1)
-                       if x.fill and len(x.entries) > x.ends[d]] for d in range(order)]
-        normal = sum(x.serial < deeper for x in made)
-        self.heads, self.deeper = steps[:normal], steps[normal:]
-
-    def replay(self, u: list, table: list, ends: tuple) -> list:
-        """The lift on u, of the schedule's shape and basis: the heads, with
-        their domain and zero-divisor checks, then the fills.  A flat u at
-        N >= 2 settles to its head and +0.0, as `taylor.grow` does, if its
-        first partial and every head `_flat_graph` reads are finite."""
-        point, regs = [u[0]], [u]
-        flat = len(self.fills) > 1 and _flat(u)
-        for code, x, y in chain(self.heads, self.deeper) if flat else self.heads:
-            if code is taylor.euler:  # a lift of x
-                x.check_domain(point)
-                regs.append([float(x.value(point))])
-            elif code is None:
-                regs.append(x)
-            elif code is taylor.product:
-                regs.append([0.0 + regs[x][0] * regs[y][0]])
-            elif code is taylor.quotient:
-                x0, y0 = regs[x][0], regs[y][0]
-                if y0 == 0.0:
-                    raise DomainError("div", (x0, y0))
-                regs.append([x0 / y0])
-            elif code is operator.add:  # the operators `_Node` writes, not calls
-                regs.append([regs[x][0] + regs[y][0]])
-            elif code is operator.sub:
-                regs.append([regs[x][0] - regs[y][0]])
-            else:
-                regs.append([-regs[x][0]])
-        if flat and isfinite(float(self.fn.partials(point)[0])) and all(isfinite(r[0]) for r in regs):
-            return [regs[1][0]] + [0.0] * (len(u) - 1)
-        for d, steps in enumerate(self.fills, 1):
-            lo, hi = ends[d - 1], ends[d]
-            targets = range(lo, hi)
-            for out, kernel, x, y in steps:
-                if kernel is taylor.euler:
-                    v = regs[y] if d > 1 else [float(p) for p in x.partials(point)]
-                    kernel(regs[out], u, v, table, targets, d)
-                elif kernel is taylor.product or kernel is taylor.quotient:
-                    kernel(regs[out], regs[x], regs[y], table, targets)
-                elif y is None:
-                    regs[out] += map(kernel, regs[x][lo:hi])
-                else:
-                    regs[out] += map(kernel, regs[x][lo:hi], regs[y][lo:hi])
-        return regs[1]
+def _fills(plan: taylor.Plan, order: int) -> list:
+    """For each degree d through `order`, the rows but constants of rounds
+    1..order - d, each as (register, *row), derived once per order."""
+    fills = plan.memo.get(order)
+    if fills is None:
+        fills = plan.memo[order] = [
+            [(r, *plan.rows[r - 1]) for r in range(2, plan.end(order - d) + 1)
+             if plan.rows[r - 1][0] != "const"] for d in range(1, order + 1)]
+    return fills
 
 
 def jet_extract_partial(j: Jet, k: tuple[int, ...]) -> float:

@@ -1,16 +1,22 @@
 """One Taylor engine for towers and jets (Griewank & Walther, *Evaluating
-Derivatives*, ch. 13): lazy nodes filled one degree block at a time.
+Derivatives*, ch. 13): each lift replays a plan recorded once, and towers
+fill lazily, one entry at a time.
 
-A node keeps its inputs, its coefficients so far in graded order, and the
-kernel `fill(node, d, levels, j)` that appends its degree-d block, unless
-it is complete or a view sharing a lift's list; it is filled through degree
-d - 1 when it holds `ends[d - 1]` coefficients.  `force` fills degree d of
-the nodes it needs for d = 1, 2, ... in creation order, which is
-topological, so nothing recurses.  A lift w = f(u) builds g = f'(u) once,
-from f's rule, when its degree 1 is filled; g reads w and the lifts its
-rule names on u (cos for sin) through views, so the graph has no cycles.
-A lift of a flat u settles (`grow`): its class's `zero` kernel fills the
-rest with +0.0, and g is never filled.  `flat` is the one flatness test.
+A lift w = f(u) fixes degree d from g = f'(u) through degree d - 1
+(E w = g E u).  `record` writes f's rule down as its evaluation procedure,
+a plan: op-table rows (kind, a, b, fn) over registers, u being register 0
+and rows[i] filling register i + 1, so w is register 1.  The recorder
+(`_Recorder`) is a lifted scalar whose operators append rows; a float is a
+``const`` row and `lift(name)` one ``unary`` row per name on u, the lift's
+own name reading register 1 (cos for sin, then sin for cos).  A unary row
+keeps its g's register as b.  Rules close round by round in creation
+order: round 0 is w, round r the rules of round r - 1's lifts, and
+pow{k}'s chain ends at pow0's 0.0.  Recording evaluates no function and
+needs no point, so one plan serves every point, shape, basis and order.
+`plan` caches it per function for the catalogue's own functions, and
+records it again per lift, through round N for a jet of order N, for
+registered functions, `counted_variant` copies and hand-built powers above
+`MAX_EXPONENT`.  `head` takes a row's head, with its checks.
 
 Jets in both bases and towers fill their products, quotients and lifts by
 the same three loops (`product`, `quotient`, `euler`).  Each reads a split
@@ -20,85 +26,47 @@ sum's weight e.  A Berz jet's table carries w = t!/(r! s!) and e = |r| w,
 a standard jet's w = 1.0 and e = float(|r|), and a tower's is the n = 1
 Berz table, entry d splitting into (r, d - r, binom(d, r), r binom(d, r)).
 
-Both read a finished graph back as registers (`close`, `registers`) to
-record a catalogue function's lift once and replay it.  A jet lift of one
-of the catalogue's own functions builds the graph once per (function,
-shape, basis) and records it (`jets._Schedule`): its later lifts replay
-the nodes' heads and these kernels in the order `force` runs them, and
-decide a flat argument's settling from the heads `_flat_graph` reads.
-`eval_generic` over towers sweeps the op table into entry lists instead
-(`towers.TowerAlgebra.sweep`), and a lift there replays its function's
-plan, recorded once from the rule graph closed over every nested lift.
-Towers still build and force the graph when built outside `eval_generic`
-or by operators on its outputs, and for the steps the sweep leaves to
-`eval_generic`'s loop.
+A tower is a node: its entries so far, its inputs, and the kernel
+`fill(node, d, top)` that appends entry d while `force` fills the nodes it
+needs through `top`.  `flat` is the one flatness test of a node.
 """
 
 from __future__ import annotations
 
 from itertools import count, islice
 from math import isfinite
+from typing import NamedTuple
 
-from .catalog import _ROW_FNS, ElementaryFn, derivative_rule, is_pow, lookup, pow_exponent, pow_fn
+from .catalog import (_ROW_FNS, DomainError, ElementaryFn, Lifted, derivative_rule, is_pow, lookup,
+                      pow_exponent, pow_fn)
 
 #: Creation numbers of nodes.
 serial = count()
 
 
 def force(t, k: int) -> list[float]:
-    """t's coefficients, filled through at least degree k - 1."""
-    if len(t.entries) < t.ends[k - 1]:
-        # levels[j] holds the nodes to fill through degree k - 1 - j.
-        levels = [_unfilled(t, k)] + [None] * (k - 2)
+    """t's entries, filled through at least entry k - 1: entry d of every
+    node it needs, for d = 1, 2, ..., in creation order, which is
+    topological, so nothing recurses."""
+    if len(t.entries) < k:
+        nodes = _unfilled(t, k)
         for d in range(1, k):
-            end = t.ends[d - 1]
-            for j in range(k - d):
-                if not levels[j]:
-                    break
-                for node in levels[j]:  # grows: a lift's g joins the next level
-                    if len(node.entries) == end:
-                        node.fill(node, d, levels, j)
+            for node in nodes:
+                if len(node.entries) == d:
+                    node.fill(node, d, k - 1)
     return t.entries
 
 
 def _unfilled(t, k: int) -> list:
-    """t and its ancestors not filled through degree k - 1, in creation order."""
-    end, seen, stack = t.ends[k - 1], {}, [t]
+    """t and its ancestors not filled through entry k - 1, in creation order."""
+    seen, stack = {}, [t]
     while stack:
         node = stack.pop()
-        if node.fill is None or len(node.entries) >= end or node in seen:
+        if len(node.entries) >= k or node in seen:
             continue
         seen[node] = node.serial
         stack.extend(node.inputs)
     return sorted(seen, key=seen.get)
-
-
-def lift(fn: ElementaryFn, family: tuple):
-    """fn lifted on a node a, in the family (a, views of its lifts by name),
-    as nodes `a.make(entries, inputs, fill, extra, a)` with kernel a.chain
-    (or a.zero, once settled)."""
-    derivative_rule(fn)
-    a, views = family
-    fn.check_domain([a.entries[0]])
-    entries = [float(fn.value([a.entries[0]]))]
-    views[fn.name] = view = a.make(entries, (), None, None, a)
-    return a.make(entries, (a,), a.chain, (fn, family, view), a)
-
-
-def grow(node, levels: list, j: int):
-    """The lift node's g = f'(u), built once from its rule as its second
-    input.  If u and g's graph are flat, the lift settles to +0.0 and g is
-    never filled.  Else its degree d reads g below d, so g's new nodes (not
-    filled at degree 1, unlike u; none if g is complete or a view) join the
-    level below."""
-    if len(node.inputs) == 1:
-        build(node)
-    u, g = node.inputs
-    if flat(u) and _flat_graph(node):
-        settle(node)
-    elif j + 1 < len(levels) and g.fill:
-        levels[j + 1] = (levels[j + 1] or []) + _unfilled(g, 2)
-    return g
 
 
 def flat(node) -> bool:
@@ -109,40 +77,76 @@ def flat(node) -> bool:
 
 
 def settle(node) -> None:
-    """From its next degree on, node is +0.0 in every coefficient."""
+    """From its next entry on, node is +0.0 in every entry."""
     node.fill, node.inputs, node.extra = node.zero, (), None
 
 
-def build(node) -> None:
-    """Give the unbuilt lift node its g = f'(u), from its rule, as its second input."""
-    fn, family, view = node.extra
-    a, views = family
-    g = a._promote(fn.derivative(
-        a, view, lambda name: views.get(name) or lift(lookup(name), family)))
-    node.inputs = (a, g)
+class Plan(NamedTuple):
+    """A lift's recorded rule (see the module): its rows, `ends[r]`, the
+    number of rows in rounds 0..r, and `memo`, where jets (by order) and
+    towers (under "towers") keep what they derive from the rows, so that a
+    cached plan is derived once."""
+
+    rows: list
+    ends: list
+    memo: dict
+
+    def end(self, r: int) -> int:
+        """The rows of rounds 0..r, r clipped to the plan's last round."""
+        return self.ends[min(r, len(self.ends) - 1)]
 
 
-def _flat_graph(w) -> bool:
-    """Whether w's entries so far and the heads of g's graph are finite.  A
-    rule builds g from u, w, lifts on u and floats; arithmetic keeps signed
-    zeros past finite heads, and a lift read past its head does if its own
-    g graph does, so that is built and walked too, read one degree lower (a
-    jet lift's degree 1, its first partial, is its g's head for the
-    catalogue's functions).  `need` maps a node to the degrees read."""
-    if not all(map(isfinite, w.entries)):
-        return False
-    need, stack = {}, [(w.inputs[1], len(w.ends) - 2)]
-    while stack:
-        node, m = stack.pop()
-        if need.get(node, -1) < m:
-            need[node] = m
-            if not isfinite(node.entries[0]):
-                return False
-            lifted = node.fill is node.chain
-            if lifted and m and len(node.inputs) == 1:
-                build(node)
-            stack += [(x, m - lifted) for x in node.inputs]
-    return True
+class _Recorder(Lifted):
+    """A register of the plan being recorded, whose operators append rows."""
+
+    __slots__ = ("rows", "reg")
+
+    def __init__(self, rows: list, reg: int):
+        self.rows, self.reg = rows, reg
+
+    def _row(self, kind: str, a, b=None, fn=None) -> _Recorder:
+        self.rows.append((kind, a, b, fn))
+        return _Recorder(self.rows, len(self.rows))
+
+    def _promote(self, b):
+        if isinstance(b, (int, float)):
+            return self._row("const", float(b))
+        return b if isinstance(b, _Recorder) else NotImplemented
+
+    def __neg__(self) -> _Recorder:
+        return self._row("neg", self.reg)
+
+    def _binary(kind: str):
+        return lambda self, b: self._row(kind, self.reg, b.reg)
+
+    _add, _sub, _mul, _div = map(_binary, ("add", "sub", "mul", "div"))
+    del _binary
+
+
+def record(fn: ElementaryFn, rounds: int = -1) -> Plan:
+    """fn's plan, closed through round `rounds`, or, for rounds < 0, until
+    no lift is left unclosed: every catalogue rule closes."""
+    rows = [("unary", 0, None, fn)]
+    names = {fn.name: 1}
+    u = _Recorder(rows, 0)
+
+    def lift(name: str) -> _Recorder:
+        if name not in names:
+            u._row("unary", 0, None, lookup(name))
+            names[name] = len(rows)
+        return _Recorder(rows, names[name])
+
+    ends, lifts = [1], [1]
+    while lifts and rounds:
+        start = len(rows)
+        for r in lifts:
+            kind, a, _, f = rows[r - 1]
+            g = u._promote(derivative_rule(f)(u, _Recorder(rows, r), lift))
+            rows[r - 1] = (kind, a, g.reg, f)
+        ends.append(len(rows))
+        lifts = [r for r in range(start + 1, len(rows) + 1) if rows[r - 1][0] == "unary"]
+        rounds -= 1
+    return Plan(rows, ends, {})
 
 
 def own(fn: ElementaryFn) -> bool:
@@ -152,39 +156,41 @@ def own(fn: ElementaryFn) -> bool:
     return fn is (pow_fn(pow_exponent(name)) if is_pow(name) else _ROW_FNS.get(name))
 
 
-def close(w, rounds: int) -> dict:
-    """The nodes w reads, itself included, each mapped to its creation
-    number, once the unbuilt lifts among them are built, then those of the
-    rules that built, `rounds` times over, or, for rounds < 0, until none
-    is left: every catalogue rule closes (pow's chain ends at pow0's 0.0)."""
-    seen, stack, unbuilt = {}, [w], []
-    while True:
-        while stack:
-            node = stack.pop()
-            if node not in seen:
-                seen[node] = node.serial
-                stack.extend(node.inputs)
-                if node.fill is node.chain and len(node.inputs) == 1:
-                    unbuilt.append(node)
-        if not (rounds and unbuilt):
-            return seen
-        for node in unbuilt:
-            build(node)
-            stack.append(node.inputs[1])
-        unbuilt, rounds = [], rounds - 1
+#: The catalogue's own functions' plans, by name, each recorded on first use.
+_PLANS: dict[str, Plan] = {}
 
 
-def registers(root, nodes: dict) -> tuple[list, dict]:
-    """A lift on root read off its graph `nodes` (`close`) as registers:
-    root is 0 and each other node one more, in creation order, so the lift
-    is 1; a view is its lift's register.  The nodes after root, views left
-    out, and each node's register."""
-    lifts = {id(x.entries): x for x in nodes if x.fill is x.chain}
-    made = [x for x in sorted(nodes, key=nodes.get)
-            if x is not root and (x.fill or id(x.entries) not in lifts)]
-    reg = {x: r for r, x in enumerate([root, *made])}
-    reg.update((x, reg[lifts[id(x.entries)]]) for x in nodes if x not in reg)  # views
-    return made, reg
+def plan(fn: ElementaryFn, rounds: int = -1) -> Plan:
+    """fn's plan: cached and closed for the catalogue's own functions, else
+    recorded now through round `rounds`.  Threads that race record equal
+    plans."""
+    found = _PLANS.get(fn.name)
+    if found is not None and found.rows[0][3] is fn:
+        return found
+    if not own(fn):
+        return record(fn, rounds)
+    found = _PLANS[fn.name] = record(fn)
+    return found
+
+
+def head(regs: list, kind: str, a, b, fn) -> float:
+    """The head of a row (an op on registers, each an entry list), with the
+    checks of its operator or lift: a lift's arguments are u's head."""
+    if kind == "const":
+        return float(a)
+    x0 = regs[a][0]
+    if kind == "unary":
+        derivative_rule(fn)
+        fn.check_domain([x0])
+        return float(fn.value([x0]))
+    if kind == "neg":
+        return -x0
+    y0 = regs[b][0]
+    if kind == "div":
+        if y0 == 0.0:
+            raise DomainError("div", (x0, y0))
+        return x0 / y0
+    return x0 + y0 if kind == "add" else x0 - y0 if kind == "sub" else x0 * y0
 
 
 def product(out: list, a: list, b: list, table: list, targets: range) -> None:

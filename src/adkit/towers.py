@@ -13,22 +13,22 @@ flat factor costs a multiply, and a flat tower's lift only its rule's
 heads: while the entries read are finite, every other term of the general
 sum is a signed zero, and 0.0 + p, bit for bit, is the sum.
 
+A lift replays its function's plan (`taylor.plan`) over registers of its
+own, u's entries, w's and one entry list per row (`_run`), as `force`
+filled the rule graph that the plan replaces: round r's rows lag r
+entries behind w, and their heads, with their checks, are taken at entry
+r, or all at entry 1 to decide whether a flat u settles, so a lift fills
+only what its forcing reads.  A plan's codes and fill order are derived
+once per plan (`_prepared`); with its rows they hold about 0.27 KB per row
+(pow1000: 3002 rows, 0.8 MB), kept for the life of the process for the
+catalogue's own functions.
+
 `eval_generic` over towers makes no node per step: `TowerAlgebra.sweep`
 writes each step's head, with its checks, into a program state of one
 entry list per slot, and its outputs are nodes that fill the slots they
-read, in op order and in blocks, as they are forced.  A lift of one of the
-catalogue's own functions replays that function's plan: its rule graph on
-a non-flat argument, closed over every nested lift's rule (pow's chain
-ends at pow0's 0.0), read once as registers (u, w, then the rule nodes),
-so one plan serves every point and order.  At entry 1 a lift computes its
-rule nodes' heads; at entry d it fills each rule node's entry d - 1, then
-its own, so the rule nodes lag one entry, as `force` fills them.  A plan
-holds two tuples per register, about 0.3 KB: 0.3 to 1.1 KB for exp, ln,
-sqrt, sin, cos and tan, about 0.7 KB per unit of a power's exponent; each
-is kept for the life of the process.  The graph still runs for library
-towers and operators on outputs, and `eval_generic`'s loop takes programs
-with an ``other`` step, a registered function, a `counted_variant` copy or
-a hand-built power above `MAX_EXPONENT`, or an input not filled with zeros.
+read, in op order and in blocks, as they are forced.  `eval_generic`'s
+loop takes programs with an ``other`` step, or an input not filled with
+zeros, and builds one node per step.
 """
 
 from __future__ import annotations
@@ -49,14 +49,14 @@ MAX_TOWER_ORDER = 1020
 _LOCK = threading.RLock()  # held while forcing, so threads agree on entries
 
 
-def _read_tail(node: Tower, d: int, levels: list, j: int) -> None:
+def _read_tail(node: Tower, d: int, top: int) -> None:
     """Entry d of a leaf: the head of its d-th tail, reached from the last
     one read (`extra`), which is empty before entry 1: no leaf refers to itself."""
     node.extra = tail = (node.extra or node).tail()
     node.entries.append(tail.entries[0])
 
 
-def _zero(node: Tower, d: int, levels: list, j: int) -> None:
+def _zero(node: Tower, d: int, top: int) -> None:
     node.entries.append(0.0)
 
 
@@ -95,12 +95,12 @@ def tower_df(a: Tower) -> Tower:
     return _tower(a, "tower_df").tail()
 
 
-def _binary(node: Tower, d: int, levels: list, j: int) -> None:
+def _binary(node: Tower, d: int, top: int) -> None:
     a, b = node.inputs
     node.entries.append(node.extra(a.entries[d], b.entries[d]))
 
 
-def _neg(node: Tower, d: int, levels: list, j: int) -> None:
+def _neg(node: Tower, d: int, top: int) -> None:
     node.entries.append(-node.inputs[0].entries[d])
 
 
@@ -127,7 +127,7 @@ def _grow(order: int) -> None:
         _SPLITS.append(splits)
 
 
-def _times(node: Tower, d: int, levels: list, j: int) -> None:
+def _times(node: Tower, d: int, top: int) -> None:
     """Entry d of x * y, by a kernel chosen at d = 1, once lifts settled."""
     x, y = node.inputs
     c, v = (x, y) if taylor.flat(x) else (y, x)
@@ -137,10 +137,10 @@ def _times(node: Tower, d: int, levels: list, j: int) -> None:
         taylor.settle(node)
     else:
         node.fill, node.extra = _scaled, (c.entries[0], v.entries, 0.0)
-    node.fill(node, d, levels, j)
+    node.fill(node, d, top)
 
 
-def _scaled(node: Tower, d: int, levels: list, j: int) -> None:
+def _scaled(node: Tower, d: int, top: int) -> None:
     """Entry d of c * v or v * c, c flat: 0.0 + c_0 v_d while no binom(d, i)
     v_i overflows (2^d times the sum of |v_i| over i < d is finite)."""
     c, v, total = node.extra
@@ -149,25 +149,13 @@ def _scaled(node: Tower, d: int, levels: list, j: int) -> None:
         node.entries.append(0.0 + c * v[d])
     else:
         node.fill, node.extra = _split, taylor.product
-        _split(node, d, levels, j)
+        _split(node, d, top)
 
 
-def _split(node: Tower, d: int, levels: list, j: int) -> None:
+def _split(node: Tower, d: int, top: int) -> None:
     """Entry d of a product or quotient (`extra`: `taylor.product`, `taylor.quotient`)."""
     x, y = node.inputs
     node.extra(node.entries, x.entries, y.entries, _SPLITS, range(d, d + 1))
-
-
-def _chain(node: Tower, d: int, levels: list, j: int) -> None:
-    """Entry d of a lift: g_0 u_1 at d = 1, the Euler sum from d = 2."""
-    u = node.inputs[0].entries
-    if d == 1:
-        node.entries.append(taylor.grow(node, levels, j).entries[0] * u[1])
-        return
-    v = node.inputs[1].entries
-    if len(v) < d:  # g was built by a nested forcing, outside this one
-        v = taylor.force(node.inputs[1], d)
-    taylor.euler(node.entries, u, v, _SPLITS, range(d, d + 1), d)
 
 
 class Tower(Lifted):
@@ -180,8 +168,7 @@ class Tower(Lifted):
     """
 
     __slots__ = ("entries", "inputs", "fill", "extra", "serial", "_tail")
-    ends = range(1, MAX_TOWER_ORDER + 2)
-    chain, zero = staticmethod(_chain), staticmethod(_zero)
+    zero = staticmethod(_zero)
 
     def __init__(self, head: float, tail_fn: Callable[[], "Tower"]):
         if not callable(tail_fn):
@@ -190,8 +177,8 @@ class Tower(Lifted):
         self._tail, self.serial = tail_fn, next(taylor.serial)
 
     @staticmethod
-    def make(entries: list[float], inputs: tuple, fill, extra=None, like=None) -> Tower:
-        """An operation's node; towers are of one kind, so `like` is unused."""
+    def make(entries: list[float], inputs: tuple, fill, extra=None) -> Tower:
+        """An operation's node."""
         t = object.__new__(Tower)
         t.entries, t.inputs, t.fill, t.extra, t._tail = entries, inputs, fill, extra, None
         t.serial = next(taylor.serial)
@@ -249,8 +236,22 @@ class Tower(Lifted):
 
 def lift(fn: ElementaryFn, args: list[Tower]) -> Tower:
     """Lift a unary catalogue function with a rule (else UnsupportedOrderError)
-    onto the tower args[0]."""
-    return taylor.lift(fn, (_tower(args[0], "a tower lift"), {}))
+    onto the tower args[0], as a node that replays fn's plan (`_lifted`)."""
+    a = _tower(args[0], "a tower lift")
+    return Tower.make([taylor.head([a.entries], "unary", 0, None, fn)], (a,), _lifted, fn)
+
+
+def _lifted(node: Tower, d: int, top: int) -> None:
+    """Entry d of a lift (`extra`: its function, then the state of `_run`
+    over the registers u and w); once it settles, a constant."""
+    if d == 1:
+        u = node.inputs[0]
+        node.extra = ([u.entries, node.entries],
+                      [_ZEROS if u.fill is _zero else None, (_run, 0, None, node.extra)])
+    regs, codes = node.extra
+    _run(regs, codes, 1, d, d)
+    if codes[1] is _ZEROS:
+        taylor.settle(node)
 
 
 # A program's sweep state, and a lift's under its plan, is a list of
@@ -346,121 +347,90 @@ def _lift(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
 
 
 def _run(regs: list, codes: list, i: int, lo: int, hi: int) -> None:
-    """A program's lift of x by its plan: at entry 1 the plan's heads, with
-    their checks, and the lift's entry, settling if x is flat and every
-    head, all of them read by `taylor._flat_graph`, is finite; then, at each
-    entry d, every rule node's entry d - 1 in creation order (constants in
-    a block), then the lift's.  `code[3:]` is the plan before entry 1, then
-    the registers, their codes and the plan.  Nested lifts never settle:
-    where the graph's would, their Euler sums are the same +0.0."""
+    """A lift of x by its function's plan (`taylor.plan`), filled as `force`
+    filled the rule graph: round r's rows lag r entries behind the lift, and
+    their heads, with their checks, are taken once it is forced to entry r.
+    At entry 1 the lift settles if x is flat and every head of the plan is
+    finite.  At entry d the rounds below d are filled deepest first, each
+    in row order, as a lift's entry e reads its g through e - 1, then the
+    lift's entry d; constants are filled in a block.  `code[3]` is the
+    function before entry 1, then the registers, their codes, the plan and
+    the rest of `_prepared`."""
     code = codes[i]
     if lo == 1:
-        x, plan = code[1], code[3]
+        x, plan = code[1], taylor.plan(code[3])
+        template, prepared = _prepared(plan)
         lregs = [regs[x], regs[i]]
-        for step in plan.steps:
-            lregs.append([_head(lregs, *step)])
         flat = _flat(regs, codes, x)
-        codes[i] = code = (_run, x, None, lregs, [_ZEROS if flat else None, *plan.codes], plan)
-        _lift(lregs, code[4], 1, 1, 1)
+        lcodes = [_ZEROS if flat else None, *template]
+        codes[i] = code = (_run, x, None, lregs, lcodes, plan, prepared)
+        _heads(lregs, plan.rows, plan.end(-1 if flat else hi))
+        _lift(lregs, lcodes, 1, 1, 1)
         if flat and all(isfinite(e[0]) for e in lregs):
             codes[i] = _ZEROS
             return _zeros(regs, codes, i, 2, hi)
         lo = 2
-    lregs, lcodes, plan = code[3], code[4], code[5]
+    _, _, _, lregs, lcodes, plan, (order, starts, consts) = code
+    if len(lregs) <= plan.ends[-1]:  # rows without heads are left
+        _heads(lregs, plan.rows, plan.end(hi))
+    for r in consts:
+        if r < len(lregs):
+            lregs[r] += [0.0] * (hi - len(lregs[r]))
+    last = len(starts) - 1
     u, w, g = lregs[0], lregs[1], lregs[lcodes[1][2]]
-    for r in plan.consts:
-        lregs[r] += [0.0] * (hi - len(lregs[r]))
     for d in range(lo, hi + 1):
-        for r in plan.rules:
-            lcodes[r][0](lregs, lcodes, r, d - 1, d - 1)
+        for reg, r in order if d > last else islice(order, starts[d - 1], None):
+            e = d - r
+            lcodes[reg][0](lregs, lcodes, reg, e, e)
         acc = 0.0  # `_lift`, inline
         for p, q, _, e in _SPLITS[d]:
             acc += e * u[p] * g[q]
         w.append(acc / d)
 
 
-def _head(regs: list, kind: str, a, b, fn) -> float:
-    """The head of a step (an op on registers), written as `Tower`'s
-    operators and `taylor.lift` write it (a NaN operand's sign and payload
-    can depend on the form), with their checks."""
-    if kind == "const":
-        return float(a)
-    x0 = regs[a][0]
-    if kind == "unary":
-        fn.check_domain([x0])
-        return float(fn.value([x0]))
-    if kind == "neg":
-        return -x0
-    y0 = regs[b][0]
-    if kind == "div":
-        if y0 == 0.0:
-            raise DomainError("div", (x0, y0))
-        return x0 / y0
-    return x0 + y0 if kind == "add" else x0 - y0 if kind == "sub" else x0 * y0
+def _prepared(plan: taylor.Plan) -> tuple:
+    """The codes of the plan's registers from w on; the (register, round)
+    pairs of its rows past w but constants, deepest round first and each
+    round in row order; where each round r starts among them (`starts[r]`);
+    and its constants' registers."""
+    prepared = plan.memo.get("towers")
+    if prepared is None:
+        ends, rows, order, starts = plan.ends, plan.rows, [], [0] * len(plan.ends)
+        for r in range(len(ends) - 1, 0, -1):
+            starts[r] = len(order)
+            order += [(reg, r) for reg in range(ends[r - 1] + 1, ends[r] + 1)
+                      if rows[reg - 1][0] != "const"]
+        consts = [reg for reg, row in enumerate(rows, 1) if row[0] == "const"]
+        prepared = plan.memo["towers"] = ([_code(*row) for row in rows], (order, starts, consts))
+    return prepared
+
+
+def _heads(regs: list, rows: list, end: int) -> None:
+    """The heads of the rows before `end` that have none yet."""
+    for row in islice(rows, len(regs) - 1, end):
+        regs.append([taylor.head(regs, *row)])
 
 
 def _code(kind: str, a, b, fn) -> tuple:
-    """A step's code before entry 1."""
+    """A step's code before entry 1: a program's lift is run by its plan,
+    a plan's nested lift (b: its g) by `_lift`."""
     if kind == "const":
         return _ZEROS
     if kind == "unary":
-        return (_run, a, None, _PLANS[fn.name])
+        return (_run, a, None, fn) if b is None else (_lift, a, b)
     if kind == "mul" or kind == "div":
         return (_mul if kind == "mul" else _div, a, b)
     return (_each, a, b, getattr(operator, kind))
 
 
-_KINDS = {_neg: "neg", _times: "mul", _split: "div", _zero: "const", _chain: "unary"}
-
-
-class _Plan:
-    """A catalogue function's tower lift w = f(u), recorded from its rule
-    graph on the non-flat u = (0.5, 1, 0, ...) with every nested lift's rule
-    built (`taylor.close`), so that one plan serves every point and order.
-    Its registers are u, w and the rule nodes in creation order, a view
-    being its lift's; `steps` holds each rule node's step, an op on them,
-    `codes` w's code and each rule node's, and `consts` and `rules` the
-    registers of the constant rule nodes and of the rest."""
-
-    __slots__ = ("fn", "steps", "codes", "consts", "rules")
-
-    def __init__(self, fn: ElementaryFn):
-        u = tower_var(0.5)
-        made, reg = taylor.registers(u, taylor.close(taylor.lift(fn, (u, {})), -1))
-        self.fn, self.steps, self.codes = fn, [], []
-        for x in made:
-            kind = x.extra.__name__ if x.fill is _binary else _KINDS[x.fill]
-            ins = [reg[y] for y in x.inputs] or [x.entries[0]]
-            step = (kind, *(ins + [None])[:2], x.extra[0] if kind == "unary" else None)
-            self.steps.append(step)
-            self.codes.append((_lift, *ins) if kind == "unary" else _code(*step))
-        del self.steps[0]  # w's head is the program's
-        self.consts = [r for r, step in enumerate(self.steps, 2) if step[0] == "const"]
-        self.rules = [r for r, step in enumerate(self.steps, 2) if step[0] != "const"]
-
-
-#: Each catalogue function's plan, by name (see `_plan`).
-_PLANS: dict[str, _Plan] = {}
-
-
-def _plan(fn: ElementaryFn) -> _Plan | None:
-    """fn's plan, recorded on first use, if fn is the catalogue's own
-    function; threads that race record equal plans."""
-    plan = _PLANS.get(fn.name)
-    if plan is None and taylor.own(fn):
-        plan = _PLANS[fn.name] = _Plan(fn)
-    return plan if plan is not None and plan.fn is fn else None
-
-
-def _swept(node: Tower, d: int, levels: list, j: int) -> None:
+def _swept(node: Tower, d: int, top: int) -> None:
     """Fill an output of `TowerAlgebra.sweep` (`extra`: its program's slots
-    and codes, and the slots it reads in op order, itself last) through the
-    entry `force` fills this level to; once its slot settles, as a constant."""
+    and codes, and the slots it reads in op order, itself last) through
+    `top`, the entry `force` fills to; once its slot settles, a constant."""
     slots, codes, reads = node.extra
-    hi = len(levels) - j
     for s in reads:
-        if len(slots[s]) <= hi:
-            codes[s][0](slots, codes, s, len(slots[s]), hi)
+        if len(slots[s]) <= top:
+            codes[s][0](slots, codes, s, len(slots[s]), top)
     if codes[reads[-1]] is _ZEROS:
         node.fill, node.extra = _zero, None
 
@@ -477,11 +447,10 @@ class TowerAlgebra(_LiftedAlgebra):
         a program state, one entry list per slot in `slots`: each step's
         head now, with its checks, the rest as outputs are forced (`_swept`).
         None, with nothing done, if an input is not a leaf filled with zeros
-        (`tower_var`, `tower_const`), or a step is an ``other`` one or lifts
-        a function other than the catalogue's own."""
+        (`tower_var`, `tower_const`), or a step is an ``other`` one."""
         ops, n = program.ops, program.n
         if not all(type(x) is Tower and x.fill is _zero and not x.inputs for x in inputs) or any(
-                kind == "other" or kind == "unary" and _plan(fn) is None for kind, _, _, fn in ops):
+                kind == "other" for kind, _, _, _ in ops):
             return None
         slots += [x.entries for x in inputs]
         codes, canon = [_ZEROS] * n, list(range(n))  # canon: the slot a copy copies
@@ -494,7 +463,7 @@ class TowerAlgebra(_LiftedAlgebra):
             if kind != "const":
                 a, b = canon[a], b if b is None else canon[b]
             canon.append(len(slots))
-            slots.append([_head(slots, kind, a, b, fn)])
+            slots.append([taylor.head(slots, kind, a, b, fn)])
             codes.append(_code(kind, a, b, fn))
         outputs: dict[int, Tower] = {}
         for c in {canon[s] for s in program.output_slots}:

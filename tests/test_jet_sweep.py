@@ -1,7 +1,7 @@
-"""Jets by one sweep of the op table over coefficient lists, and catalogue
-lifts by their recorded schedules (`JetAlgebra.sweep`, `jets._Schedule`):
-byte for byte, DomainError texts and paths included, against the loops
-that tested the basis in every split (`oracles.LoopJetAlgebra`)."""
+"""Jets by one sweep of the op table over coefficient lists, and lifts by
+their functions' recorded plans (`JetAlgebra.sweep`, `taylor.plan`): byte
+for byte, DomainError texts and paths included, against the loops that
+tested the basis in every split (`oracles.LoopJetAlgebra`)."""
 
 import copy
 import math
@@ -12,14 +12,15 @@ import threading
 
 import pytest
 
-from adkit import jets
-from adkit.catalog import CATALOG, EXP, MUL, SIN, ElementaryFn, pow_fn
+from adkit import jets, taylor
+from adkit.catalog import ADD, CATALOG, EXP, MUL, SIN, ElementaryFn, pow_fn
 from adkit.counting import EvalCounter, counted_variant
 from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
 from adkit.jets import BERZ, STANDARD, JetAlgebra, JetShape, jet_shape, jet_variable
+from adkit.towers import TowerAlgebra, tower_take, tower_var
 
 from conftest import random_program
-from oracles import LoopJet, LoopJetAlgebra, packed, step_eval
+from oracles import LoopJet, LoopJetAlgebra, LoopTowerAlgebra, packed, step_eval
 from test_flat import constant_rich_program
 
 #: Signed zeros, tiny and infinite magnitudes, NaN, exp's domain bound and
@@ -31,6 +32,12 @@ POINTS = (0.0, -0.0, 1e-200, -1e-200, math.inf, -math.inf, math.nan,
 class GraphAlgebra(JetAlgebra):
     """`JetAlgebra` without its sweep: `eval_generic`'s own loop, one Jet
     and one `apply` per step."""
+
+    sweep = None
+
+
+class TowerLoop(TowerAlgebra):
+    """`TowerAlgebra` without its sweep: one `Tower` and one `apply` per step."""
 
     sweep = None
 
@@ -56,10 +63,12 @@ def _corpus():
     return [*seeded.values(), *(constant_rich_program(rng) for _ in range(32))]
 
 
-def test_sweeps_match_the_loops_at_edge_points_in_both_bases():
-    # Each (n, N, basis) runs on a fresh shape: its first lifts build the
-    # graph and record schedules, and the points after replay them.
-    errors = cases = recorded = 0
+def test_sweeps_match_the_loops_at_edge_points_in_both_bases(monkeypatch):
+    # Each (n, N, basis) runs on a fresh shape, and the plan cache starts
+    # empty: the first lift of each function records its plan, and every
+    # lift after, on any shape and basis, replays it.
+    monkeypatch.setattr(taylor, "_PLANS", {})
+    errors = cases = 0
     for fdef, point in _corpus():
         for order in range(1, 6):
             for basis in (STANDARD, BERZ):
@@ -69,77 +78,73 @@ def test_sweeps_match_the_loops_at_edge_points_in_both_bases():
                     assert got == want, (fdef, order, basis, x)
                     errors += got[0] == "DomainError"
                     cases += 1
-                recorded += bool(shape.schedules)
     assert 0 < errors < cases / 2
-    assert recorded > 300  # of 800 (program, N, basis)
+    assert {"exp", "ln", "sqrt", "sin", "cos", "tan", "pow2", "pow4"} <= set(taylor._PLANS)
 
 
 def test_flat_arguments_settle_by_the_schedules_heads():
-    # Lifts of flat jets (a finite head, then signed zeros) by a schedule
-    # recorded from a non-flat one, against the graph on a shape with no
-    # schedule: some settle, and some (a non-finite partial or head) do not.
+    # Lifts of flat jets (a finite head, then signed zeros) by the plan, the
+    # schedule that non-flat ones replay, against the loops: some settle,
+    # and some (a non-finite partial or head) do not.  At N = 1 no rule runs.
     fns = [CATALOG[name] for name in ("exp", "ln", "sqrt", "sin", "cos", "tan")]
     fns += [pow_fn(k) for k in (0, 1, 2, 5)]
     heads = (0.5, -0.0, 0.0, 5e-324, 1e-200, 1e300, -1e300, 709.0, 700.5, math.pi / 2, -3.0)
     settled = unsettled = 0
     for n, order in ((1, 1), (1, 2), (2, 3), (3, 4), (1, 5)):
         for basis in (STANDARD, BERZ):
-            scheduled, graph = JetShape(n, order), JetShape(n, order)
+            shape, loops = JetShape(n, order), LoopJetAlgebra(jet_shape(n, order), basis)
             for fn in fns:
-                algebra = JetAlgebra(scheduled, basis)
-                algebra.apply(fn, [jet_variable(scheduled, 1, 0.75, basis)])
-                assert scheduled.schedules[(fn.name, basis)].fn is fn
+                algebra = JetAlgebra(shape, basis)
+                algebra.apply(fn, [jet_variable(shape, 1, 0.75, basis)])
+                assert order == 1 or taylor._PLANS[fn.name].rows[0][3] is fn
                 for c in heads:
                     for tail in (0.0, -0.0):
-                        coeffs = [c] + [tail] * (scheduled.size - 1)
+                        coeffs = [c] + [tail] * (shape.size - 1)
                         got = packed(lambda: [algebra.apply(
-                            fn, [jets.Jet(scheduled, coeffs, basis)]).coeffs])
-                        want = packed(lambda: [JetAlgebra(graph, basis).apply(
-                            fn, [jets.Jet(graph, coeffs, basis)]).coeffs])
+                            fn, [jets.Jet(shape, coeffs, basis)]).coeffs])
+                        want = packed(lambda: [loops.apply(
+                            fn, [LoopJet(jet_shape(n, order), coeffs, basis)]).coeffs])
                         assert got == want, (fn, n, order, basis, c, tail)
                         if got[0] != "DomainError" and order > 1:
                             rest = set(got[0][8:])
                             settled += rest == {0}
                             unsettled += rest != {0}
-            assert not graph.schedules  # flat lifts record nothing
     assert settled and unsettled
 
 
 def test_one_program_at_fifty_points_after_its_schedules_exist():
     rng = random.Random(77)
     fdef = parse("f(x, y) = sin(x*y)/(1 + x^2) + exp(-y)*tan(x/3) - sqrt(x*x + y*y)^3")
+    names = ("sin", "pow2", "exp", "tan", "sqrt", "pow3")
     for basis in (STANDARD, BERZ):
         shape = JetShape(2, 5)
         eval_generic(fdef, [jet_variable(shape, i, 0.5, basis) for i in (1, 2)],
                      JetAlgebra(shape, basis))
-        recorded = dict(shape.schedules)
-        assert {name for name, _ in recorded} == {"sin", "pow2", "exp", "tan", "sqrt", "pow3"}
+        recorded = {name: taylor._PLANS[name] for name in names}
         for _ in range(50):
             got, want = _pair(fdef, [rng.uniform(-2, 2), rng.uniform(-2, 2)], shape, basis)
             assert got == want
-        assert shape.schedules == recorded  # replayed, not recorded again
+        # replayed, not recorded again
+        assert all(taylor._PLANS[name] is plan for name, plan in recorded.items())
 
 
-def test_a_jet_whose_shape_holds_schedules_pickles_and_copies():
-    # A shape pickles and deep-copies as its (n, order), a fresh shape, so
-    # the schedules' catalogue functions, whose callables are lambdas, are
-    # not pickled.
+def test_a_jet_pickles_and_copies_with_a_fresh_shape():
+    # A shape pickles and deep-copies as its (n, order), a fresh shape
+    # whose tables are derived again.
     shape = JetShape(2, 3)
     fdef = parse("f(x, y) = sin(x*y) + exp(y)^2")
     out = eval_generic(fdef, [jet_variable(shape, i, 0.5, BERZ) for i in (1, 2)],
                        JetAlgebra(shape, BERZ))[0]
-    assert shape.schedules
     for clone in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
         assert clone.coeffs == out.coeffs and clone.basis == BERZ
         assert clone.shape is not shape and clone.shape.monomials == shape.monomials
-        assert not clone.shape.schedules
         assert clone * clone == jets._jet(clone.shape, (out * out).coeffs, BERZ)
 
 
 def test_domain_errors_keep_their_texts_and_paths():
     # A lift's domain, a zero divisor in a step and one inside a registered
     # function's rule, as the loops and as eval_generic's own loop report
-    # them, before and after the shape holds schedules.
+    # them, on the first evaluation and on the next.
     inverse = ElementaryFn("inverse_rule", 1, lambda a: a[0], lambda a: [1.0],
                            lambda a: True, derivative=lambda a, f, lift: 1.0 / a)
     x, y = Variable(1), Variable(2)
@@ -161,10 +166,10 @@ def test_domain_errors_keep_their_texts_and_paths():
                         fdef, seeds, GraphAlgebra(shape, basis))]) == got
 
 
-def test_registered_functions_and_counted_copies_keep_the_graph_and_their_counts(monkeypatch):
+def test_registered_functions_and_counted_copies_replay_plans_recorded_per_lift(monkeypatch):
     # The README's sigmoid and counted copies of sin, exp, a power and mul
-    # are lifted by the graph, get no schedule, and tick their counter as
-    # eval_generic's own loop does.
+    # are lifted by plans recorded for that lift, none cached, and tick
+    # their counter as eval_generic's own loop does.
     def sigma(a):
         return 1.0 / (1.0 + math.exp(-a[0]))
 
@@ -194,9 +199,8 @@ def test_registered_functions_and_counted_copies_keep_the_graph_and_their_counts
                 # sin and exp take a value and a first partial each; powers
                 # and mul cost nothing
                 assert ticks == ([4, 4] if fdef is counted else [0, 0])
-                assert not {name for name, _ in shape.schedules} & {"sigmoid"}
-                assert all(s.fn is not fn for s in shape.schedules.values()
-                           for fn in (sin, exp, cube))
+                assert "sigmoid" not in taylor._PLANS
+                assert all(plan.rows[0][3] not in (sin, exp, cube) for plan in taylor._PLANS.values())
 
 
 def test_inputs_of_another_shape_or_basis_take_eval_generic_s_own_loop():
@@ -220,16 +224,18 @@ def test_inputs_of_another_shape_or_basis_take_eval_generic_s_own_loop():
         assert outcomes[0] == outcomes[1]
 
 
-def test_threads_recording_and_replaying_one_shape_get_the_loops_bits():
+def test_threads_recording_and_replaying_one_shape_get_the_loops_bits(monkeypatch):
     # Four threads (more than this host's cores) sweep one program on a fresh
-    # shape at once, so two may record the same key and others replay
-    # while it is stored; every result must still equal the loops'.
+    # shape, with no plan cached, at once, so two may record the same plan
+    # and others replay it while it is stored; every result must still
+    # equal the loops'.
     fdef = parse("f(x, y) = sin(x*y) * cos(y) / (2 + exp(x)) + tan(y/4)^3 - sqrt(1 + x*x)")
     points = [[0.1 * k - 0.7, 0.05 * k + 0.3] for k in range(16)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
+            monkeypatch.setattr(taylor, "_PLANS", {})
             shape = JetShape(2, 4)
             want = [_pair(fdef, p, JetShape(2, 4), BERZ)[1] for p in points]
             barrier, seen = threading.Barrier(4), []
@@ -247,6 +253,65 @@ def test_threads_recording_and_replaying_one_shape_get_the_loops_bits():
                 assert not t.is_alive()
             assert sorted(i for i, _ in seen) == list(range(len(points)))
             assert all(got == want[i] for i, got in seen)
-            assert {name for name, _ in shape.schedules} == {"sin", "cos", "exp", "tan", "pow3", "sqrt"}
+            assert set(taylor._PLANS) == {"sin", "cos", "exp", "tan", "pow3", "sqrt"}
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_a_rule_that_lifts_two_functions_in_one_round_matches_the_loops():
+    # A registered rule whose round lifts sin and exp, then divides by
+    # a - 1.0: their rules are recorded in the next round in creation order,
+    # and at 1.0 the division's DomainError is the one raised, as jets in
+    # both bases, as the tower sweep, `eval_generic`'s own loop over towers
+    # and a library lift, and as the loops.
+    fn = ElementaryFn("two_lifts", 1, lambda a: 0.5 * a[0], lambda a: [0.5], lambda a: True,
+                      derivative=lambda a, f, lift: lift("sin") * lift("exp") / (a - 1.0))
+    x, y = Variable(1), Variable(2)
+    fdef = FunctionDef("f", ("x", "y"), (
+        Apply(ADD, (Apply(fn, (Apply(MUL, (x, y)),)), y)),))
+    rng = random.Random(3737)
+    points = [[rng.uniform(-2, 2), rng.uniform(0.2, 2)] for _ in range(6)] + [[1.0, 1.0]]
+    errors = 0
+    for point in points:
+        for order in range(1, 6):
+            for basis in (STANDARD, BERZ):
+                got, want = _pair(fdef, point, JetShape(2, order), basis)
+                assert got == want, (point, order, basis)
+                errors += got[0] == "DomainError"
+        u = point[0] * point[1]
+        loops = LoopTowerAlgebra(5)
+        want = packed(lambda: [loops.apply(fn, [loops.variable(u)]).entries])
+        lifted = packed(lambda: [tower_take(TowerAlgebra().apply(fn, [tower_var(u)]), 6)])
+        assert lifted[:2] == want[:2]
+        one = FunctionDef("g", ("x",), (Apply(fn, (x,)),))
+        for algebra in (TowerAlgebra(), TowerLoop()):
+            assert packed(lambda: [tower_take(eval_generic(one, [tower_var(u)], algebra)[0], 6)]) == lifted
+    assert errors == 8  # N = 2..5 in both bases at 1.0; N = 1 runs no rule
+    assert lifted[:2] == ("DomainError", "div undefined on (2.2873552871788423, 0.0)")
+
+
+def test_flat_lifts_replay_one_plan_per_function(monkeypatch):
+    # sin(2) and exp(0.5) lift flat constants: over jets of three shapes in
+    # both bases and over towers, each function's plan is recorded once,
+    # and every lift replays that one object.
+    monkeypatch.setattr(taylor, "_PLANS", {})
+    recorded, replayed = [], {}
+    record, plan = taylor.record, taylor.plan
+    monkeypatch.setattr(taylor, "record", lambda fn, *rounds: recorded.append(fn.name) or record(fn, *rounds))
+    monkeypatch.setattr(taylor, "plan", lambda fn, *rounds: replayed.setdefault(fn.name, []).append(
+        plan(fn, *rounds)) or replayed[fn.name][-1])
+    fdef = parse("f(x, y) = x*sin(2) + y*exp(0.5)")
+    rng = random.Random(2020)
+    points = [[rng.uniform(-2, 2), rng.uniform(-2, 2)] for _ in range(20)]
+    for point in points:
+        for order in (2, 3, 5):
+            for basis in (STANDARD, BERZ):
+                got, want = _pair(fdef, point, JetShape(2, order), basis)
+                assert got == want
+        out = eval_generic(fdef, [tower_var(c) for c in point], TowerAlgebra())[0]
+        loops = LoopTowerAlgebra(7)
+        assert packed(lambda: [tower_take(out, 8)]) == packed(lambda: [step_eval(
+            fdef, [loops.variable(c) for c in point], loops)[0].entries])
+    assert sorted(recorded) == ["exp", "sin"]
+    assert {name: len(plans) for name, plans in replayed.items()} == {"sin": 140, "exp": 140}
+    assert all(len(set(map(id, plans))) == 1 for plans in replayed.values())

@@ -1,12 +1,12 @@
-"""Towers by one sweep of the op table into a program state, whose catalogue
-lifts replay plans recorded once per function (`TowerAlgebra.sweep`,
-`towers._Plan`): byte for byte, DomainError texts and paths included,
-against the graph (`eval_generic`'s own loop, one `Tower` per step), and
-against the tower formulas evaluated eagerly (`oracles.LoopTowerAlgebra`)
-up to which NaN a NaN entry is.  The graph and the loops differ there
-already: in CPython 3.11 a ``*`` or ``+`` of two NaNs keeps the second
-operand's while its bytecode is generic and the first once it is
-specialized, and the loops' operator sites warm up apart from the graph's.
+"""Towers by one sweep of the op table into a program state, whose lifts
+replay their functions' plans (`TowerAlgebra.sweep`, `taylor.plan`): byte
+for byte, DomainError texts and paths included, against `eval_generic`'s
+own loop (one `Tower` per step, forced by `taylor.force`), and against the
+tower formulas evaluated eagerly (`oracles.LoopTowerAlgebra`) up to which
+NaN a NaN entry is.  The towers and the loops differ there already: in
+CPython 3.11 a ``*`` or ``+`` of two NaNs keeps the second operand's while
+its bytecode is generic and the first once it is specialized, and the
+loops' operator sites warm up apart from the towers'.
 """
 
 import math
@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from adkit import towers
+from adkit import taylor, towers
 from adkit.catalog import CATALOG, EXP, MUL, SIN, ElementaryFn, pow_fn
 from adkit.counting import EvalCounter, counted_variant
 from adkit.expr import Apply, FunctionDef, Variable, eval_generic, parse
@@ -153,7 +153,9 @@ def test_domain_errors_keep_their_texts_and_paths():
             assert got[1:] == (text, text.split("at ")[-1][:-1])
 
 
-def test_registered_functions_and_counted_copies_take_the_loop_with_their_counts(monkeypatch):
+def test_registered_functions_and_counted_copies_replay_plans_recorded_per_lift(monkeypatch):
+    # The sweep lifts them too, each by a plan recorded for that lift and
+    # not cached, with the loop's bits and counts.
     def sigma(a):
         return 1.0 / (1.0 + math.exp(-a[0]))
 
@@ -169,19 +171,17 @@ def test_registered_functions_and_counted_copies_take_the_loop_with_their_counts
         Apply(mul, (Apply(sin, (x,)), Apply(exp, (Apply(cube, (y,)),)))),))
     big = FunctionDef("h", ("x",), (Apply(pow_fn(1001), (Apply(SIN, (x,)),)),))
     for fdef in (sigmoid, counted, big):
+        inputs = [tower_var(c) for c in (0.4, -1.1)[:fdef.n]]
+        assert TowerAlgebra.sweep(fdef.program, inputs, []) is not None
         ticks, outcomes = [], []
         for algebra in (TowerAlgebra(), GraphAlgebra()):
-            slots = []
-            inputs = [tower_var(c) for c in (0.4, -1.1)[:fdef.n]]
-            assert algebra.sweep is None or algebra.sweep(fdef.program, inputs, slots) is None
-            assert slots == []
             before = counter.count
             outcomes.append(_forced(fdef, [0.4, -1.1][:fdef.n], algebra, [5]))
             ticks.append(counter.count - before)
         assert outcomes[0] == outcomes[1] == _loops(fdef, [0.4, -1.1][:fdef.n], 5)
         assert ticks[0] == ticks[1]
-        assert all(plan.fn not in (sin, exp, cube) for plan in towers._PLANS.values())
-        assert "sigmoid" not in towers._PLANS and "pow1001" not in towers._PLANS
+        assert all(plan.rows[0][3] not in (sin, exp, cube) for plan in taylor._PLANS.values())
+        assert "sigmoid" not in taylor._PLANS and "pow1001" not in taylor._PLANS
     assert ticks[0] == 0 and counter.count > 0
 
 
@@ -238,7 +238,7 @@ def test_forcing_to_k_fills_only_what_the_output_reads_below_k():
         _, codes, reads = outs[0].extra
         assert len(slots[reads[-1]]) == k and all(len(e) <= k for e in slots[fdef.n:])
         assert all(len(slots[s]) == 1 for s in range(len(slots)) if s not in reads)
-        runs = [c for c in codes if c is not None and c[0] is towers._run and len(c) == 6]
+        runs = [c for c in codes if c is not None and c[0] is towers._run and len(c) == 7]
         assert len(runs) == (4 if k > 1 else 0)  # sin, pow3, tan and ln started at entry 1
         for run in runs:
             assert max(map(len, run[3][2:]), default=0) <= k - 1
@@ -246,17 +246,19 @@ def test_forcing_to_k_fills_only_what_the_output_reads_below_k():
 
 def test_plans_are_recorded_once_per_function_and_close():
     fdef = parse("f(x) = sin(x) + cos(x) + tan(x) + exp(x) + ln(x) + sqrt(x) + x^4 + x^0")
-    eval_generic(fdef, [tower_var(0.6)], TowerAlgebra())
-    plans = {name: towers._PLANS[name] for name in
+    tower_take(eval_generic(fdef, [tower_var(0.6)], TowerAlgebra())[0], 2)
+    plans = {name: taylor._PLANS[name] for name in
              ("sin", "cos", "tan", "exp", "ln", "sqrt", "pow4", "pow0")}
     tower_take(eval_generic(fdef, [tower_var(0.9)], TowerAlgebra())[0], 8)
-    assert all(towers._PLANS[name] is plan for name, plan in plans.items())
-    # exp's g is its own view, sin's is cos's lift, and pow4's rule lifts
-    # pow3 ... pow0, whose rule is the constant 0.0: every rule is built.
-    assert plans["exp"].codes == [(towers._lift, 0, 1)] and plans["exp"].steps == []
-    assert [step[0] for step in plans["sin"].steps] == ["unary", "neg"]
-    assert [step[3].name for step in plans["pow4"].steps if step[0] == "unary"] == [
-        "pow3", "pow2", "pow1", "pow0"]
+    assert all(taylor._PLANS[name] is plan for name, plan in plans.items())
+    # exp's g is w itself, sin's is cos's lift, whose g negates sin's, and
+    # pow4's rule lifts pow3 ... pow0, whose rule is the constant 0.0:
+    # every rule is recorded, round by round.
+    assert plans["exp"].rows == [("unary", 0, 1, CATALOG["exp"])]
+    assert [row[0] for row in plans["sin"].rows] == ["unary", "unary", "neg"]
+    assert plans["sin"].ends == [1, 2, 3]
+    assert [row[3].name for row in plans["pow4"].rows if row[0] == "unary"] == [
+        "pow4", "pow3", "pow2", "pow1", "pow0"]
 
 
 @pytest.mark.parametrize("name", ["sum", "nested", "let"])
